@@ -208,10 +208,18 @@ def arc_scan(value_fn, depth, mode="sup", complements=True, collect_table=False,
     witness = None
     infinite = []
     cum = -np.inf if mode == "sup" else np.inf
+    # the finest family is valued first, so that an arc weight integrates its
+    # cells once, on the finest lattice the scan reads
+    deepest = _scan_families(depth, complements)
+    first = np.asarray(value_fn(*deepest[-1]), dtype=float)
     for level in range(1, depth + 1):
         level_val = -np.inf if mode == "sup" else np.inf
-        for starts, length in _scan_families(level, complements):
-            vals = np.asarray(value_fn(starts, length), dtype=float)
+        families = deepest if level == depth else _scan_families(level, complements)
+        for starts, length in families:
+            if starts is deepest[-1][0]:
+                vals = first
+            else:
+                vals = np.asarray(value_fn(starts, length), dtype=float)
             if collect_table:
                 centers = (starts + length / 2.0) % 1.0 * TWO_PI
                 for c, v in zip(centers, vals):
@@ -617,15 +625,11 @@ def _effective_density(component, n=_CELL_GRID_SIZE):
 
     Cells are centered on the standard grid points, so pairing these masses
     with pointwise kernel values is midpoint quadrature with an exactly
-    integrated weight; the weight singularity costs nothing.
+    integrated weight; the weight singularity costs nothing.  The cell at
+    grid point k is cells 2k - 1 and 2k of the weight's 2n lattice.
     """
-    cached = getattr(component, "_effective_cache", None)
-    if cached is not None and cached[0] == n:
-        return cached[1]
-    starts = (grid_angles(n) - np.pi / n) % TWO_PI
-    h = np.asarray(component.weight.arc_integral(starts, 1.0 / n), dtype=float) * n
-    component._effective_cache = (n, h)
-    return h
+    halves = component.weight.cell_integrals((2 * n).bit_length() - 1)
+    return np.roll(halves, 1).reshape(n, 2).sum(axis=1) * n
 
 
 def _kernel_mu_norms_squared(pair, measure, lams, variant):

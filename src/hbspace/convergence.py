@@ -113,13 +113,3 @@ def dyadic_arcs(level):
     count = 2 ** level
     starts = np.arange(count, dtype=float) / count
     return starts, (starts + 0.5 / count) % 1.0
-
-
-def pairwise_sum(values):
-    """Order-insensitive reduction used where reproducibility across chunkings matters."""
-    v = np.asarray(values)
-    while v.size > 1:
-        if v.size % 2:
-            v = np.concatenate([v, v[-1:] * 0])
-        v = v[0::2] + v[1::2]
-    return v[0] if v.size else 0.0

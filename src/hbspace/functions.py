@@ -184,9 +184,6 @@ class RationalFn(AnalyticFunction):
     def degree(self):
         return max(self.num.size - 1, self.den.size - 1)
 
-    def is_polynomial(self):
-        return self.den.size == 1
-
 
 def _trim(c, tol=0.0):
     """Drop trailing (highest-order) zero coefficients."""
@@ -512,9 +509,6 @@ class FejerRieszFactorization:
         self.q.setflags(write=False)
         self.boundary_zeros = list(boundary_zeros)
         self.residual = float(residual)
-
-    def as_function(self):
-        return polynomial_fn(self.q)
 
     def __iter__(self):  # allows q, zeros = factorization
         yield self.q

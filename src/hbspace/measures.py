@@ -4,8 +4,12 @@ A measure is a sum of four kinds of components: atoms inside the disk, an
 absolutely continuous boundary part (grid samples or a closed-form power
 density), singular boundary atoms, and radial line densities (1-t)^-beta
 along a ray.  Window and arc masses are exact wherever a closed form exists;
-power-type arc integrals go through incomplete-beta special functions, so the
-singular examples are not quadrature-limited near their singularity.
+power-type arc integrals next to their singularity go through incomplete-beta
+special functions, so the singular examples are not quadrature-limited there.
+
+Every boundary weight is an `ArcWeight`: its arc integrals are sums over a
+dyadic pyramid of cell integrals, built once per weight.  Inside it,
+positions are turns (fractions of the circle), so lattice points are exact.
 
 Angles are radians; arcs are handled internally as normalized spans
 (m(circle) = 1), matching the window definition 1 - |z| <= m(I)/2.
@@ -24,6 +28,11 @@ TWO_PI = 2.0 * np.pi
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
 
+#: normalized distance within which an arc end or a singular angle counts as a lattice point
+_SNAP = 1e-15
+#: finest lattice k / 2^_MAX_LEVEL that arc ends and singular angles are matched against
+_MAX_LEVEL = 18
+
 
 def _gl_integrate(fn, lo, hi):
     """Fixed-order Gauss-Legendre on [lo, hi] (vectorized endpoints allowed)."""
@@ -36,48 +45,212 @@ def _gl_integrate(fn, lo, hi):
     return np.sum(vals * _GL_WEIGHTS, axis=-1) * rad
 
 
+def _graded_breaks(points, smallest, count):
+    """Angles cut geometrically toward each point, from `smallest` out to pi on both sides."""
+    steps = np.geomspace(smallest, np.pi, count)
+    cuts = [(p + side * steps) % TWO_PI for p in points for side in (1.0, -1.0)]
+    return np.unique(np.concatenate([np.empty(0), *cuts]))
+
+
+def _graded_integrals(rule, lo, hi, breaks):
+    """Integrals against dm over segments [lo, hi] of turns, cut at the sorted `breaks` (radians).
+
+    `rule(a, b)` integrates the weight against dt over pieces [a, b] (radians)
+    that hold no break inside; each segment sums its pieces.
+    """
+    lo, hi = TWO_PI * lo, TWO_PI * hi
+    first = np.searchsorted(breaks, lo, side="right")
+    count = np.maximum(np.searchsorted(breaks, hi, side="left") - first, 0) + 1
+    owner = np.repeat(np.arange(lo.size), count)
+    k = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+    cuts = np.append(breaks, np.nan)
+    idx = first[owner] + k
+    a = np.where(k == 0, lo[owner], cuts[idx - 1])
+    b = np.where(k == count[owner] - 1, hi[owner], cuts[idx])
+    return np.bincount(owner, weights=rule(a, b), minlength=lo.size) / TWO_PI
+
+
+def _piecewise_integrals(lo, hi, edges, prefix, piece):
+    """Integrals over [lo, hi] of a weight given piece by piece on the partition `edges`.
+
+    `piece(i, a, b)` integrates piece i over [a, b] inside it, and `prefix`
+    holds the integrals from edges[0] to each edge.
+    """
+    last = edges.size - 2
+    i = np.clip(np.searchsorted(edges, lo, side="right") - 1, 0, last)
+    j = np.clip(np.searchsorted(edges, hi, side="left") - 1, 0, last)
+    out = piece(i, lo, np.minimum(hi, edges[i + 1]))
+    more = j > i
+    if np.any(more):
+        i, j = i[more], j[more]
+        out[more] += prefix[j] - prefix[i + 1] + piece(j, edges[j], hi[more])
+    return out
+
+
+def _lattice_level(x):
+    """Coarsest level whose lattice k / 2^level holds every normalized point, or None."""
+    pos = x * 2.0 ** _MAX_LEVEL
+    idx = np.rint(pos)
+    if np.any(np.abs(pos - idx) > _SNAP * 2.0 ** _MAX_LEVEL):
+        return None
+    bits = int(np.bitwise_or.reduce(idx.astype(np.int64))) | (1 << _MAX_LEVEL)
+    return _MAX_LEVEL - ((bits & -bits).bit_length() - 1)
+
+
+def _turn(angle):
+    """An angle in turns, moved onto the finest lattice when within _SNAP of it.
+
+    A singular angle meant to sit on a lattice point, such as one rotated by
+    a lattice multiple, then sits exactly there, so that no sliver of an
+    integrable singularity leaks into the neighbouring cell.
+    """
+    u = float(angle) / TWO_PI % 1.0
+    on = np.rint(u * 2.0 ** _MAX_LEVEL) / 2.0 ** _MAX_LEVEL
+    return float(on % 1.0) if abs(u - on) <= _SNAP else u
+
+
+def _tree_sums(levels, lo, hi):
+    """Sums of the finest cells lo..hi-1, taking at most two nodes per pyramid level."""
+    out = np.zeros(lo.shape)
+    for nodes in reversed(levels):
+        left = (lo & 1).astype(bool) & (lo < hi)
+        out[left] += nodes[lo[left]]
+        lo = lo + left
+        right = (hi & 1).astype(bool) & (lo < hi)
+        hi = hi - right
+        out[right] += nodes[hi[right]]
+        lo, hi = lo >> 1, hi >> 1
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the cell pyramid behind every arc integral
+# ---------------------------------------------------------------------------
+
+
+class ArcWeight:
+    """Boundary weight whose arc integrals are sums over a dyadic cell pyramid.
+
+    A subclass gives `segment_integrals(lo, hi)`, its integrals against dm
+    over segments [lo, hi] of turns, 0 <= lo <= hi <= 1, that stay farther
+    than `_EPS` radians from its poles, and `poles`, the angles where it is
+    not integrable.  The 2^m cells of the lattice k / 2^m are integrated
+    once, when first needed, and summed pairwise into a pyramid; `_pyramid`
+    holds the finest one built.
+    An arc with both ends on a lattice is a sum of at most two nodes per
+    level and no difference is taken, so a small arc keeps its relative
+    accuracy next to a zero or a pole.  A wrapping arc (a complement, say) is
+    two such sums.  A cell whose closure holds a pole is +inf, and so is
+    every arc holding that cell.  An arc off every lattice adds its two end
+    segments to the nodes of its whole cells.
+    """
+
+    poles = ()
+    _EPS = 1e-12  # closure tolerance around a pole, radians
+    _MIN_LEVEL = 10  # coarsest pyramid: short enough cells for one Gauss-Legendre rule
+    _CHUNK = 2 ** 10  # segments per segment_integrals call, bounding quadrature temporaries
+    _pyramid = None  # node integrals against dm, one array per level, coarsest first
+
+    def cell_integrals(self, level):
+        """Integrals against dm of the 2^level cells [k, k + 1] / 2^level (turns)."""
+        return self._levels(level)[level]
+
+    def total(self):
+        return float(self.cell_integrals(0)[0])
+
+    def arc_integral(self, start, length):
+        """Integral against dm over the arc of normalized length `length` from angle `start`."""
+        x = np.atleast_1d(np.asarray(start, dtype=float) / TWO_PI % 1.0)
+        end = x + min(float(length), 1.0)
+        level = _lattice_level(np.concatenate([x, end]))
+        levels = self._levels(0 if level is None else level)
+        if level is not None:
+            levels = levels[: level + 1]
+        n = levels[-1].size
+        out = self._span(levels, x * n, np.minimum(end, 1.0) * n)
+        wrap = end > 1.0
+        if np.any(wrap):
+            out[wrap] += self._span(levels, np.zeros(np.count_nonzero(wrap)),
+                                    (end[wrap] - 1.0) * n)
+        return out if np.ndim(start) else float(out[0])
+
+    def _levels(self, level):
+        """The pyramid, built first when the slot holds none reaching `level`."""
+        if self._pyramid is None or len(self._pyramid) <= level:
+            m = max(level, self._MIN_LEVEL)
+            edges = np.arange(2 ** m + 1) / 2 ** m
+            levels = [self._integrals(edges[:-1], edges[1:])]
+            while levels[-1].size > 1:
+                levels.append(levels[-1][0::2] + levels[-1][1::2])
+            self._pyramid = levels[::-1]
+        return self._pyramid
+
+    def _span(self, levels, a, b):
+        """Integrals over [a, b], 0 <= a <= b <= n, in units of the n finest cells."""
+        n = levels[-1].size
+        tol = _SNAP * n
+        lo = np.ceil(a - tol)
+        hi = np.maximum(np.floor(b + tol), lo)
+        out = _tree_sums(levels, lo.astype(np.int64), hi.astype(np.int64))
+        for s, e in ((a, np.minimum(lo, b)), (hi, b)):  # the partial cells at either end
+            part = e - s > tol
+            if np.any(part):
+                out[part] += self._integrals(s[part] / n, e[part] / n)
+        return out
+
+    def _integrals(self, lo, hi):
+        """Integrals against dm over [lo, hi] (turns); +inf where a pole is within _EPS."""
+        eps = self._EPS / TWO_PI
+        held = np.zeros(lo.shape, dtype=bool)
+        for p in self.poles:
+            rel = (lo - p / TWO_PI) % 1.0
+            held |= (rel <= eps) | (rel + (hi - lo) >= 1.0 - eps)
+        out = np.full(lo.shape, np.inf)
+        idx = np.nonzero(~held)[0]
+        for s in range(0, idx.size, self._CHUNK):
+            part = idx[s : s + self._CHUNK]
+            out[part] = self.segment_integrals(lo[part], hi[part])
+        return out
+
+
 # ---------------------------------------------------------------------------
 # exact integrals of |1 - e^(it)|^gamma over arcs
 # ---------------------------------------------------------------------------
 
 
-def _sin_power_primitive(gamma, phi):
-    """F(phi) = integral_0^phi (2 sin(u/2))^gamma du for phi in [0, 2*pi], gamma > -1."""
-    phi = np.asarray(phi, dtype=float)
-    a = 0.5 * (gamma + 1.0)
-    coeff = 2.0 ** gamma * beta_fn(a, 0.5)
-    base = np.clip(phi, 0.0, np.pi)
-    out = coeff * betainc(a, 0.5, np.sin(base / 2.0) ** 2)
-    full = 2.0 * coeff  # F(pi) doubled
-    over = phi > np.pi
-    if np.any(over):
-        reflected = coeff * betainc(a, 0.5, np.sin(np.clip(TWO_PI - phi, 0, np.pi) / 2.0) ** 2)
-        out = np.where(over, full - reflected, out)
+def _sin_power_segment(gamma, lo, hi):
+    """Integral of |2 sin(pi u)|^gamma over [lo, hi] turns, 0 <= lo < hi <= 1/2.
+
+    A segment at least its own length away from the singular point 0 is
+    integrated by Gauss-Legendre, which takes no difference and is exact to
+    rounding there.  A nearer one takes the incomplete-beta closed form,
+    valid for any real gamma while lo > 0 and for lo = 0 when gamma > -1;
+    exponents < -1 are lifted to -1 or above with the reduction
+    int sin^g = [cos v sin^(g+1) v]/(g+1) + (g+2)/(g+1) int sin^(g+2).
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    near = lo < hi - lo
+    out = np.empty(lo.shape)
+    out[~near] = _gl_integrate(lambda u: np.abs(2.0 * np.sin(np.pi * u)) ** gamma,
+                               lo[~near], hi[~near])
+    x1, x2 = np.pi * lo[near], np.pi * hi[near]
+
+    def sin_int(g):  # integral of sin^g over [x1, x2]
+        if g == -1.0:
+            return np.log(np.tan(x2 / 2) / np.tan(x1 / 2))
+        if g > -1.0:
+            a = 0.5 * (g + 1.0)
+            return 0.5 * beta_fn(a, 0.5) * (betainc(a, 0.5, np.sin(x2) ** 2)
+                                            - betainc(a, 0.5, np.sin(x1) ** 2))
+        boundary = np.cos(x2) * np.sin(x2) ** (g + 1) - np.cos(x1) * np.sin(x1) ** (g + 1)
+        return (boundary + (g + 2.0) * sin_int(g + 2.0)) / (g + 1.0)
+
+    out[near] = 2.0 ** gamma / np.pi * sin_int(gamma)
     return out
 
 
-def _sin_power_segment(gamma, lo, hi):
-    """Integral of (2 sin(u/2))^gamma over [lo, hi] with 0 < lo <= hi <= pi.
-
-    Valid for any real gamma (the interval stays away from the singularity);
-    exponents <= -1 are lifted with the reduction
-    int sin^g = [cos v sin^(g+1) v]/(g+1) + (g+2)/(g+1) int sin^(g+2).
-    """
-    v1 = np.asarray(lo, dtype=float) / 2.0
-    v2 = np.asarray(hi, dtype=float) / 2.0
-
-    def sin_int(g, x1, x2):
-        if g > -1.0:
-            a = 0.5 * (g + 1.0)
-            c = 0.5 * beta_fn(a, 0.5)
-            return c * (betainc(a, 0.5, np.sin(x2) ** 2) - betainc(a, 0.5, np.sin(x1) ** 2))
-        boundary = (np.cos(x2) * np.sin(x2) ** (g + 1) - np.cos(x1) * np.sin(x1) ** (g + 1))
-        return (boundary + (g + 2.0) * sin_int(g + 2.0, x1, x2)) / (g + 1.0)
-
-    return 2.0 ** (gamma + 1) * sin_int(gamma, v1, v2)
-
-
-class PowerArcWeight:
+class PowerArcWeight(ArcWeight):
     """Boundary weight scale * |1 - e^(i(t - t0))|^gamma with exact arc integrals.
 
     Integrals are taken against normalized Lebesgue measure dm = dt/(2*pi).
@@ -91,6 +264,11 @@ class PowerArcWeight:
         self.gamma = float(gamma)
         self.scale = float(scale)
         self.angle = float(angle) % TWO_PI
+        self.poles = () if self.integrable else (self.angle,)
+
+    # bound here as well as inherited: perfbench's tracer tests look the
+    # method up in this class's own namespace
+    arc_integral = ArcWeight.arc_integral
 
     @property
     def integrable(self):
@@ -102,57 +280,33 @@ class PowerArcWeight:
         with np.errstate(divide="ignore"):
             return self.scale * base ** self.gamma
 
-    def total(self):
-        if not self.integrable:
-            return np.inf
-        return self.scale * float(_sin_power_primitive(self.gamma, TWO_PI)) / TWO_PI
+    def segment_integrals(self, lo, hi):
+        """Integrals over [lo, hi] (turns), each half turn folded onto [0, 1/2].
 
-    def arc_integral(self, start, length):
-        """Integral over the arc of normalized length starting at angle `start` (radians)."""
-        start = np.asarray(start, dtype=float)
-        length = float(length)
-        if length >= 1.0 - 1e-15:
-            return np.full(start.shape, self.total()) if start.shape else self.total()
-        span = length * TWO_PI
-        x1 = (start - self.angle) % TWO_PI
-        x2 = x1 + span
-        if self.integrable:
-            out = _sin_power_primitive(self.gamma, np.minimum(x2, TWO_PI)) - _sin_power_primitive(
-                self.gamma, x1
-            )
-            wrap = x2 > TWO_PI
-            if np.any(wrap):
-                out = out + np.where(wrap, _sin_power_primitive(self.gamma, x2 - TWO_PI), 0.0)
-            return self.scale * out / TWO_PI
-        # non-integrable exponent: finite only strictly away from the singularity
-        eps = 1e-12
-        contains = (x1 <= eps) | (x2 >= TWO_PI - eps)
-        out = np.full(np.shape(x1), np.inf)
-        away = ~contains
-        if np.any(away):
-            a_lo = np.where(away, x1, 1.0)
-            a_hi = np.where(away, x2, 2.0)
-            out_away = np.zeros_like(a_lo)
-            left = np.minimum(a_hi, np.pi)
-            seg1 = left > a_lo
-            if np.any(seg1):
-                out_away[seg1] = _sin_power_segment(
-                    self.gamma, a_lo[seg1], left[seg1]
-                )
-            seg2 = a_hi > np.pi
-            if np.any(seg2):
-                lo2 = np.maximum(a_lo, np.pi)
-                out_away[seg2] += _sin_power_segment(
-                    self.gamma, (TWO_PI - a_hi)[seg2], (TWO_PI - lo2)[seg2]
-                )
-            out = np.where(away, out_away, out)
-        return self.scale * out / TWO_PI
+        An offset from t0 becomes the distance to the nearest copy of t0,
+        exact next to it, so that no difference of two near-full integrals is
+        ever formed.
+        """
+        t0 = _turn(self.angle)
+        d1, d2 = lo - t0, hi - t0
+        out = np.zeros(d1.shape)
+        for k in (-2, -1, 0, 1):  # the half turns [k/2, (k+1)/2] of offsets
+            a = np.clip(d1, k / 2, (k + 1) / 2)
+            b = np.clip(d2, k / 2, (k + 1) / 2)
+            part = b > a
+            if k % 2:  # distance falls across the half turn
+                a, b = (k + 1) / 2 - b, (k + 1) / 2 - a
+            else:
+                a, b = a - k / 2, b - k / 2
+            if np.any(part):
+                out[part] += _sin_power_segment(self.gamma, a[part], b[part])
+        return self.scale * out
 
     def reciprocal(self):
         return PowerArcWeight(-self.gamma, 1.0 / self.scale, self.angle)
 
 
-class GridArcWeight:
+class GridArcWeight(ArcWeight):
     """Piecewise-constant boundary weight given by grid samples (exact arc sums)."""
 
     def __init__(self, values):
@@ -160,6 +314,7 @@ class GridArcWeight:
         if np.any(v < 0) or not np.all(np.isfinite(v)):
             raise DomainError("grid weight must be nonnegative and finite")
         self.grid = v
+        self._edges = np.arange(v.size + 1) / v.size
         self._prefix = np.concatenate([[0.0], np.cumsum(v)]) / v.size
 
     def values(self, t):
@@ -167,26 +322,9 @@ class GridArcWeight:
                % self.grid.size)
         return self.grid[idx]
 
-    def total(self):
-        return float(np.mean(self.grid))
-
-    def _cum(self, x):
-        n = self.grid.size
-        pos = np.asarray(x, dtype=float) * n
-        idx = np.clip(np.floor(pos).astype(int), 0, n)
-        frac = pos - idx
-        base = self._prefix[idx]
-        inside = idx < n
-        return base + np.where(inside, frac * self.grid[np.minimum(idx, n - 1)] / n, 0.0)
-
-    def arc_integral(self, start, length):
-        start = np.asarray(start, dtype=float) / TWO_PI % 1.0
-        end = start + float(length)
-        out = self._cum(np.minimum(end, 1.0)) - self._cum(start)
-        wrap = end > 1.0
-        if np.any(wrap):
-            out = out + np.where(wrap, self._cum(end - 1.0), 0.0)
-        return out
+    def segment_integrals(self, lo, hi):
+        return _piecewise_integrals(lo, hi, self._edges, self._prefix,
+                                    lambda i, a, b: self.grid[i] * (b - a))
 
     def reciprocal(self):
         if np.any(self.grid <= 0):
@@ -194,49 +332,24 @@ class GridArcWeight:
         return GridArcWeight(1.0 / self.grid)
 
 
-class FactoredArcWeight:
+class FactoredArcWeight(ArcWeight):
     """Boundary weight c(t) * prod_j |1 - e^(i(t - t_j))|^(2 m_j), c smooth and positive.
 
     Each factor is a zero (m_j > 0) or a pole (m_j < 0) of even order, so the
     weight is analytic away from its poles, and an arc whose closure holds a
     pole has infinite integral, returned as such wherever the pole sits
-    relative to any grid.  A short arc at least half its length away from
-    every pole is integrated directly by Gauss-Legendre, which keeps small
-    integrals next to a zero accurate to rounding.  Longer arcs read a
-    cumulative table on breaks refined geometrically toward each t_j,
-    accumulated outward from the middle of each stretch between poles, so
-    that no huge piece next to a pole enters a sum taken on its other side.
+    relative to any lattice.  Segments are integrated by Gauss-Legendre on
+    pieces cut geometrically toward each pole, so that a cell next to a pole
+    keeps its accuracy; zeros need no cuts, since no difference is taken.
     """
-
-    _EPS = 1e-12  # closure tolerance, as in PowerArcWeight
-    _CELLS = 512  # uniform breaks; their spacing bounds the directly integrated arcs
 
     def __init__(self, factors, cofactor):
         self.factors = list(factors)
         self.cofactor = cofactor
         if any(f.gamma % 2 for f in self.factors):
             raise ConfigurationError("factor exponents must be even integers")
-        angles = np.array([f.angle for f in self.factors])
-        is_pole = np.array([f.gamma < 0 for f in self.factors], dtype=bool)
-        self._origin = float(np.min(angles[is_pole])) if np.any(is_pole) else 0.0
-        rel = (angles - self._origin) % TWO_PI
-        self._poles = np.unique(rel[is_pole])  # starts with 0 when nonempty
-        graded = np.geomspace(self._EPS, np.pi, 100)
-        breaks = [np.linspace(0.0, TWO_PI, self._CELLS + 1), rel]
-        for r in rel:
-            breaks += [(r + graded) % TWO_PI, (r - graded) % TWO_PI]
-        self._breaks = np.unique(np.concatenate(breaks))
-        with np.errstate(over="ignore"):
-            pieces = _gl_integrate(self._values_rel, self._breaks[:-1], self._breaks[1:])
-        # cumulative integral at each break, zero at the middle of its stretch
-        ends = np.searchsorted(self._breaks, np.append(self._poles, TWO_PI))
-        if ends[0] != 0:
-            ends = np.insert(ends, 0, 0)
-        self._prefix = np.zeros(self._breaks.size)
-        for lo, hi in zip(ends[:-1], ends[1:]):
-            mid = (lo + hi) // 2
-            self._prefix[mid + 1 : hi + 1] = np.cumsum(pieces[mid:hi])
-            self._prefix[lo:mid] = -np.cumsum(pieces[lo:mid][::-1])[::-1]
+        self.poles = np.unique([f.angle for f in self.factors if f.gamma < 0])
+        self._breaks = _graded_breaks(self.poles, self._EPS, 100)
 
     def values(self, t):
         t = np.asarray(t, dtype=float)
@@ -245,48 +358,9 @@ class FactoredArcWeight:
             out = out * f.values(t)
         return out
 
-    def _values_rel(self, u):
-        return self.values(u + self._origin)
-
-    def _cum(self, x):
-        x, inverse = np.unique(x, return_inverse=True)
-        idx = np.clip(np.searchsorted(self._breaks, x, side="right") - 1,
-                      0, self._breaks.size - 2)
-        out = self._prefix[idx] + _gl_integrate(self._values_rel, self._breaks[idx], x)
-        return out[inverse]
-
-    def total(self):
-        if self._poles.size:
-            return np.inf
-        return float(self._prefix[-1] - self._prefix[0]) / TWO_PI
-
-    def arc_integral(self, start, length):
-        """Integral over the arc of normalized length starting at angle `start` (radians)."""
-        start = np.asarray(start, dtype=float)
-        length = float(length)
-        if length >= 1.0 - 1e-15:
-            return np.full(start.shape, self.total()) if start.shape else self.total()
-        span = length * TWO_PI
-        x1 = np.atleast_1d((start - self._origin) % TWO_PI)
-        x2 = x1 + span
-        direct = np.full(x1.shape, span <= TWO_PI / self._CELLS)
-        for r in self._poles:
-            off = (r - x1) % TWO_PI
-            direct &= (off >= 1.5 * span) & (off <= TWO_PI - 0.5 * span)
-        out = np.empty(x1.shape)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out[direct] = _gl_integrate(self._values_rel, x1[direct], x2[direct])
-            a, b = x1[~direct], x2[~direct]
-            wrap = b > TWO_PI
-            xs = np.concatenate([a, np.minimum(b, TWO_PI), np.where(wrap, b - TWO_PI, 0.0)])
-            c1, c2, c3 = np.split(self._cum(xs), 3)
-            out[~direct] = c2 - c1 + np.where(wrap, c3 - self._prefix[0], 0.0)
-        if self._poles.size:
-            nxt = np.searchsorted(self._poles, x1 - self._EPS)
-            hit = np.append(self._poles, np.inf)[nxt] <= x2 + self._EPS
-            out[hit | (x2 >= TWO_PI - self._EPS)] = np.inf
-        out = out / TWO_PI
-        return out if start.shape else float(out[0])
+    def segment_integrals(self, lo, hi):
+        return _graded_integrals(lambda a, b: _gl_integrate(self.values, a, b),
+                                 lo, hi, self._breaks)
 
     def reciprocal(self):
         cofactor = self.cofactor
@@ -294,7 +368,7 @@ class FactoredArcWeight:
                                  lambda t: 1.0 / np.asarray(cofactor(t), dtype=float))
 
 
-class PiecewiseBoundaryWeight:
+class PiecewiseBoundaryWeight(ArcWeight):
     """Boundary weight built from constant plateaus and cubic smoothstep joins.
 
     Exact arc integrals: constant pieces and the smoothstep antiderivative in
@@ -323,10 +397,9 @@ class PiecewiseBoundaryWeight:
         self._hi = hi
         self._v0 = np.array([p[2] for p in self.pieces])
         self._v1 = np.array([p[3] for p in self.pieces])
-        piece_ints = self._partial_integrals(
-            np.arange(len(self.pieces)), self._hi
-        )
-        self._prefix = np.concatenate([[0.0], np.cumsum(piece_ints)])
+        self._edges = np.append(lo, hi[-1])
+        whole = self._piece_integrals(np.arange(len(self.pieces)), lo, hi)
+        self._prefix = np.concatenate([[0.0], np.cumsum(whole)])
 
     def _raw_values(self, t):
         t = np.asarray(t, dtype=float) % TWO_PI
@@ -341,60 +414,42 @@ class PiecewiseBoundaryWeight:
         v = self._raw_values(t)
         return 1.0 / v if self._reciprocal else v
 
-    def _partial_integrals(self, idx, upto):
-        """Vectorized integral over [lo_i, min(upto, hi_i)] of piece i = idx[j]."""
-        idx = np.atleast_1d(idx)
-        upto = np.atleast_1d(np.asarray(upto, dtype=float))
+    def _piece_integrals(self, idx, a, b):
+        """Vectorized integral over [a, b] inside piece i = idx[j]."""
         lo = self._lo[idx]
-        hi = np.minimum(upto, self._hi[idx])
         v0 = self._v0[idx]
         v1 = self._v1[idx]
         width = np.maximum(self._hi[idx] - lo, 1e-300)
         out = np.zeros(idx.shape)
         const = v0 == v1
-        span = np.maximum(hi - lo, 0.0)
+        span = np.maximum(b - a, 0.0)
         if np.any(const):
             val = v0[const] if not self._reciprocal else 1.0 / v0[const]
             out[const] = val * span[const]
         step = ~const & (span > 0)
         if np.any(step):
             if not self._reciprocal:
-                x = np.clip((hi[step] - lo[step]) / width[step], 0.0, 1.0)
+                xa = np.clip((a[step] - lo[step]) / width[step], 0.0, 1.0)
+                xb = np.clip((b[step] - lo[step]) / width[step], 0.0, 1.0)
+                dv = v1[step] - v0[step]
                 out[step] = width[step] * (
-                    v0[step] * x + (v1[step] - v0[step]) * (x**3 - 0.5 * x**4)
+                    v0[step] * (xb - xa) + dv * (xb**3 - xa**3 - 0.5 * (xb**4 - xa**4))
                 )
             else:
                 out[step] = _gl_integrate(
-                    lambda t: 1.0 / self._raw_values(t), lo[step], hi[step]
+                    lambda t: 1.0 / self._raw_values(t), a[step], b[step]
                 )
         return out
 
-    def _cum(self, t):
-        t = np.clip(np.asarray(t, dtype=float), 0.0, TWO_PI)
-        idx = np.clip(np.searchsorted(self._hi, t, side="right"), 0, len(self.pieces) - 1)
-        partial = self._partial_integrals(idx, t)
-        return self._prefix[idx] + partial
-
-    def total(self):
-        return float(self._prefix[-1]) / TWO_PI
-
-    def arc_integral(self, start, length):
-        start = np.asarray(start, dtype=float) % TWO_PI
-        end = start + float(length) * TWO_PI
-        out = self._cum(np.minimum(end, TWO_PI)) - self._cum(start)
-        wrap = end > TWO_PI
-        if np.any(wrap):
-            out = out + np.where(wrap, self._cum(end - TWO_PI), 0.0)
-        out = out / TWO_PI
-        return out if np.shape(start) else float(out)
+    def segment_integrals(self, lo, hi):
+        return _piecewise_integrals(TWO_PI * lo, TWO_PI * hi, self._edges, self._prefix,
+                                    self._piece_integrals) / TWO_PI
 
     def reciprocal(self):
         return PiecewiseBoundaryWeight(self.pieces, reciprocal=not self._reciprocal)
 
 
 def as_arc_weight(w):
-    if isinstance(w, (PowerArcWeight, GridArcWeight, PiecewiseBoundaryWeight)):
-        return w
     if hasattr(w, "arc_integral"):
         return w
     return GridArcWeight(np.asarray(w, dtype=float))
@@ -510,100 +565,52 @@ class BoundaryAC:
         raise ConfigurationError("cannot serialize a runtime-weighted density")
 
 
-class _QuadArcWeight:
-    """Power density times a smooth correction; arc integrals by local quadrature.
+class _QuadArcWeight(ArcWeight):
+    """Power density times a smooth correction, integrated by local quadrature.
 
-    A cumulative table on a partition refined geometrically toward the
-    singular angle makes batched scan queries cheap; the two singular end
-    pieces absorb the power exactly through the substitution v = u^(1+gamma).
+    Segments are cut geometrically toward the singular angle.  Each piece is
+    integrated in its distance u to that angle, on its nearer side, through
+    v = u^(1+gamma): the substitution absorbs the power exactly at the angle,
+    and distances taken from the angle keep their relative accuracy next to it.
     """
-
-    _EPS = 1e-9
 
     def __init__(self, base, correction):
         if not base.integrable:
             raise WeightingError("cannot weight a non-integrable boundary density")
         self.base = base
         self.correction = correction
-        right = np.geomspace(self._EPS, np.pi, 120)
-        left = TWO_PI - np.geomspace(self._EPS, np.pi, 120)[::-1]
-        self._breaks = np.unique(np.concatenate([[0.0], right, left[1:], [TWO_PI]]))
-        pieces = self._segment_integrals(self._breaks[:-1], self._breaks[1:])
-        self._prefix = np.concatenate([[0.0], np.cumsum(pieces)])
+        self.angle = TWO_PI * _turn(base.angle)
+        self._breaks = np.union1d(_graded_breaks([self.angle], 1e-9, 120), self.angle)
 
-    def _density_rel(self, u):
-        """Density at singularity-relative angle u in (0, 2*pi), without the scale."""
-        u = np.asarray(u, dtype=float)
-        t = (self.base.angle + u) % TWO_PI
-        base = np.abs(2.0 * np.sin(u / 2.0)) ** self.base.gamma
-        return base * np.asarray(self.correction(t), dtype=float)
+    def segment_integrals(self, lo, hi):
+        return self.base.scale * _graded_integrals(self._piece_integrals, lo, hi, self._breaks)
 
-    def _segment_integrals(self, lo, hi):
-        """Vectorized integrals over relative segments [lo, hi] in [0, 2*pi]."""
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        out = np.zeros(lo.shape)
+    def _piece_integrals(self, a, b):
+        """Integrals against dt over pieces [a, b] free of the singular angle, without the scale."""
+        # both ends from the same formula, so that neighbouring pieces share an end
+        # exactly; a piece ending at the singular angle ends at 2*pi
+        lo = (a - self.angle) % TWO_PI
+        hi = (b - self.angle) % TWO_PI
+        hi[hi < lo] = TWO_PI
+        left = lo + hi > TWO_PI  # nearer the angle from below
+        side = np.where(left, -1.0, 1.0)[:, None]
         gamma = self.base.gamma
         onep = 1.0 + gamma
 
-        near_zero = lo < self._EPS / 2
-        near_full = hi > TWO_PI - self._EPS / 2
-        plain = ~near_zero & ~near_full
-
-        if np.any(plain):
-            out[plain] = _gl_integrate(self._density_rel, lo[plain], hi[plain])
-
-        def h_right(v):
+        def h(v):
             u = v ** (1.0 / onep)
             ratio = np.where(u == 0, 1.0, np.abs(2.0 * np.sin(u / 2.0)) / np.where(u == 0, 1.0, u))
-            t = (self.base.angle + u) % TWO_PI
+            t = (self.angle + side * u) % TWO_PI
             return ratio**gamma * np.asarray(self.correction(t), dtype=float)
 
-        def h_left(v):
-            u = v ** (1.0 / onep)
-            ratio = np.where(u == 0, 1.0, np.abs(2.0 * np.sin(u / 2.0)) / np.where(u == 0, 1.0, u))
-            t = (self.base.angle - u) % TWO_PI
-            return ratio**gamma * np.asarray(self.correction(t), dtype=float)
-
-        if np.any(near_zero):
-            out[near_zero] = (
-                _gl_integrate(h_right, lo[near_zero] ** onep, hi[near_zero] ** onep) / onep
-            )
-        if np.any(near_full):
-            out[near_full] = (
-                _gl_integrate(
-                    h_left, (TWO_PI - hi[near_full]) ** onep, (TWO_PI - lo[near_full]) ** onep
-                )
-                / onep
-            )
-        return self.base.scale * out
-
-    def _cum(self, rel):
-        rel = np.clip(np.atleast_1d(np.asarray(rel, dtype=float)), 0.0, TWO_PI)
-        idx = np.clip(
-            np.searchsorted(self._breaks, rel, side="right") - 1, 0, self._breaks.size - 2
-        )
-        partial = self._segment_integrals(self._breaks[idx], np.maximum(rel, self._breaks[idx]))
-        return self._prefix[idx] + partial
+        near = np.where(left, TWO_PI - hi, lo)
+        far = np.where(left, TWO_PI - lo, hi)
+        return _gl_integrate(h, near**onep, far**onep) / onep
 
     def values(self, t):
-        rel = (np.asarray(t, dtype=float) - self.base.angle) % TWO_PI
-        return self._density_rel(rel) * self.base.scale
-
-    def total(self):
-        return float(self._prefix[-1]) / TWO_PI
-
-    def arc_integral(self, start, length):
-        start = np.asarray(start, dtype=float)
-        span = float(length) * TWO_PI
-        x1 = (start - self.base.angle) % TWO_PI
-        x2 = x1 + span
-        out = self._cum(np.minimum(x2, TWO_PI)) - self._cum(x1)
-        wrap = x2 > TWO_PI
-        if np.any(wrap):
-            out = out + np.where(wrap, self._cum(np.maximum(x2 - TWO_PI, 0.0)), 0.0)
-        out = out / TWO_PI
-        return out if np.shape(start) else float(out[0])
+        t = np.asarray(t, dtype=float) % TWO_PI
+        base = np.abs(2.0 * np.sin((t - self.angle) / 2.0)) ** self.base.gamma
+        return self.base.scale * base * np.asarray(self.correction(t), dtype=float)
 
 
 def _power_l2(weight, fn, focus=()):

@@ -657,16 +657,29 @@ def taylor_b_over_a(pair, degree, rtol=1e-9):
 
 
 def _partial_sum_verdict(coeffs):
+    """H^2 verdict from the sums of |c_j|^2 over the first n/4, n/2 and n coefficients.
+
+    Sums that keep growing mean "no" only while |c_j| does not decay.  When
+    its envelope decays geometrically, by a ratio r per step from the third
+    to the last quarter, the tail is about |c|^2 r^2 / (1 - r^2) with |c|
+    the envelope at the end, and the verdict is "yes" once that tail is small.
+    """
     n = coeffs.size
     if n < 8:
         return UNDETERMINED
     sums = RefinementTrace()
     for d in (n // 4, n // 2, n):
         sums.add(d, float(np.sum(np.abs(coeffs[:d]) ** 2)))
-    if sums.divergent(runs=2):
-        return "no"
     if sums.stabilized(rtol=1e-3):
         return "yes"
+    q = n // 4
+    third, last = np.max(np.abs(coeffs[2 * q : 3 * q])), np.max(np.abs(coeffs[3 * q :]))
+    ratio = (last / third) ** (1.0 / q) if third > 0 else 0.0
+    if ratio < 1.0 - 1e-6:
+        tail = last**2 * ratio**2 / (1.0 - ratio**2)
+        return "yes" if tail <= 1e-3 * sums.values[-1] else UNDETERMINED
+    if sums.divergent(runs=2):
+        return "no"
     return UNDETERMINED
 
 

@@ -1,7 +1,10 @@
+import mpmath
 import numpy as np
 import pytest
 
 from hbspace.analyzers import (
+    _effective_density,
+    _kernel_mu_norms_squared,
     a2_check,
     a2_product,
     carleson_sup_scan,
@@ -10,6 +13,7 @@ from hbspace.analyzers import (
     ess_inf_weighted,
     isometry_refutation,
     kernel_ratio_scan,
+    log_radial_points,
     norm_equivalence_verdict,
     poisson_square_limit_check,
     reverse_carleson_verdict,
@@ -22,6 +26,7 @@ from hbspace.circle import grid_angles
 from hbspace.errors import DegenerateMeasureError, UnsupportedError
 from hbspace.functions import PowerOuter, polynomial_fn
 from hbspace.measures import (
+    ArcWeight,
     ArcWindow,
     BoundaryAC,
     DiskMeasure,
@@ -203,6 +208,45 @@ class TestKernelRatios:
         scan = kernel_ratio_scan(alpha_pair, inv_gap_measure, depth=8, variant="cauchy")
         assert np.isfinite(scan.max_ratio)
 
+    MIXED = {"disk_atoms": [[0.3, 0.4, 0.5], [-0.6, 0.1, 0.3]],
+             "ac_density": {"power": {"beta": 0.5, "scale": 1.2, "singularity_angle": 1.0}},
+             "singular_atoms": [[3.0, 0.25]],
+             "radial": [{"angle": 4.5, "power_beta": 0.5, "scale": 0.4}]}
+
+    def test_kernel_norms_on_a_mixed_measure_keep_their_values(self, half_sum):
+        # every 8th probe point at levels 4, 8 and 12, as computed before the cell
+        # masses came from the weight's pyramid.  Those older cell masses were off by
+        # up to 1.1e-7 relative in the cells facing the singular angle, which moves
+        # these norms by up to 6e-12; hence 1e-11 rather than rounding level
+        before = {
+            4: [0.8689866856490022, 4.943980394574773, 21.106402629722705, 5.710021090038538],
+            8: [0.8197972835318739, 8.50247920420857, 52.91718825436707, 102.49388983216289,
+                131.5739775036335, 82.30644133683252, 31.94397172423367, 3.709360609046214],
+            12: [0.8168015659820999, 115.26711340119022, 820.5222308386477, 1601.0984848300534,
+                 1870.6527890052364, 1272.675015807046, 447.7423785642162, 43.2998926328813],
+        }
+        mu = DiskMeasure.from_json(self.MIXED)
+        for j, lams in log_radial_points(12):
+            if j in before:
+                got = _kernel_mu_norms_squared(half_sum, mu, lams[::8], "hb")
+                np.testing.assert_allclose(got, before[j], rtol=1e-11, atol=0.0)
+
+    def test_effective_density_cells_against_mpmath(self):
+        # cells centred on the 2^16 grid points, at the singular angle 1.0, facing
+        # it (where a difference of two primitives used to lose 1e-7) and elsewhere
+        mu = DiskMeasure.from_json(self.MIXED)
+        n = 2 ** 16
+        h = _effective_density(mu.ac, n)
+        mpmath.mp.dps = 30
+        t0 = mpmath.mpf(1.0) / (2 * mpmath.pi)  # in turns
+        near = round(1.0 / (2 * np.pi) * n)
+        for k in (near - 1, near, near + 1, near + n // 2, (near + n // 2 + 1) % n, 100, 20000):
+            lo, hi = (mpmath.mpf(k) - 0.5) / n, (mpmath.mpf(k) + 0.5) / n
+            pts = [lo, t0, hi] if lo < t0 < hi else [lo, hi]
+            exact = 1.2 * n * mpmath.quad(
+                lambda u: abs(2 * mpmath.sin(mpmath.pi * (u - t0))) ** -0.5 if u != t0 else 0, pts)
+            assert h[k] == pytest.approx(float(exact), rel=1e-11)
+
 
 class TestReverseVerdict:
     def test_pass_case_all_conditions_agree(self, alpha_pair, inv_gap_measure):
@@ -322,6 +366,27 @@ class TestNormEquivalence:
             short = [w for w in a2.evidence["infinite_witnesses"] if w["length"] <= 2.0**-10]
             for zero in zeros:
                 assert any((zero - w["start"]) % 1.0 <= w["length"] for w in short)
+
+    def test_window_scans_build_each_nu_pyramid_once(self, half_sum, monkeypatch):
+        # reverse_inf_scan and carleson_sup_scan read the same nu: the second scan
+        # must find its cells already integrated
+        builds = []
+        levels = ArcWeight._levels
+
+        def recording(self, level):
+            before = self._pyramid
+            out = levels(self, level)
+            if out is not before:
+                builds.append((type(self).__name__, len(out) - 1))
+            return out
+
+        monkeypatch.setattr(ArcWeight, "_levels", recording)
+        depth = 11
+        norm_equivalence_verdict(half_sum, DiskMeasure.lebesgue(), depth=depth)
+        # the coarse build is the total mass nu's measure checks on construction
+        assert [lv for name, lv in builds if name == "_QuadArcWeight"] == [10, depth + 1]
+        # |a|^2 and its reciprocal for the A2 scan, one build each
+        assert [lv for name, lv in builds if name == "FactoredArcWeight"] == [depth + 1] * 2
 
     def test_corona_failure_blocks(self):
         from hbspace.scenarios import build

@@ -140,6 +140,19 @@ class TestRemainingVerbs:
         doc = json.loads(capsys.readouterr().out)
         assert doc["hb_norm"] > 0
 
+    def test_norms_monomial_on_a_slowly_decaying_symbol(self, tmp_path, capsys):
+        from hbspace import SymbolB, pythagorean_mate, taylor_b_over_a
+
+        b = tmp_path / "b.json"
+        b.write_text(json.dumps({"form": "rational", "numerator": [[0.045, 0.0]],
+                                 "denominator": [[1.0, 0.0], [-0.95, 0.0]]}))
+        assert main(["norms", "--b", str(b), "--monomial", "3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        c = taylor_b_over_a(pythagorean_mate(SymbolB.rational([0.045], [1.0, -0.95])), 16)
+        expect = np.sqrt(1.0 + np.sum(np.abs(c.coefficients[:4]) ** 2))
+        assert json.loads(captured.out)["hb_norm"] == pytest.approx(expect, rel=1e-9)
+
     def test_analyze_equivalence(self, files, capsys):
         code = main(["analyze-equivalence", "--b", files["b"], "--mu", files["m"],
                      "--depth", "8"])

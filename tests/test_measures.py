@@ -1,5 +1,7 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from hbspace.circle import grid_angles
@@ -15,9 +17,11 @@ from hbspace.measures import (
     PiecewiseBoundaryWeight,
     PowerArcWeight,
     RadialPower,
+    _QuadArcWeight,
     l2mu_norm,
     window_mass,
 )
+from hbspace.space import SymbolB, pythagorean_mate
 
 TWO_PI = 2 * np.pi
 
@@ -99,6 +103,22 @@ class TestPowerArcWeight:
     def test_total_of_lebesgue(self):
         assert PowerArcWeight(0.0).total() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("gamma, scale", [(2.0, 0.25), (-0.5, 1.0)])
+    def test_short_arcs_just_below_two_pi_keep_relative_accuracy(self, gamma, scale):
+        # arcs enter as normalized floats x1 = start / 2 pi and x2 = x1 + length, so
+        # the 40-digit reference integrates |2 sin(pi u)|^gamma between those floats
+        mpmath.mp.dps = 40
+        w = PowerArcWeight(gamma, scale, 0.0)
+        for length in (1e-5, 1e-7):
+            starts = TWO_PI - np.geomspace(1e-9, 1e-3, 12) - length * TWO_PI
+            got = w.arc_integral(starts, length)
+            for start, value in zip(starts, got):
+                x1 = start / TWO_PI % 1.0
+                x2 = x1 + length
+                exact = scale * mpmath.quad(lambda u: abs(2 * mpmath.sin(mpmath.pi * u)) ** gamma,
+                                            [1 - mpmath.mpf(x2), 1 - mpmath.mpf(x1)])
+                assert value == pytest.approx(float(exact), rel=1e-10)
+
 
 class TestFactoredArcWeight:
     @pytest.fixture()
@@ -136,6 +156,148 @@ class TestFactoredArcWeight:
         for gamma in (-0.5, 1.5):
             with pytest.raises(ConfigurationError):
                 FactoredArcWeight([PowerArcWeight(gamma)], lambda t: np.ones_like(t))
+
+
+LEVEL = 8  # the lattice k / 2^LEVEL of the property tests
+TURN = 16  # rotations are multiples of 1/16 turn, a lattice multiple every weight admits
+
+
+@st.composite
+def angles(draw):
+    """An angle on the 2^LEVEL lattice or anywhere on the circle."""
+    if draw(st.booleans()):
+        return TWO_PI * draw(st.integers(0, 2 ** LEVEL - 1)) / 2 ** LEVEL
+    return draw(st.floats(0.0, TWO_PI, exclude_max=True))
+
+
+@st.composite
+def weights(draw):
+    """A function of a rotation (radians, a multiple of 1/TURN turn) building one weight.
+
+    The five weight classes, with random pole and zero angles on and off the lattice.
+    """
+    kind = draw(st.sampled_from(["power", "grid", "factored", "piecewise", "quad"]))
+    if kind == "power":
+        gamma = draw(st.sampled_from([-2.5, -1.5, -1.0, -0.5, 0.0, 0.7, 2.0]))
+        scale, angle = draw(st.floats(0.5, 2.0)), draw(angles())
+        return lambda shift: PowerArcWeight(gamma, scale, angle + shift)
+    if kind == "grid":
+        size = 2 ** draw(st.integers(4, LEVEL))
+        values = np.asarray(draw(st.lists(st.floats(0.1, 5.0), min_size=size, max_size=size)))
+        return lambda shift: GridArcWeight(np.roll(values, round(shift / TWO_PI * size)))
+    if kind == "factored":
+        orders = draw(st.lists(st.sampled_from([-4.0, -2.0, 2.0, 4.0]), min_size=1, max_size=3))
+        where = [draw(angles()) for _ in orders]
+        phi = draw(angles())
+        return lambda shift: FactoredArcWeight(
+            [PowerArcWeight(g, 1.0, t + shift) for g, t in zip(orders, where)],
+            lambda t: 1.0 + 0.5 * np.cos(t - phi - shift))
+    if kind == "piecewise":
+        ends = [draw(st.floats(0.2, 3.0)) for _ in range(TURN + 1)]
+        steps = [draw(st.booleans()) for _ in range(TURN)]
+        reciprocal = draw(st.booleans())
+
+        def make(shift):
+            k = round(shift / TWO_PI * TURN)
+            pieces = [(TWO_PI * i / TURN, TWO_PI * (i + 1) / TURN, ends[(i - k) % TURN],
+                       ends[(i - k) % TURN + 1] if steps[(i - k) % TURN] else ends[(i - k) % TURN])
+                      for i in range(TURN)]
+            return PiecewiseBoundaryWeight(pieces, reciprocal=reciprocal)
+        return make
+    gamma = draw(st.floats(-0.9, 1.5))
+    scale, angle, phi = draw(st.floats(0.5, 2.0)), draw(angles()), draw(angles())
+    zero = draw(st.booleans())  # a correction vanishing at phi, as |a|^2 does
+    return lambda shift: _QuadArcWeight(
+        PowerArcWeight(gamma, scale, angle + shift),
+        lambda t: (1.0 - np.cos(t - phi - shift)) / 2 if zero else 1.5 + np.sin(t - phi - shift))
+
+
+def same_masses(got, want, rel=1e-10):
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(want)
+    np.testing.assert_allclose(got[finite], want[finite], rtol=rel, atol=0.0)
+
+
+class TestCellPyramid:
+    @settings(max_examples=60, deadline=None)
+    @given(make=weights())
+    def test_each_node_is_the_sum_of_its_children(self, make):
+        w = make(0.0)
+        w.cell_integrals(LEVEL)
+        levels = w._pyramid
+        for parent, children in zip(levels[:-1], levels[1:]):
+            assert np.array_equal(parent, children[0::2] + children[1::2])
+
+    @settings(max_examples=60, deadline=None)
+    @given(make=weights(), ends=st.tuples(st.integers(0, 2 ** LEVEL), st.integers(0, 2 ** LEVEL)),
+           cut=st.floats(0.001, 0.999))
+    def test_lattice_route_agrees_with_off_lattice_route(self, make, ends, cut):
+        i, j = sorted(ends)
+        if i == j:
+            return
+        w = make(0.0)
+        a, b = i / 2 ** LEVEL, j / 2 ** LEVEL
+        c = a + cut * (b - a)  # off every lattice but for rare cuts
+        whole = w.arc_integral(TWO_PI * a, b - a)
+        parts = w.arc_integral(TWO_PI * a, c - a) + w.arc_integral(TWO_PI * c, b - c)
+        same_masses(parts, whole)
+
+    @settings(max_examples=60, deadline=None)
+    @given(make=weights())
+    def test_a_cell_is_infinite_iff_its_closure_holds_a_pole(self, make):
+        w = make(0.0)
+        n = 2 ** LEVEL
+        cells = w.cell_integrals(LEVEL)
+        held = np.zeros(n, dtype=bool)
+        slack = 1e-12 / TWO_PI * n  # the 1e-12 radian closure tolerance, in cells
+        for p in w.poles:
+            rel = (p / TWO_PI * n - np.arange(n)) % n
+            held |= (rel <= 1.0 + slack) | (rel >= n - slack)
+        assert np.array_equal(np.isinf(cells), held)
+        assert np.all(cells[~held] >= 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(make=weights(), k=st.integers(1, TURN - 1), level=st.integers(1, LEVEL),
+           starts=st.lists(st.integers(0, 2 ** LEVEL - 1), min_size=1, max_size=8))
+    def test_window_masses_invariant_under_a_joint_lattice_rotation(self, make, k, level, starts):
+        shift = TWO_PI * k / TURN
+        x = np.asarray(starts, dtype=float) / 2 ** LEVEL
+        length = 2.0 ** -level
+        before = BoundaryAC(make(0.0)).window_mass(x, length)
+        after = BoundaryAC(make(shift)).window_mass((x + k / TURN) % 1.0, length)
+        same_masses(after, before)
+
+    def test_depth_14_scan_family_of_the_gap_weighted_half_sum(self):
+        # |a|^2 = (1 - cos t)/2 for b = (1 + z)/2; over [t, t + 2x] it integrates to
+        # (x - sin x) + 2 sin(x) sin(t/2 + x/2)^2, two nonnegative terms
+        pair = pythagorean_mate(SymbolB.rational([0.5, 0.5]))
+        nu = DiskMeasure.lebesgue().weighted(PairWeight(
+            boundary=pair.gap2_fn, point=lambda z: 1.0 - np.abs(pair.b.fn(z)) ** 2))
+        worst = 0.0
+        for level in range(1, 15):
+            length = 2.0 ** -level
+            aligned = np.arange(2 ** level) * length
+            shifted = aligned + 0.5 * length
+            families = [(aligned, length), (shifted, length)]
+            if length < 0.5:
+                families += [((aligned + length) % 1.0, 1.0 - length),
+                             ((shifted + length) % 1.0, 1.0 - length)]
+            for starts, ell in families:
+                x = np.pi * ell
+                x_minus_sin = x - np.sin(x) if x > 0.1 else x**3 / 6 * (1 - x**2 / 20 * (1 - x**2 / 42))
+                exact = (x_minus_sin + 2 * np.sin(x) * np.sin(np.pi * starts + x / 2) ** 2) / TWO_PI
+                got = nu.batch_window_masses(starts, ell)
+                worst = max(worst, float(np.max(np.abs(got / exact - 1.0))))
+        assert worst < 1e-7
+
+    def test_off_lattice_arcs_reuse_the_finest_pyramid(self):
+        w = PowerArcWeight(-0.5, 1.0, 1.0)
+        w.cell_integrals(12)
+        pyramid = w._pyramid
+        w.arc_integral(np.array([0.123, 4.5]), 0.01)
+        w.arc_integral(np.array([0.0]), 2.0 ** -9)
+        assert w._pyramid is pyramid and len(pyramid) == 13
 
 
 class TestWeighting:

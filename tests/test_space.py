@@ -208,6 +208,14 @@ class TestTaylorBOverA:
         assert data.in_h2 == "yes"
         assert data.l1_verdict == "yes"
 
+    def test_slow_geometric_decay_is_not_read_as_divergence(self):
+        # sup|b| = 0.9, so b/a is in H^2, but |c_j| ~ 0.95^j makes the partial sums
+        # over 4, 8 and 17 coefficients grow by more than 1.25x twice
+        pair = pythagorean_mate(SymbolB.rational([0.045], [1.0, -0.95]))
+        data = taylor_b_over_a(pair, 16)
+        assert data.in_h2 == "yes"
+        assert data.partial_sum_verdict in ("yes", "undetermined")
+
 
 class TestMonomialNorm:
     def test_zero_symbol(self, zero_pair):
