@@ -32,7 +32,6 @@ from .functions import RationalFn
 from .convergence import refine_until
 from .measures import (
     ArcWindow,
-    BoundaryAC,
     DiskAtoms,
     DiskMeasure,
     FactoredArcWeight,
@@ -203,10 +202,13 @@ def arc_scan(value_fn, depth, mode="sup", complements=True, collect_table=False,
     mode 'sup' tracks maxima (finite part; infinities reported separately),
     mode 'inf' tracks minima.  The cumulative series is what verdict rules
     read; the exponent is the slope of log(cumulative) against log(2^-level).
+    The infinite witnesses are the infinite arcs of the shortest scanned
+    length that has one; they locate every singularity that makes a longer
+    arc infinite.
     """
     per_level, cumulative, table = [], [], [] if collect_table else None
     witness = None
-    infinite = []
+    infinite, shortest = [], np.inf
     cum = -np.inf if mode == "sup" else np.inf
     # the finest family is valued first, so that an arc weight integrates its
     # cells once, on the finest lattice the scan reads
@@ -226,9 +228,12 @@ def arc_scan(value_fn, depth, mode="sup", complements=True, collect_table=False,
                     table.append((level, float(c), float(length), float(v)))
             bad = ~np.isfinite(vals)
             if mode == "sup" and np.any(bad & (vals > 0)):
-                for idx in np.nonzero(bad & (vals > 0))[0]:
-                    infinite.append(
+                if length < shortest:
+                    infinite, shortest = [], length
+                if length == shortest:
+                    infinite.extend(
                         {"level": level, "start": float(starts[idx]), "length": float(length)}
+                        for idx in np.nonzero(bad & (vals > 0))[0]
                     )
                 vals = vals[~bad]
                 if vals.size == 0:
@@ -583,7 +588,7 @@ def _kernel_adapter(pair, lam, variant):
             )
 
         def boundary(t):
-            zb = _boundary_values_at(pair, np.asarray(t, dtype=float))
+            zb = pair.b_at_angles(np.asarray(t, dtype=float))
             return (1.0 - np.conj(bl) * zb) / (1.0 - np.conj(lam) * np.exp(1j * np.asarray(t)))
 
     else:
@@ -598,80 +603,86 @@ def _kernel_adapter(pair, lam, variant):
                           focus_angles=(float(np.angle(lam)),))
 
 
-_BOUNDARY_INTERP_SIZE = 2 ** 16
-
-
-def _boundary_values_at(pair, t):
-    """b on the circle at arbitrary angles; FFT-grid interpolation for grid outers."""
-    fn = pair.b.fn
-    if fn.continuous_on_closure:
-        return np.asarray(fn(np.exp(1j * t)), dtype=complex)
-    cache = pair.diagnostics.get("_boundary_interp")
-    if cache is None:
-        vals = np.asarray(fn.boundary_values(_BOUNDARY_INTERP_SIZE), dtype=complex)
-        cache = np.concatenate([vals, vals[:1]])
-        pair.diagnostics["_boundary_interp"] = cache
-    pos = (np.asarray(t, dtype=float) % TWO_PI) / TWO_PI * _BOUNDARY_INTERP_SIZE
-    idx = np.floor(pos).astype(int)
-    frac = pos - idx
-    return cache[idx] * (1 - frac) + cache[idx + 1] * frac
-
-
-_CELL_GRID_SIZE = 2 ** 16
-
-
-def _effective_density(component, n=_CELL_GRID_SIZE):
-    """Exact cell masses of a boundary density, rescaled to a grid density.
-
-    Cells are centered on the standard grid points, so pairing these masses
-    with pointwise kernel values is midpoint quadrature with an exactly
-    integrated weight; the weight singularity costs nothing.  The cell at
-    grid point k is cells 2k - 1 and 2k of the weight's 2n lattice.
-    """
-    halves = component.weight.cell_integrals((2 * n).bit_length() - 1)
-    return np.roll(halves, 1).reshape(n, 2).sum(axis=1) * n
-
-
 def _kernel_mu_norms_squared(pair, measure, lams, variant):
+    """||k_lam||^2 in L2(mu) for every lam of one probe level.
+
+    The finite boundary a.c. part takes the grid sum of its density through
+    FFT convolutions; atoms, radial parts and an infinite a.c. part take
+    their own l2 rule at each lam.
+    """
     lams = np.asarray(lams, dtype=complex)
     out = np.zeros(lams.size)
-    grid_parts = [
-        c for c in measure.components()
-        if isinstance(c, BoundaryAC) and isinstance(c.weight, GridArcWeight)
-    ]
-    cell_parts = [
-        c for c in measure.components()
-        if isinstance(c, BoundaryAC) and not isinstance(c.weight, GridArcWeight)
-        and c.weight.total() < np.inf
-    ]
-    rest = [
-        c for c in measure.components()
-        if c not in grid_parts and c not in cell_parts and c.mass() > 0
-    ]
-    if grid_parts or cell_parts:
-        n = _CELL_GRID_SIZE if cell_parts else max(c.weight.grid.size for c in grid_parts)
-        h = np.zeros(n)
-        for c in grid_parts:
-            reps = n // c.weight.grid.size
-            h += np.repeat(c.weight.grid, reps)
-        for c in cell_parts:
-            h += _effective_density(c, n)
-        e_it = np.exp(1j * grid_angles(n))
+    grid_part = measure.ac if measure.ac is not None and measure.ac.mass() < np.inf else None
+    if grid_part is not None:
+        out += _grid_kernel_norms_squared(pair, grid_part.weight, lams, variant)
+    for comp in measure.components():
+        if comp is not grid_part and comp.mass() > 0:
+            for i, lam in enumerate(lams):
+                out[i] += comp.l2(_kernel_adapter(pair, lam, variant))
+    return out
+
+
+_NEAR_POINTS = 64  # grid points on either side of a probe angle that are summed directly
+
+
+def _kernel_spectra(pair, weight, variant):
+    """The weight's grid density h, b on its grid, and the FFTs the kernel sums convolve.
+
+    For 'hb' these are the FFTs of h, h b and h |b|^2; for 'cauchy' the FFT
+    of h alone, with b zero.  The pair keeps those of its last weight and
+    variant, so that a kernel scan takes them once for all its levels.
+    """
+    cached = pair._kernel_spectra
+    if cached is None or cached[0] is not weight or cached[1] != variant:
+        h = weight.grid_density()
+        parts = [h]
+        b = np.zeros(h.size)
         if variant == "hb":
-            b_grid = pair.b_boundary(n)
-            bl = np.asarray(pair.b.fn(lams), dtype=complex)
-        chunk = max(1, int(2 ** 22 / n))
-        for s in range(0, lams.size, chunk):
-            ls = lams[s : s + chunk]
-            denom = np.abs(1.0 - np.conj(ls)[:, None] * e_it[None, :]) ** 2
-            if variant == "hb":
-                numer = np.abs(1.0 - np.conj(bl[s : s + chunk])[:, None] * b_grid[None, :]) ** 2
-            else:
-                numer = 1.0
-            out[s : s + chunk] += np.mean(h[None, :] * numer / denom, axis=1)
-    for comp in rest:
-        for i, lam in enumerate(lams):
-            out[i] += comp.l2(_kernel_adapter(pair, lam, variant))
+            b = pair.b_boundary(h.size)
+            parts += [h * b, h * np.abs(b) ** 2]
+        cached = pair._kernel_spectra = (weight, variant, h, b, np.fft.fft(parts))
+    return cached[2:]
+
+
+def _grid_kernel_norms_squared(pair, weight, lams, variant):
+    """The grid sums mean_j h_j |k_lam(e^(i t_j))|^2 over the weight's grid density h.
+
+    With lam = r e^(i(t_q + delta)) and K(s) = 1/|1 - r e^(is)|^2, the grid
+    sum of g K(t_j - t_q - delta) is the circular convolution of g with K
+    sampled at t_j + delta, read at q: one kernel FFT and one inverse FFT
+    for each radius and sub-grid offset.  The hb numerator
+    |1 - conj(b(lam)) b|^2 expands over g = h, h b and h |b|^2.  That
+    expansion cancels where the numerator vanishes under the peak of K,
+    next to a boundary zero of a, so the points nearest each probe angle
+    are summed directly and only the rest of K goes through the FFT.
+    """
+    h, b, spectra = _kernel_spectra(pair, weight, variant)
+    n = h.size
+    beta = np.asarray(pair.b.fn(lams), dtype=complex) if variant == "hb" else np.zeros(lams.size)
+    coefficients = np.stack([np.ones(lams.size), -2.0 * np.conj(beta), np.abs(beta) ** 2])
+    pos = np.angle(lams) / TWO_PI * n % n
+    q = np.floor(pos + 1e-9)
+    delta = (pos - q) * (TWO_PI / n)
+    q = q.astype(int) % n
+    radius = np.abs(lams)
+    # the probe points of one level share their radius, and many their offset,
+    # up to rounding; each such group takes one kernel
+    groups = {}
+    for i, key in enumerate(zip(np.round(radius, 13), np.round(delta, 13))):
+        groups.setdefault(key, []).append(i)
+    w = min(_NEAR_POINTS, (n - 1) // 2)
+    near = np.arange(-w, w + 1) % n
+    t = grid_angles(n)
+    out = np.empty(lams.size)
+    for idx in groups.values():
+        r = radius[idx[0]]
+        kernel = 1.0 / ((1.0 - r) ** 2 + 4.0 * r * np.sin((t + delta[idx[0]]) / 2.0) ** 2)
+        j = (q[idx, None] - near) % n
+        numer = np.abs(1.0 - np.conj(beta[idx, None]) * b[j]) ** 2
+        out[idx] = (h[j] * numer) @ kernel[near] / n
+        kernel[near] = 0.0
+        sums = np.fft.ifft(spectra * np.fft.fft(kernel), axis=-1)[:, q[idx]] / n
+        out[idx] += np.sum(coefficients[: len(spectra), idx] * sums, axis=0).real
     return out
 
 

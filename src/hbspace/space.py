@@ -46,6 +46,8 @@ from .functions import (
 NONEXTREME = "non-extreme"
 EXTREME = "extreme"
 UNDETERMINED = "undetermined"
+TWO_PI = 2.0 * np.pi
+_BOUNDARY_INTERP_SIZE = 2 ** 16  # grid on which b is interpolated for grid outers
 
 
 @dataclass(frozen=True)
@@ -319,6 +321,8 @@ class PythagoreanPair:
         self._inv_a_taylor = np.zeros(0, dtype=complex)
         self._b_over_a = None
         self._min_a_boundary = None
+        self._boundary_interp = None  # b on the 2^16 grid, closed, for interpolation
+        self._kernel_spectra = None  # (weight, variant, h, b, FFTs) of the last kernel scan
         residual = self.mate_residual()
         self.diagnostics.setdefault("mate_residual", residual)
         if residual > 1e-7:
@@ -378,6 +382,19 @@ class PythagoreanPair:
 
     def b_boundary(self, n):
         return np.asarray(self.b.fn.boundary_values(n), dtype=complex)
+
+    def b_at_angles(self, t):
+        """b on the circle at arbitrary angles; interpolated on the 2^16 grid for grid outers."""
+        fn = self.b.fn
+        if fn.continuous_on_closure:
+            return np.asarray(fn(np.exp(1j * t)), dtype=complex)
+        if self._boundary_interp is None:
+            vals = self.b_boundary(_BOUNDARY_INTERP_SIZE)
+            self._boundary_interp = np.concatenate([vals, vals[:1]])
+        pos = (np.asarray(t, dtype=float) % TWO_PI) / TWO_PI * _BOUNDARY_INTERP_SIZE
+        idx = np.floor(pos).astype(int)
+        frac = pos - idx
+        return self._boundary_interp[idx] * (1 - frac) + self._boundary_interp[idx + 1] * frac
 
     def min_a_boundary(self, n=2 ** 12):
         if self._min_a_boundary is None:
@@ -466,11 +483,16 @@ def _as_taylor(f):
 
 def hb_norm_squared(f, pair, rtol=1e-8, start=DEFAULT_TRUNCATION, cap=TRUNCATION_CAP,
                     cross_check=True):
-    """||f||_b^2 by the truncated triangular Toeplitz solve, doubled to stabilization."""
+    """||f||_b^2 by the truncated triangular Toeplitz solve, doubled to stabilization.
+
+    Rungs double up to `cap` and are clamped to it; the first starts no
+    higher than max(len(f), cap / 2), so that an input whose Taylor series
+    fills most of the cap still gets two rungs and none runs above the cap.
+    """
     pair.require_nonextreme("the H(b) norm algorithm")
     f = _as_taylor(f)
     norm2_f = float(np.sum(np.abs(f) ** 2))
-    m = max(start, 2 * f.size)
+    m = min(max(start, 2 * f.size), max(f.size, cap // 2))
     previous = None
     while True:
         value, g = _norm_attempt(f, pair, m, norm2_f)
@@ -482,7 +504,7 @@ def hb_norm_squared(f, pair, rtol=1e-8, start=DEFAULT_TRUNCATION, cap=TRUNCATION
                 last_values=(previous, value),
             )
         previous = value
-        m *= 2
+        m = min(2 * m, cap)
     if cross_check and pair.min_a_boundary() > 1e-6:
         c = analytic_mul(pair.b_taylor(m + 1), pair.inv_a_taylor(m + 1), m + 1)
         f_pad = np.zeros(m + 1, dtype=complex)

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from hbspace.analyzers import (
-    _effective_density,
     _kernel_mu_norms_squared,
     a2_check,
     a2_product,
@@ -231,12 +230,71 @@ class TestKernelRatios:
                 got = _kernel_mu_norms_squared(half_sum, mu, lams[::8], "hb")
                 np.testing.assert_allclose(got, before[j], rtol=1e-11, atol=0.0)
 
+    @staticmethod
+    def _plain_grid_sums(pair, h, lams, variant):
+        # mean_j h_j |k_lam(e^(i t_j))|^2, one probe point at a time
+        e_it = np.exp(1j * grid_angles(h.size))
+        b = pair.b_boundary(h.size)
+        out = []
+        for lam in lams:
+            numer = 1.0
+            if variant == "hb":
+                numer = np.abs(1.0 - np.conj(pair.b.fn(np.array([lam]))[0]) * b) ** 2
+            out.append(np.mean(h * numer / np.abs(1.0 - np.conj(lam) * e_it) ** 2))
+        return np.array(out)
+
+    @pytest.mark.parametrize("variant", ["hb", "cauchy"])
+    @pytest.mark.parametrize("density", ["grid-8192", "grid-1000", "mixed-power"])
+    def test_fft_route_matches_the_plain_grid_sum(self, half_sum, density, variant):
+        if density == "mixed-power":
+            weight = DiskMeasure.from_json(self.MIXED).ac.weight
+        else:
+            size = int(density.split("-")[1])
+            weight = GridArcWeight(np.random.default_rng(size).uniform(0.1, 2.0, size))
+        h = weight.grid_density()
+        mu = DiskMeasure(ac=BoundaryAC(weight))
+        offsets = set()
+        for j, lams in log_radial_points(12):
+            offsets |= set(np.round((np.angle(lams) / (2 * np.pi) * h.size + 1e-9) % 1.0, 6))
+            got = _kernel_mu_norms_squared(half_sum, mu, lams, variant)
+            expect = self._plain_grid_sums(half_sum, h, lams, variant)
+            np.testing.assert_allclose(got, expect, rtol=1e-11, atol=0.0)
+        # the probe angles fall between the points of a 1000-point grid
+        assert len(offsets) == (8 if density == "grid-1000" else 1)
+
+    def test_half_sum_lebesgue_kernel_norms_in_closed_form(self):
+        # <b k, k> = b(lam) ||k||^2 and P[|b|^2](lam) = (1 + Re lam)/2 for b = (1 + z)/2;
+        # level 12 carries the grid's own alias 2 r^n ~ 2e-7
+        pair = pythagorean_mate(SymbolB.rational([0.5, 0.5]))
+        mu = DiskMeasure.lebesgue()
+        for j, lams in log_radial_points(11):
+            beta2 = np.abs(pair.b.fn(lams)) ** 2
+            gap = 1.0 - np.abs(lams) ** 2
+            hb = (1.0 - 2.0 * beta2 + beta2 * (1.0 + lams.real) / 2.0) / gap
+            np.testing.assert_allclose(_kernel_mu_norms_squared(pair, mu, lams, "hb"), hb,
+                                       rtol=1e-10, atol=0.0)
+            np.testing.assert_allclose(_kernel_mu_norms_squared(pair, mu, lams, "cauchy"),
+                                       1.0 / gap, rtol=1e-10, atol=0.0)
+
+    def test_hb_scan_takes_the_boundary_values_of_b_once(self, monkeypatch):
+        pair = pythagorean_mate(SymbolB.rational([0.5, 0.5]))
+        calls = []
+        b_boundary = pair.b_boundary
+
+        def counting(n):
+            calls.append(n)
+            return b_boundary(n)
+
+        monkeypatch.setattr(pair, "b_boundary", counting)
+        kernel_ratio_scan(pair, DiskMeasure.lebesgue(), depth=12, variant="hb")
+        assert calls == [2 ** 16]
+
     def test_effective_density_cells_against_mpmath(self):
         # cells centred on the 2^16 grid points, at the singular angle 1.0, facing
         # it (where a difference of two primitives used to lose 1e-7) and elsewhere
         mu = DiskMeasure.from_json(self.MIXED)
         n = 2 ** 16
-        h = _effective_density(mu.ac, n)
+        h = mu.ac.weight.grid_density(n)
         mpmath.mp.dps = 30
         t0 = mpmath.mpf(1.0) / (2 * mpmath.pi)  # in turns
         near = round(1.0 / (2 * np.pi) * n)
@@ -366,6 +424,21 @@ class TestNormEquivalence:
             short = [w for w in a2.evidence["infinite_witnesses"] if w["length"] <= 2.0**-10]
             for zero in zeros:
                 assert any((zero - w["start"]) % 1.0 <= w["length"] for w in short)
+
+    def test_a2_witnesses_are_the_shortest_infinite_arcs(self, half_sum):
+        # every infinite arc at a zero of a is listed at the finest scanned length,
+        # with no complement; the rotated zero sits off every dyadic point
+        u = 0.3137
+        rotated = pythagorean_mate(SymbolB.rational([0.5, 0.5 * np.exp(-2j * np.pi * u)]))
+        depth = 10
+        for pair, zero in ((half_sum, 0.0), (rotated, u)):
+            rep = norm_equivalence_verdict(pair, DiskMeasure.lebesgue(), depth=depth)
+            a2 = rep.conditions["EquivNorm.a2"]
+            assert a2.verdict == "fail"
+            witnesses = a2.evidence["infinite_witnesses"]
+            assert witnesses
+            assert all(w["level"] == depth and w["length"] == 2.0**-depth for w in witnesses)
+            assert any((zero - w["start"]) % 1.0 <= w["length"] for w in witnesses)
 
     def test_window_scans_build_each_nu_pyramid_once(self, half_sum, monkeypatch):
         # reverse_inf_scan and carleson_sup_scan read the same nu: the second scan

@@ -153,6 +153,16 @@ class TestRemainingVerbs:
         expect = np.sqrt(1.0 + np.sum(np.abs(c.coefficients[:4]) ** 2))
         assert json.loads(captured.out)["hb_norm"] == pytest.approx(expect, rel=1e-9)
 
+    def test_norms_kernel_near_the_circle(self, files, capsys):
+        # the kernel's Taylor series fills most of the truncation cap
+        assert main(["norms", "--b", files["b"], "--kernel", "0.999,0"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        # (1 + |b/a|^2)/(1 - lam^2) with b(0.999) = 1.999/2, a(0.999) = 0.001/2
+        assert doc["hb_norm"] ** 2 == pytest.approx(1999000500.25, rel=1e-12)
+        assert doc["closed_form"] ** 2 == pytest.approx(1999000500.25, rel=1e-12)
+
     def test_analyze_equivalence(self, files, capsys):
         code = main(["analyze-equivalence", "--b", files["b"], "--mu", files["m"],
                      "--depth", "8"])

@@ -69,6 +69,17 @@ class TestPythagoreanMate:
         with pytest.raises(ExtremeDegenerateError):
             pythagorean_mate(SymbolB.rational([0.0, 1.0]))
 
+    def test_boundary_values_of_a_grid_outer_interpolate_its_grid(self, alpha_pair):
+        # b of the outer route is interpolated on the 2^16 grid, cached in a slot of
+        # the pair rather than in its reportable diagnostics
+        n = 2 ** 16
+        grid = alpha_pair.b_boundary(n)
+        np.testing.assert_allclose(alpha_pair.b_at_angles(grid_angles(n)[::997]), grid[::997],
+                                   rtol=1e-12, atol=0.0)
+        mid = alpha_pair.b_at_angles(grid_angles(n, offset=True)[:5])
+        np.testing.assert_allclose(mid, (grid[:5] + grid[1:6]) / 2, rtol=1e-12, atol=0.0)
+        assert not any(k.startswith("_") for k in alpha_pair.diagnostics)
+
     def test_a_positive_at_zero(self, half_sum, alpha_pair):
         assert complex(np.asarray(half_sum.a(np.array([0.0])))[0]).real > 0
         assert complex(np.asarray(alpha_pair.a(np.array([0.0])))[0]).real > 0
@@ -147,6 +158,28 @@ class TestHbNorm:
             assert hb_norm_squared(e, half_sum, cross_check=False) == pytest.approx(
                 2.0 + 4.0 * n, rel=1e-10
             )
+
+    def test_truncation_ladder_stays_under_the_cap(self, half_sum, monkeypatch):
+        # the Taylor series of the kernel at 0.999 fills 36,824 terms of the 65,536 cap:
+        # the first rung starts there and the second is clamped to the cap; a small
+        # kernel keeps its rungs 2048, 4096, ...
+        import hbspace.space as space
+
+        rungs = []
+        attempt = space._norm_attempt
+
+        def recording(f, pair, m, norm2_f):
+            rungs.append(m)
+            return attempt(f, pair, m, norm2_f)
+
+        monkeypatch.setattr(space, "_norm_attempt", recording)
+        got = hb_norm_squared(cauchy_kernel_taylor(0.999), half_sum)
+        assert rungs == [36824, 65536]
+        # (1 + |b/a|^2)/(1 - lam^2) with b(0.999) = 1.999/2, a(0.999) = 0.001/2
+        assert got == pytest.approx(1999000500.25, rel=1e-12)
+        rungs.clear()
+        hb_norm_squared(cauchy_kernel_taylor(0.5), half_sum)
+        assert rungs[:2] == [2048, 4096]
 
     def test_cross_check_route_agrees_when_bounded(self):
         # b = z/2 has mate sqrt(3)/2, so conj(b/a) f is grid-bounded and the
