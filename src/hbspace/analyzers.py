@@ -28,7 +28,7 @@ from .errors import (
     ResolutionError,
     UnsupportedError,
 )
-from .functions import RationalFn
+from .functions import GridOuter, RationalFn
 from .convergence import refine_until
 from .measures import (
     ArcWindow,
@@ -577,13 +577,40 @@ class KernelRatioResult:
         }
 
 
+def _up_to_circle(fn, value, boundary):
+    """z -> value(z) inside the disk, and boundary(angle of z) past fn's interior limit.
+
+    A function that is not continuous on the closed disk, a grid outer say,
+    is summed only up to |z| = GridOuter.INTERIOR_LIMIT.  A point past that,
+    as the deepest nodes of a radial ray are, takes the boundary value at
+    its angle, the limit of value(z) there.
+    """
+    limit = 1.0 if fn.continuous_on_closure else GridOuter.INTERIOR_LIMIT
+
+    def at(z):
+        z = np.asarray(z, dtype=complex)
+        past = np.abs(z) > limit
+        out = np.asarray(value(np.where(past, 0.0, z)))
+        if np.any(past):
+            out[past] = boundary(np.angle(z[past]))
+        return out
+
+    return at
+
+
+def _gap_weight(pair, fn, interior):
+    """Weight |a|^2 on the circle and interior(z) inside, up to fn's interior limit."""
+    return PairWeight(boundary=pair.gap2_fn, point=_up_to_circle(fn, interior, pair.gap2_fn))
+
+
 def _kernel_adapter(pair, lam, variant):
     lam = complex(lam)
     if variant == "hb":
         bl = complex(np.asarray(pair.b.fn(np.array([lam])))[0])
+        b_at = _up_to_circle(pair.b.fn, pair.b.fn, pair.b_at_angles)
 
         def interior(z):
-            return (1.0 - np.conj(bl) * pair.b.fn(np.asarray(z, dtype=complex))) / (
+            return (1.0 - np.conj(bl) * b_at(z)) / (
                 1.0 - np.conj(lam) * np.asarray(z, dtype=complex)
             )
 
@@ -847,11 +874,8 @@ def reverse_carleson_verdict(pair, measure, depth=DEFAULT_DEPTH, kernel_depth=12
         evidence=ess.to_json(),
     )
 
-    gap_weight = PairWeight(
-        boundary=lambda t: pair.gap2_fn(t),
-        point=lambda z: 1.0 - np.abs(np.asarray(pair.b.fn(z))) ** 2,
-    )
-    nu = measure.weighted(gap_weight)
+    nu = measure.weighted(
+        _gap_weight(pair, pair.b.fn, lambda z: 1.0 - np.abs(np.asarray(pair.b.fn(z))) ** 2))
     inf_scan = reverse_inf_scan(nu, depth=depth)
     v3 = inf_scan.verdict_positive_inf()
     conditions["MainThm.3"] = ConditionResult(
@@ -933,11 +957,7 @@ def direct_carleson_verdict(pair, measure, depth=DEFAULT_DEPTH, seed=0):
         evidence={"exponent": mu_scan.exponent, "per_level": mu_scan.per_level},
     )
 
-    weight = PairWeight(
-        boundary=lambda t: np.asarray(pair.a.boundary_modulus(t), dtype=float) ** 2,
-        point=lambda z: np.abs(np.asarray(pair.a(z))) ** 2,
-    )
-    nu = measure.weighted(weight)
+    nu = measure.weighted(_gap_weight(pair, pair.a, lambda z: np.abs(np.asarray(pair.a(z))) ** 2))
     nu_scan = carleson_sup_scan(nu, depth=depth)
     v = nu_scan.verdict_bounded()
     conditions["CorRationnel.nu"] = ConditionResult(
@@ -1020,11 +1040,7 @@ def norm_equivalence_verdict(pair, measure, depth=DEFAULT_DEPTH, a2_weight=None)
                   "infinite_witnesses": a2.infinite_witnesses},
     )
 
-    weight = PairWeight(
-        boundary=lambda t: np.asarray(pair.a.boundary_modulus(t), dtype=float) ** 2,
-        point=lambda z: np.abs(np.asarray(pair.a(z))) ** 2,
-    )
-    nu = measure.weighted(weight)
+    nu = measure.weighted(_gap_weight(pair, pair.a, lambda z: np.abs(np.asarray(pair.a(z))) ** 2))
     lo = reverse_inf_scan(nu, depth=depth)
     hi = carleson_sup_scan(nu, depth=depth)
     conditions["EquivNorm.window_inf"] = ConditionResult(

@@ -10,7 +10,6 @@ Taylor coefficients.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .convergence import is_power_of_two
 from .errors import ConfigurationError, DomainError, TruncationOverflowError
@@ -183,6 +182,15 @@ def _embed(target, series):
     target[-half:] = series.coefficients[half:]
 
 
+def _fft_convolve(a, b):
+    """Full linear convolution of two complex arrays, by FFT on a zero-padded power-of-two grid."""
+    if a.size == 0 or b.size == 0:
+        return np.zeros(0, dtype=complex)
+    size = a.size + b.size - 1
+    n = 1 << (size - 1).bit_length()
+    return np.fft.ifft(np.fft.fft(a, n) * np.fft.fft(b, n))[:size]
+
+
 def coanalytic_apply(psi_taylor, f_taylor):
     """Coefficients of T_conj(psi) f for analytic psi and f.
 
@@ -193,7 +201,7 @@ def coanalytic_apply(psi_taylor, f_taylor):
     f = np.asarray(f_taylor, dtype=complex)
     if p.size == 0 or f.size == 0:
         return np.zeros(f.size, dtype=complex)
-    full = fftconvolve(p, f)
+    full = _fft_convolve(p, f)
     return full[p.size - 1 :]
 
 
@@ -201,7 +209,7 @@ def analytic_mul(a_taylor, b_taylor, n=None):
     """Truncated Cauchy product of two Taylor series."""
     a = np.asarray(a_taylor, dtype=complex)
     b = np.asarray(b_taylor, dtype=complex)
-    out = fftconvolve(a, b)
+    out = _fft_convolve(a, b)
     if n is not None:
         out = out[:n]
     return out

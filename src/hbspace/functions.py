@@ -18,7 +18,6 @@ same coefficients.
 """
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .convergence import RefinementTrace
 from .errors import (
@@ -31,6 +30,9 @@ from .errors import (
 from .circle import CircleGrid, grid_angles
 
 _TAIL_TOL = 1e-18
+
+#: terms per step of the homogeneous tail in series_quotient
+_SERIES_BLOCK = 256
 
 
 def polyval_ascending(coeffs, z):
@@ -65,6 +67,39 @@ def polyval_ascending(coeffs, z):
             zpow = zpow * powers[:, -1] * zf
     out = out.reshape(np.atleast_1d(z).shape)
     return complex(out[0]) if scalar else out
+
+
+def series_quotient(num, den, n):
+    """First n Taylor coefficients of num / den: the exact solution y of den * y = num.
+
+    The first max(len(num), deg den) terms run the recurrence
+    den_0 y_k = num_k - sum_i den_i y_(k-i) one by one.  Past them num adds
+    nothing, and the homogeneous recurrence advances _SERIES_BLOCK terms at a
+    time: a companion matrix maps the last deg values to the next block.  The
+    matrix is the recurrence run once from unit states, in numpy's extended
+    precision, so that its entries are rounded once and their error does not
+    build up from block to block.
+    """
+    num = np.asarray(num, dtype=complex) / den[0]
+    rec = np.asarray(den, dtype=complex)[1:] / den[0]
+    deg = rec.size
+    y = np.zeros(n, dtype=complex)
+    head = min(n, max(num.size, deg))
+    for k in range(head):
+        m = min(k, deg)
+        y[k] = (num[k] if k < num.size else 0.0) - np.dot(rec[:m], y[k - m : k][::-1])
+    if head == n or deg == 0:
+        return y
+    steps = np.zeros((deg + _SERIES_BLOCK, deg), dtype=np.clongdouble)
+    steps[:deg] = np.eye(deg)
+    back = -rec[::-1].astype(np.clongdouble)
+    for j in range(_SERIES_BLOCK):
+        steps[deg + j] = back @ steps[j : j + deg]
+    companion = steps[deg:].astype(complex)
+    for s in range(head, n, _SERIES_BLOCK):
+        e = min(s + _SERIES_BLOCK, n)
+        y[s:e] = companion[: e - s] @ y[s - deg : s]
+    return y
 
 
 def _fold_coefficients(coeffs, n):
@@ -155,9 +190,7 @@ class RationalFn(AnalyticFunction):
         )
 
     def taylor(self, n):
-        impulse = np.zeros(n)
-        impulse[0] = 1.0
-        return lfilter(self.num, self.den, impulse).astype(complex)
+        return series_quotient(self.num, self.den, n)
 
     def inverse_taylor(self, n):
         """Taylor series of the reciprocal; valid while num(0) != 0.
@@ -167,9 +200,7 @@ class RationalFn(AnalyticFunction):
         """
         if self.num.size == 0 or self.num[0] == 0:
             raise DomainError("reciprocal series undefined: function vanishes at 0")
-        impulse = np.zeros(n)
-        impulse[0] = 1.0
-        return lfilter(self.den, self.num, impulse).astype(complex)
+        return series_quotient(self.den, self.num, n)
 
     def boundary_modulus(self, t):
         w = np.exp(1j * np.asarray(t, dtype=float))
@@ -237,10 +268,7 @@ class BlaschkeProduct(AnalyticFunction):
         return num, den
 
     def taylor(self, n):
-        num, den = self.as_rational()
-        impulse = np.zeros(n)
-        impulse[0] = 1.0
-        return lfilter(num, den, impulse).astype(complex)
+        return series_quotient(*self.as_rational(), n)
 
     def boundary_modulus(self, t):
         return np.ones_like(np.asarray(t, dtype=float))
@@ -310,6 +338,8 @@ class GridOuter(AnalyticFunction):
 
     #: master Taylor degree and the transform size used to extract it
     MASTER_DEGREE = 2 ** 16
+    #: largest |z| at which the Taylor series is summed
+    INTERIOR_LIMIT = 1.0 - 1e-9
 
     def __init__(self, log_coeffs, modulus_fn=None, diagnostics=None):
         self.log_coeffs = np.asarray(log_coeffs, dtype=complex)
@@ -420,7 +450,7 @@ class GridOuter(AnalyticFunction):
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        if np.any(np.abs(z) > 1.0 - 1e-9):
+        if np.any(np.abs(z) > self.INTERIOR_LIMIT):
             raise ResolutionError(
                 "GridOuter interior evaluation requires |z| <= 1 - 1e-9; "
                 "use boundary_values for circle data"

@@ -18,8 +18,6 @@ Angles are radians; arcs are handled internally as normalized spans
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import betainc, beta as beta_fn
 
 from .circle import grid_angles
 from .errors import AdmissibilityError, ConfigurationError, DomainError, WeightingError
@@ -251,6 +249,8 @@ def _sin_power_segment(gamma, lo, hi):
         if g == -1.0:
             return np.log(np.tan(x2 / 2) / np.tan(x1 / 2))
         if g > -1.0:
+            from scipy.special import betainc, beta as beta_fn
+
             a = 0.5 * (g + 1.0)
             return 0.5 * beta_fn(a, 0.5) * (betainc(a, 0.5, np.sin(x2) ** 2)
                                             - betainc(a, 0.5, np.sin(x1) ** 2))
@@ -296,8 +296,11 @@ class PowerArcWeight(ArcWeight):
 
         An offset from t0 becomes the distance to the nearest copy of t0,
         exact next to it, so that no difference of two near-full integrals is
-        ever formed.
+        ever formed.  Lebesgue measure (gamma = 0) has the closed form
+        scale * (hi - lo).
         """
+        if self.gamma == 0.0:
+            return self.scale * (hi - lo)
         t0 = _turn(self.angle)
         d1, d2 = lo - t0, hi - t0
         out = np.zeros(d1.shape)
@@ -638,6 +641,8 @@ def _power_l2(weight, fn, focus=()):
         base = np.abs(2.0 * np.sin((np.atleast_1d(t) - t0) / 2.0)) ** gamma
         return (vals * base)[0] if np.isscalar(t) else vals * base
 
+    from scipy.integrate import quad
+
     points = sorted({t0 % TWO_PI, *[float(f) % TWO_PI for f in getattr(fn, "focus_angles", ())]})
     val = quad(
         integrand, 0.0, TWO_PI, points=points, limit=400, epsabs=1e-12, epsrel=1e-10,
@@ -723,23 +728,6 @@ class RadialPower:
             return np.asarray(corr(t), dtype=float)
 
         return self.scale * _gl_integrate(h, np.zeros_like(e), e ** onem) / onem
-
-    def quadrature_depth_mass(self, depth):
-        """Independent quadrature route for the same slice (adaptive, weight-aware)."""
-        e = min(float(depth), 1.0 - self.r0)
-        if e <= 0:
-            return 0.0
-        corr = self.correction or (lambda t: np.ones_like(np.asarray(t, dtype=float)))
-        val, _ = quad(
-            lambda t: float(np.asarray(corr(t), dtype=float)),
-            1.0 - e,
-            1.0,
-            weight="alg",
-            wvar=(0.0, -self.beta),
-            epsabs=1e-13,
-            epsrel=1e-12,
-        )
-        return self.scale * val
 
     def mass(self):
         return float(self._depth_mass(1.0 - self.r0))

@@ -49,6 +49,7 @@ from hbspace.space import (
     pair_from_outer_a,
     pythagorean_mate,
 )
+from oracles import quadrature_depth_mass
 
 
 def report(criterion, ok, detail):
@@ -117,7 +118,7 @@ def test_criterion_03_window_mass_closed_form():
         expect = (theta / (2 * np.pi)) ** (1 - beta) / (1 - beta)
         got = mu.window_mass(win)
         worst_exact = max(worst_exact, abs(got - expect) / expect)
-        quad_val = comp.quadrature_depth_mass(win.depth)
+        quad_val = quadrature_depth_mass(comp, win.depth)
         worst_quad = max(worst_quad, abs(quad_val - expect))
     report(3, worst_exact <= 1e-14 and worst_quad <= 1e-9,
            f"analytic rel err {worst_exact:.1e}, quadrature abs err {worst_quad:.1e}")

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from hbspace.analyzers import (
+    _gap_weight,
     _kernel_mu_norms_squared,
     a2_check,
     a2_product,
@@ -31,8 +32,10 @@ from hbspace.measures import (
     DiskMeasure,
     GridArcWeight,
     PowerArcWeight,
+    RadialPower,
 )
 from hbspace.space import SymbolB, pair_from_outer_a, pythagorean_mate
+from oracles import quadrature_depth_mass
 
 
 @pytest.fixture(scope="module")
@@ -385,6 +388,45 @@ class TestDirectVerdict:
         rep = direct_carleson_verdict(alpha_pair, DiskMeasure.lebesgue(), depth=8)
         assert rep.overall.startswith("heuristic-")
         assert "heuristic" in rep.diagnostics
+
+
+class TestRayUnderOuterSymbol:
+    """A radial ray reaches past |z| = 1 - 1e-9, where a grid outer is not summed."""
+
+    @pytest.fixture(scope="class")
+    def outer_pair(self):
+        modulus = lambda t: 0.9 * np.exp(-0.4 * (1 - np.cos(t - 1)))
+        return pythagorean_mate(SymbolB.from_outer_modulus(modulus))
+
+    def test_both_verdicts_return(self, outer_pair):
+        # |a|^2 >= 0.19 on the circle, so H(b) = H^2 with equivalent norms: the
+        # ray, not Carleson for H^2, is not Carleson for H(b); carrying no
+        # boundary mass, it is not reverse Carleson either
+        mu = DiskMeasure(radial=[RadialPower(2.0, 0.5, 1.0)])
+        direct = direct_carleson_verdict(outer_pair, mu, depth=8)
+        assert direct.overall == "heuristic-not-carleson-for-hb"
+        assert direct.conditions["CorRationnel.nu"].verdict == "fail"
+        reverse = reverse_carleson_verdict(outer_pair, mu, depth=8, kernel_depth=1)
+        assert reverse.overall == "not-reverse-carleson"
+        assert np.isfinite(reverse.constants["kernel_ratio_max"])
+
+    def test_ray_window_masses_against_quadrature(self, outer_pair):
+        pair = outer_pair
+        weights = (
+            _gap_weight(pair, pair.a, lambda z: np.abs(pair.a(z)) ** 2),
+            _gap_weight(pair, pair.b.fn, lambda z: 1.0 - np.abs(pair.b.fn(z)) ** 2),
+        )
+        boundary = float(pair.gap2_fn(2.0))
+        for weight in weights:
+            nu = DiskMeasure(radial=[RadialPower(2.0, 0.5, 1.0)]).weighted(weight)
+            for depth in (0.3, 2.0 ** -10, 2.0 ** -15, 2.0 ** -20):
+                got = nu.window_mass(ArcWindow(2.0, 2 * depth))
+                assert got == pytest.approx(quadrature_depth_mass(nu.radial[0], depth),
+                                            rel=1e-10)
+            # wholly past the interior limit the weight is its boundary value
+            depth = 2.0 ** -32
+            got = nu.window_mass(ArcWindow(2.0, 2 * depth))
+            assert got == pytest.approx(boundary * 2 * np.sqrt(depth), rel=1e-14)
 
 
 class TestNormEquivalence:

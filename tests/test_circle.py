@@ -4,6 +4,8 @@ import pytest
 from hbspace.circle import (
     CircleGrid,
     FourierSeries,
+    _fft_convolve,
+    analytic_mul,
     coanalytic_apply,
     fourier_analyze,
     fourier_synthesize,
@@ -168,3 +170,22 @@ class TestCoanalyticApply:
             ]
         )
         assert np.max(np.abs(got - brute)) < 1e-12
+
+
+class TestFftConvolve:
+    def test_matches_numpy_convolve(self):
+        rng = np.random.default_rng(23)
+        for na, nb in ((1, 1), (1, 9), (7, 1), (5, 12), (64, 64), (100, 3), (1000, 777)):
+            a = rng.normal(size=na) + 1j * rng.normal(size=na)
+            b = rng.normal(size=nb) + 1j * rng.normal(size=nb)
+            expect = np.convolve(a, b)
+            got = _fft_convolve(a, b)
+            assert got.shape == expect.shape
+            assert np.max(np.abs(got - expect)) <= 1e-13 * max(1.0, np.max(np.abs(expect)))
+
+    def test_empty_input_gives_empty_output(self):
+        one = np.ones(1, dtype=complex)
+        empty = np.zeros(0, dtype=complex)
+        assert _fft_convolve(empty, one).size == 0
+        assert _fft_convolve(one, empty).size == 0
+        assert analytic_mul(empty, [1.0, 2.0]).size == 0

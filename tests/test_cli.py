@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -175,3 +178,27 @@ class TestRemainingVerbs:
                      "--depth", "4"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "level,arc_center,arc_length,value"
+
+
+class TestImportHygiene:
+    def test_cli_imports_and_cheap_verbs_load_no_scipy(self, tmp_path):
+        half = tmp_path / "half.json"
+        half.write_text(json.dumps(HALF_SUM))
+        script = (
+            "import json, sys\n"
+            "import hbspace.cli\n"
+            "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "seen = {'import': scipy()}\n"
+            "for args in (['mate', '--b', sys.argv[1]],\n"
+            "             ['norms', '--b', sys.argv[1], '--kernel', '0.5,0']):\n"
+            "    assert hbspace.cli.main(args) == 0\n"
+            "    seen[args[0]] = scipy()\n"
+            "print(json.dumps(seen))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", script, str(half)], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        seen = json.loads(out.stdout.strip().splitlines()[-1])
+        assert seen == {"import": [], "mate": [], "norms": []}

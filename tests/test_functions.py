@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from hbspace.circle import grid_angles
 from hbspace.errors import (
@@ -17,6 +18,7 @@ from hbspace.functions import (
     modulus_squared_coeffs,
     outer_from_log_modulus,
     polyval_ascending,
+    series_quotient,
     trig_poly_values,
 )
 
@@ -41,6 +43,45 @@ class TestRationalFn:
         a = RationalFn([0.5, -0.5])
         inv = a.inverse_taylor(6)
         assert np.allclose(inv, 2.0 * np.ones(6))
+
+
+class TestSeriesQuotient:
+    def test_matches_lfilter_on_random_rationals(self):
+        rng = np.random.default_rng(17)
+        for trial in range(16):
+            deg = int(rng.integers(1, 7))
+            roots = (1.02 + rng.exponential(0.5, deg)) * np.exp(2j * np.pi * rng.uniform(size=deg))
+            den = np.polynomial.polynomial.polyfromroots(roots) * rng.uniform(0.5, 2.0)
+            num = rng.normal(size=int(rng.integers(1, 8))) + 1j * rng.normal(size=1)
+            for n in (1, 3, deg, 257, 2 ** 16):
+                impulse = np.zeros(n)
+                impulse[0] = 1.0
+                expect = lfilter(num, den, impulse)
+                got = series_quotient(num, den, n)
+                assert got.shape == (n,)
+                assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    def test_geometric_series(self):
+        got = series_quotient([1.0], [1.0, -0.5], 600)
+        assert np.array_equal(got, 0.5 ** np.arange(600))
+
+    def test_double_boundary_zero_is_exact(self):
+        # 1 / ((1 - z)/2)^2 = 4 sum (k + 1) z^k, every term an integer
+        den = np.polynomial.polynomial.polypow([0.5, -0.5], 2)
+        got = series_quotient([1.0], den, 2 ** 16)
+        assert np.array_equal(got, 4.0 * (np.arange(2 ** 16) + 1))
+
+    def test_blaschke_coefficients_against_evaluation(self):
+        B = BlaschkeProduct([0.95, -0.3 + 0.9j, 0.0, 0.5j])
+        r, m = 0.999, 64
+        values = eval_taylor_on_circle(B.taylor(2 ** 15), r, m)
+        expect = B(r * np.exp(1j * grid_angles(m)))
+        assert np.max(np.abs(values - expect)) < 1e-12
+
+    def test_constant_denominator_pads_the_numerator(self):
+        assert np.array_equal(series_quotient([1.0, 2.0, 3.0], [2.0], 6),
+                              [0.5, 1.0, 1.5, 0.0, 0.0, 0.0])
+        assert np.array_equal(series_quotient([1.0, 2.0, 3.0], [2.0], 2), [0.5, 1.0])
 
 
 class TestBlaschke:

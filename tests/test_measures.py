@@ -22,6 +22,7 @@ from hbspace.measures import (
     window_mass,
 )
 from hbspace.space import SymbolB, pythagorean_mate
+from oracles import quadrature_depth_mass
 
 TWO_PI = 2 * np.pi
 
@@ -70,7 +71,7 @@ class TestWindowMass:
             r = RadialPower(0.0, beta, 1.0)
             for depth in (0.01, 0.2, 0.45):
                 exact = float(r._depth_mass(depth))
-                assert abs(exact - r.quadrature_depth_mass(depth)) < 1e-9
+                assert abs(exact - quadrature_depth_mass(r, depth)) < 1e-9
 
     def test_additivity_on_disjoint_arcs(self):
         rng = np.random.default_rng(7)
@@ -118,6 +119,21 @@ class TestPowerArcWeight:
                 exact = scale * mpmath.quad(lambda u: abs(2 * mpmath.sin(mpmath.pi * u)) ** gamma,
                                             [1 - mpmath.mpf(x2), 1 - mpmath.mpf(x1)])
                 assert value == pytest.approx(float(exact), rel=1e-10)
+
+
+class TestLebesgueCells:
+    def test_grid_density_is_exactly_one(self):
+        weight = DiskMeasure.lebesgue().ac.weight
+        density = weight.grid_density()
+        assert density.size == 2 ** 16
+        assert np.all(density == 1.0)
+        assert np.all(weight.cell_integrals(17) == 2.0 ** -17)
+
+    def test_scaled_segments_in_closed_form(self):
+        weight = PowerArcWeight(0.0, 2.5, 1.0)
+        lo = np.array([0.0, 0.1, 0.7])
+        hi = np.array([1.0, 0.35, 0.71])
+        assert np.array_equal(weight.segment_integrals(lo, hi), 2.5 * (hi - lo))
 
 
 class TestFactoredArcWeight:
