@@ -603,10 +603,10 @@ def _gap_weight(pair, fn, interior):
     return PairWeight(boundary=pair.gap2_fn, point=_up_to_circle(fn, interior, pair.gap2_fn))
 
 
-def _kernel_adapter(pair, lam, variant):
+def _kernel_adapter(pair, lam, bl, variant):
+    """k_lam as a FunctionOnDisk, given bl = b(lam)."""
     lam = complex(lam)
     if variant == "hb":
-        bl = complex(np.asarray(pair.b.fn(np.array([lam])))[0])
         b_at = _up_to_circle(pair.b.fn, pair.b.fn, pair.b_at_angles)
 
         def interior(z):
@@ -630,22 +630,25 @@ def _kernel_adapter(pair, lam, variant):
                           focus_angles=(float(np.angle(lam)),))
 
 
-def _kernel_mu_norms_squared(pair, measure, lams, variant):
+def _kernel_mu_norms_squared(pair, measure, lams, variant, beta=None):
     """||k_lam||^2 in L2(mu) for every lam of one probe level.
 
-    The finite boundary a.c. part takes the grid sum of its density through
-    FFT convolutions; atoms, radial parts and an infinite a.c. part take
-    their own l2 rule at each lam.
+    `beta` holds b at the lams; without it, b is evaluated there.  The
+    finite boundary a.c. part takes the grid sum of its density through FFT
+    convolutions; atoms, radial parts and an infinite a.c. part take their
+    own l2 rule at each lam.
     """
     lams = np.asarray(lams, dtype=complex)
+    if beta is None:
+        beta = np.asarray(pair.b.fn(lams), dtype=complex)
     out = np.zeros(lams.size)
     grid_part = measure.ac if measure.ac is not None and measure.ac.mass() < np.inf else None
     if grid_part is not None:
-        out += _grid_kernel_norms_squared(pair, grid_part.weight, lams, variant)
+        out += _grid_kernel_norms_squared(pair, grid_part.weight, lams, beta, variant)
     for comp in measure.components():
         if comp is not grid_part and comp.mass() > 0:
             for i, lam in enumerate(lams):
-                out[i] += comp.l2(_kernel_adapter(pair, lam, variant))
+                out[i] += comp.l2(_kernel_adapter(pair, lam, beta[i], variant))
     return out
 
 
@@ -671,21 +674,25 @@ def _kernel_spectra(pair, weight, variant):
     return cached[2:]
 
 
-def _grid_kernel_norms_squared(pair, weight, lams, variant):
+def _grid_kernel_norms_squared(pair, weight, lams, beta, variant):
     """The grid sums mean_j h_j |k_lam(e^(i t_j))|^2 over the weight's grid density h.
 
-    With lam = r e^(i(t_q + delta)) and K(s) = 1/|1 - r e^(is)|^2, the grid
-    sum of g K(t_j - t_q - delta) is the circular convolution of g with K
-    sampled at t_j + delta, read at q: one kernel FFT and one inverse FFT
-    for each radius and sub-grid offset.  The hb numerator
-    |1 - conj(b(lam)) b|^2 expands over g = h, h b and h |b|^2.  That
-    expansion cancels where the numerator vanishes under the peak of K,
+    `beta` holds b at the lams.  With lam = r e^(i(t_q + delta)) and
+    K(s) = 1/|1 - r e^(is)|^2, the grid sum of g K(t_j - t_q - delta) is the
+    circular convolution of g with K sampled at t_j + delta, read at q: one
+    kernel FFT and one inverse FFT for each radius and sub-grid offset.  The
+    hb numerator |1 - conj(b(lam)) b|^2 expands over g = h, h b and h |b|^2.
+    That expansion cancels where the numerator vanishes under the peak of K,
     next to a boundary zero of a, so the points nearest each probe angle
     are summed directly and only the rest of K goes through the FFT.
+    Only the outputs at the probe indices q are read.  With s the largest
+    stride dividing n and every q of a group, those are the outputs of an
+    (n/s)-point inverse FFT of the product spectrum folded onto n/s bins
+    (bin k takes the terms k + i n/s), scaled by 1/s: one level's m probe
+    angles on an n-point grid take an m-point inverse FFT.
     """
     h, b, spectra = _kernel_spectra(pair, weight, variant)
     n = h.size
-    beta = np.asarray(pair.b.fn(lams), dtype=complex) if variant == "hb" else np.zeros(lams.size)
     coefficients = np.stack([np.ones(lams.size), -2.0 * np.conj(beta), np.abs(beta) ** 2])
     pos = np.angle(lams) / TWO_PI * n % n
     q = np.floor(pos + 1e-9)
@@ -708,7 +715,9 @@ def _grid_kernel_norms_squared(pair, weight, lams, variant):
         numer = np.abs(1.0 - np.conj(beta[idx, None]) * b[j]) ** 2
         out[idx] = (h[j] * numer) @ kernel[near] / n
         kernel[near] = 0.0
-        sums = np.fft.ifft(spectra * np.fft.fft(kernel), axis=-1)[:, q[idx]] / n
+        stride = int(np.gcd.reduce(np.append(q[idx], n)))
+        folded = (spectra * np.fft.fft(kernel)).reshape(len(spectra), stride, n // stride)
+        sums = np.fft.ifft(folded.sum(axis=1), axis=-1)[:, q[idx] // stride] / (n * stride)
         out[idx] += np.sum(coefficients[: len(spectra), idx] * sums, axis=0).real
     return out
 
@@ -727,7 +736,10 @@ def kernel_ratio_scan(pair, measure, depth=12, variant="hb", angle_cap=64):
     """max over the log-radial family of ||k_lam||_b / ||k_lam||_mu.
 
     variant 'hb' uses the space's own kernels, 'cauchy' the plain Cauchy
-    kernels (both sides of the reproducing-kernel test).
+    kernels (both sides of the reproducing-kernel test).  A level's probes
+    are the m points r e^(i t_k) of one circle, so b (and a, for 'cauchy')
+    is evaluated there once, by eval_on_circle, and every norm of the level
+    reuses those values.
     """
     pair.require_nonextreme("kernel ratio scans")
     per_level, cumulative = [], []
@@ -736,17 +748,17 @@ def kernel_ratio_scan(pair, measure, depth=12, variant="hb", angle_cap=64):
     if measure.total_mass() <= 0:
         raise DegenerateMeasureError("measure has zero total mass")
     for j, lams in log_radial_points(depth, angle_cap):
-        mu_sq = _kernel_mu_norms_squared(pair, measure, lams, variant)
+        radius = 1.0 - 2.0 ** (-j)
+        bvals = np.asarray(pair.b.fn.eval_on_circle(radius, lams.size), dtype=complex)
+        mu_sq = _kernel_mu_norms_squared(pair, measure, lams, variant, bvals)
         if np.any(mu_sq <= 0):
             raise DegenerateMeasureError(
                 "a kernel has zero L2(mu) norm; the measure misses the relevant carrier"
             )
         if variant == "hb":
-            bvals = np.asarray(pair.b.fn(lams), dtype=complex)
             b_sq = (1.0 - np.abs(bvals) ** 2) / (1.0 - np.abs(lams) ** 2)
         else:
-            bvals = np.asarray(pair.b.fn(lams), dtype=complex)
-            avals = np.asarray(pair.a(lams), dtype=complex)
+            avals = np.asarray(pair.a.eval_on_circle(radius, lams.size), dtype=complex)
             b_sq = (1.0 + np.abs(bvals) ** 2 / np.abs(avals) ** 2) / (1.0 - np.abs(lams) ** 2)
         ratios = np.sqrt(b_sq / mu_sq)
         idx = int(np.argmax(ratios))

@@ -105,9 +105,9 @@ def series_quotient(num, den, n):
 def _fold_coefficients(coeffs, n):
     """Fold c_k onto k mod n; gives exact partial sums on the n-point circle grid."""
     c = np.asarray(coeffs, dtype=complex)
-    folded = np.zeros(n, dtype=complex)
-    np.add.at(folded, np.arange(c.size) % n, c)
-    return folded
+    rows = np.zeros(-(-c.size // n) * n, dtype=complex)
+    rows[: c.size] = c
+    return rows.reshape(-1, n).sum(axis=0)
 
 
 def eval_taylor_on_circle(coeffs, radius, n_angles):

@@ -24,7 +24,12 @@ from .errors import AdmissibilityError, ConfigurationError, DomainError, Weighti
 
 TWO_PI = 2.0 * np.pi
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
+#: Gauss-Legendre rules as (nodes, weights): 48 nodes for whole rays, smoothstep joins and cells
+#: coarser than _CELL_WIDTH, 16 nodes for any segment of at most _CELL_WIDTH turn
+_GL48 = np.polynomial.legendre.leggauss(48)
+_GL16 = np.polynomial.legendre.leggauss(16)
+#: longest segment (turns) that the 16-node rule integrates; see ArcWeight
+_CELL_WIDTH = 2.0 ** -12
 
 #: normalized distance within which an arc end or a singular angle counts as a lattice point
 _SNAP = 1e-15
@@ -32,15 +37,15 @@ _SNAP = 1e-15
 _MAX_LEVEL = 18
 
 
-def _gl_integrate(fn, lo, hi):
-    """Fixed-order Gauss-Legendre on [lo, hi] (vectorized endpoints allowed)."""
+def _gl_integrate(fn, lo, hi, rule=_GL48):
+    """Gauss-Legendre with the given rule on [lo, hi] (vectorized endpoints allowed)."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     mid = 0.5 * (hi + lo)
     rad = 0.5 * (hi - lo)
-    nodes = mid[..., None] + rad[..., None] * _GL_NODES
+    nodes = mid[..., None] + rad[..., None] * rule[0]
     vals = fn(nodes)
-    return np.sum(vals * _GL_WEIGHTS, axis=-1) * rad
+    return np.sum(vals * rule[1], axis=-1) * rad
 
 
 def _graded_breaks(points, smallest, count):
@@ -129,12 +134,23 @@ def _tree_sums(levels, lo, hi):
 class ArcWeight:
     """Boundary weight whose arc integrals are sums over a dyadic cell pyramid.
 
-    A subclass gives `segment_integrals(lo, hi)`, its integrals against dm
-    over segments [lo, hi] of turns, 0 <= lo <= hi <= 1, that stay farther
+    A subclass gives `segment_integrals(lo, hi, rule)`, its integrals against
+    dm over segments [lo, hi] of turns, 0 <= lo <= hi <= 1, that stay farther
     than `_EPS` radians from its poles, and `poles`, the angles where it is
     not integrable.  The 2^m cells of the lattice k / 2^m are integrated
     once, when first needed, and summed pairwise into a pyramid; `_pyramid`
     holds the finest one built.
+    Every segment that reaches `segment_integrals` lies inside one cell of a
+    pyramid, so the Gauss-Legendre `rule` is sized from the longest segment
+    of the call: 16 nodes up to `_CELL_WIDTH` = 2^-12 turn, 48 above.  For
+    an integrand analytic within distance d of a segment of half-width w,
+    the n-node error is O(rho^-2n), rho = x + sqrt(x^2 + 1), x = d / w
+    (Trefethen, "Is Gauss quadrature better than Clenshaw-Curtis?", SIAM
+    Review 50, 2008).  Whatever d, 16 nodes on a 2^-12-turn cell stay below
+    the larger of 1e-20 and the bound of 48 nodes on a cell of the coarsest
+    pyramid (level 10); that bound needs 27 nodes at level 11, 16 at 12 and
+    7 at 15.  Pieces cut geometrically toward a singularity sit at least
+    their own length from it (rho >= 5.8).
     An arc with both ends on a lattice is a sum of at most two nodes per
     level and no difference is taken, so a small arc keeps its relative
     accuracy next to a zero or a pole.  A wrapping arc (a complement, say) is
@@ -145,7 +161,9 @@ class ArcWeight:
 
     poles = ()
     _EPS = 1e-12  # closure tolerance around a pole, radians
-    _MIN_LEVEL = 10  # coarsest pyramid: short enough cells for one Gauss-Legendre rule
+    # coarsest pyramid: cells short enough for the 48-node rule; a pyramid of
+    # level 12 or finer integrates its cells with 16 nodes (see above)
+    _MIN_LEVEL = 10
     _CHUNK = 2 ** 10  # segments per segment_integrals call, bounding quadrature temporaries
     _pyramid = None  # node integrals against dm, one array per level, coarsest first
 
@@ -216,9 +234,10 @@ class ArcWeight:
             held |= (rel <= eps) | (rel + (hi - lo) >= 1.0 - eps)
         out = np.full(lo.shape, np.inf)
         idx = np.nonzero(~held)[0]
+        rule = _GL16 if np.max(hi - lo, initial=0.0) <= _CELL_WIDTH else _GL48
         for s in range(0, idx.size, self._CHUNK):
             part = idx[s : s + self._CHUNK]
-            out[part] = self.segment_integrals(lo[part], hi[part])
+            out[part] = self.segment_integrals(lo[part], hi[part], rule)
         return out
 
 
@@ -227,14 +246,14 @@ class ArcWeight:
 # ---------------------------------------------------------------------------
 
 
-def _sin_power_segment(gamma, lo, hi):
+def _sin_power_segment(gamma, lo, hi, rule):
     """Integral of |2 sin(pi u)|^gamma over [lo, hi] turns, 0 <= lo < hi <= 1/2.
 
     A segment at least its own length away from the singular point 0 is
-    integrated by Gauss-Legendre, which takes no difference and is exact to
-    rounding there.  A nearer one takes the incomplete-beta closed form,
-    valid for any real gamma while lo > 0 and for lo = 0 when gamma > -1;
-    exponents < -1 are lifted to -1 or above with the reduction
+    integrated by the Gauss-Legendre `rule`, which takes no difference and
+    is exact to rounding there.  A nearer one takes the incomplete-beta
+    closed form, valid for any real gamma while lo > 0 and for lo = 0 when
+    gamma > -1; exponents < -1 are lifted to -1 or above with the reduction
     int sin^g = [cos v sin^(g+1) v]/(g+1) + (g+2)/(g+1) int sin^(g+2).
     """
     lo = np.asarray(lo, dtype=float)
@@ -242,7 +261,7 @@ def _sin_power_segment(gamma, lo, hi):
     near = lo < hi - lo
     out = np.empty(lo.shape)
     out[~near] = _gl_integrate(lambda u: np.abs(2.0 * np.sin(np.pi * u)) ** gamma,
-                               lo[~near], hi[~near])
+                               lo[~near], hi[~near], rule)
     x1, x2 = np.pi * lo[near], np.pi * hi[near]
 
     def sin_int(g):  # integral of sin^g over [x1, x2]
@@ -291,7 +310,7 @@ class PowerArcWeight(ArcWeight):
         with np.errstate(divide="ignore"):
             return self.scale * base ** self.gamma
 
-    def segment_integrals(self, lo, hi):
+    def segment_integrals(self, lo, hi, rule=_GL48):
         """Integrals over [lo, hi] (turns), each half turn folded onto [0, 1/2].
 
         An offset from t0 becomes the distance to the nearest copy of t0,
@@ -313,7 +332,7 @@ class PowerArcWeight(ArcWeight):
             else:
                 a, b = a - k / 2, b - k / 2
             if np.any(part):
-                out[part] += _sin_power_segment(self.gamma, a[part], b[part])
+                out[part] += _sin_power_segment(self.gamma, a[part], b[part], rule)
         return self.scale * out
 
     def reciprocal(self):
@@ -340,7 +359,7 @@ class GridArcWeight(ArcWeight):
         """The samples, each repeated n / size times (n a multiple of the size, default the size)."""
         return np.repeat(self.grid, (n or self.grid.size) // self.grid.size)
 
-    def segment_integrals(self, lo, hi):
+    def segment_integrals(self, lo, hi, rule=None):
         return _piecewise_integrals(lo, hi, self._edges, self._prefix,
                                     lambda i, a, b: self.grid[i] * (b - a))
 
@@ -376,8 +395,8 @@ class FactoredArcWeight(ArcWeight):
             out = out * f.values(t)
         return out
 
-    def segment_integrals(self, lo, hi):
-        return _graded_integrals(lambda a, b: _gl_integrate(self.values, a, b),
+    def segment_integrals(self, lo, hi, rule=_GL48):
+        return _graded_integrals(lambda a, b: _gl_integrate(self.values, a, b, rule),
                                  lo, hi, self._breaks)
 
     def reciprocal(self):
@@ -459,7 +478,13 @@ class PiecewiseBoundaryWeight(ArcWeight):
                 )
         return out
 
-    def segment_integrals(self, lo, hi):
+    def segment_integrals(self, lo, hi, rule=None):
+        """Integrals over [lo, hi] (turns); a reciprocal join always takes 48 nodes.
+
+        A smoothstep join can be far narrower than a cell, and the poles of
+        its reciprocal lie within a fraction of the join's width, so a cell's
+        width does not size the rule here.
+        """
         return _piecewise_integrals(TWO_PI * lo, TWO_PI * hi, self._edges, self._prefix,
                                     self._piece_integrals) / TWO_PI
 
@@ -600,10 +625,11 @@ class _QuadArcWeight(ArcWeight):
         self.angle = TWO_PI * _turn(base.angle)
         self._breaks = np.union1d(_graded_breaks([self.angle], 1e-9, 120), self.angle)
 
-    def segment_integrals(self, lo, hi):
-        return self.base.scale * _graded_integrals(self._piece_integrals, lo, hi, self._breaks)
+    def segment_integrals(self, lo, hi, rule=_GL48):
+        return self.base.scale * _graded_integrals(
+            lambda a, b: self._piece_integrals(a, b, rule), lo, hi, self._breaks)
 
-    def _piece_integrals(self, a, b):
+    def _piece_integrals(self, a, b, rule):
         """Integrals against dt over pieces [a, b] free of the singular angle, without the scale."""
         # both ends from the same formula, so that neighbouring pieces share an end
         # exactly; a piece ending at the singular angle ends at 2*pi
@@ -623,7 +649,7 @@ class _QuadArcWeight(ArcWeight):
 
         near = np.where(left, TWO_PI - hi, lo)
         far = np.where(left, TWO_PI - lo, hi)
-        return _gl_integrate(h, near**onep, far**onep) / onep
+        return _gl_integrate(h, near**onep, far**onep, rule) / onep
 
     def values(self, t):
         t = np.asarray(t, dtype=float) % TWO_PI

@@ -309,6 +309,82 @@ class TestKernelRatios:
             assert h[k] == pytest.approx(float(exact), rel=1e-11)
 
 
+    @pytest.mark.parametrize("variant", ["hb", "cauchy"])
+    @pytest.mark.parametrize("density", ["mixed-power", "grid-1000"])
+    def test_folded_inverse_fft_on_probe_subsets(self, half_sum, density, variant):
+        # every stride of the 64 level-12 probes down to a single one; on the 1000-point
+        # grid the probes of one sub-grid offset share little or no stride
+        if density == "mixed-power":
+            weight = DiskMeasure.from_json(self.MIXED).ac.weight
+        else:
+            weight = GridArcWeight(np.random.default_rng(1000).uniform(0.1, 2.0, 1000))
+        h = weight.grid_density()
+        mu = DiskMeasure(ac=BoundaryAC(weight))
+        lams = log_radial_points(12)[-1][1]
+        for stride in range(1, 65):
+            for sub in (lams[::stride], lams[stride - 1 :: stride]):
+                got = _kernel_mu_norms_squared(half_sum, mu, sub, variant)
+                expect = self._plain_grid_sums(half_sum, h, sub, variant)
+                np.testing.assert_allclose(got, expect, rtol=1e-11, atol=0.0)
+
+    @pytest.fixture(scope="class")
+    def outer_pair(self):
+        modulus = lambda t: 0.9 * np.exp(-0.4 * (1 - np.cos(t - 1)))
+        return pythagorean_mate(SymbolB.from_outer_modulus(modulus))
+
+    @staticmethod
+    def _pointwise_level_maxima(pair, mu, depth, variant):
+        # the ratios with b and a evaluated at each probe point by their Taylor sums
+        out = []
+        for j, lams in log_radial_points(depth):
+            bvals = pair.b.fn(lams)
+            gap = 1.0 - np.abs(lams) ** 2
+            if variant == "hb":
+                b_sq = (1.0 - np.abs(bvals) ** 2) / gap
+            else:
+                b_sq = (1.0 + np.abs(bvals / pair.a(lams)) ** 2) / gap
+            out.append(np.max(np.sqrt(b_sq / _kernel_mu_norms_squared(pair, mu, lams, variant))))
+        return out
+
+    @pytest.mark.parametrize("variant", ["hb", "cauchy"])
+    def test_outer_route_scan_sums_no_taylor_series_at_a_probe(self, outer_pair, variant,
+                                                                monkeypatch):
+        from hbspace import functions
+
+        mu = DiskMeasure.from_json({"ac_density": self.MIXED["ac_density"]})
+        assert isinstance(outer_pair.b.fn, functions.GridOuter)
+        assert isinstance(outer_pair.a, functions.GridOuter)
+        expect = self._pointwise_level_maxima(outer_pair, mu, 12, variant)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Taylor series was summed at a point")
+
+        with monkeypatch.context() as m:
+            m.setattr(functions, "polyval_ascending", refuse)
+            m.setattr(functions.GridOuter, "__call__", refuse)
+            scan = kernel_ratio_scan(outer_pair, mu, depth=12, variant=variant)
+        np.testing.assert_allclose(scan.per_level_max, expect, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("variant", ["hb", "cauchy"])
+    def test_rational_scan_evaluates_b_once_per_level(self, variant, monkeypatch):
+        from hbspace.functions import RationalFn
+
+        pair = pythagorean_mate(SymbolB.rational([0.5, 0.5]))
+        sizes = []
+        call = RationalFn.__call__
+
+        def counting(fn, z):
+            if fn is pair.b.fn:
+                sizes.append(np.size(z))
+            return call(fn, z)
+
+        monkeypatch.setattr(RationalFn, "__call__", counting)
+        kernel_ratio_scan(pair, DiskMeasure.lebesgue(), depth=12, variant=variant)
+        # the hb grid sum also takes b once on the 2^16-point grid
+        grid = [2 ** 16] if variant == "hb" else []
+        assert sorted(sizes) == sorted(grid + [lams.size for _, lams in log_radial_points(12)])
+
+
 class TestReverseVerdict:
     def test_pass_case_all_conditions_agree(self, alpha_pair, inv_gap_measure):
         rep = reverse_carleson_verdict(alpha_pair, inv_gap_measure, depth=10,

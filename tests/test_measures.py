@@ -316,6 +316,117 @@ class TestCellPyramid:
         assert w._pyramid is pyramid and len(pyramid) == 13
 
 
+def _mp_cell(density, level, k, singular=()):
+    """40-digit integral against dm of the cell [k, k + 1] / 2^level, split at singular angles."""
+    mpmath.mp.dps = 40
+    lo, hi = 2 * mpmath.pi * k / 2**level, 2 * mpmath.pi * (k + 1) / 2**level
+    points = [lo, *sorted(t for t in singular if lo < t < hi), hi]
+    return mpmath.quad(density, points) / (2 * mpmath.pi)
+
+
+class TestCellRule:
+    """Cells of 2^-11 turn or wider take 48 Gauss-Legendre nodes, narrower ones 16."""
+
+    LEVELS = (11, 12, 15, 17)
+
+    @staticmethod
+    def _cells(level, t0):
+        k0 = int(t0 / TWO_PI * 2**level)  # the cell holding the singular angle
+        half = 2 ** (level - 1)
+        return sorted({(k0 + d) % 2**level for d in (-2, -1, 0, 1, 2, half, half + 1)}
+                      | {round(0.3 * 2**level) + 5})
+
+    def _errors(self, make, density, t0, singular, pole=False):
+        """Relative errors of the cells against mpmath, by (level, cell).
+
+        With pole=True the singular angle t0 is not integrable, and a cell whose
+        closure holds it must be +inf.
+        """
+        errors = {}
+        for level in self.LEVELS:
+            cells = make().cell_integrals(level)  # a fresh weight, so a pyramid of this level
+            for k in self._cells(level, t0):
+                u = t0 / TWO_PI * 2**level
+                if pole and (k <= u <= k + 1 or (u == 0 and k == 2**level - 1)):
+                    assert cells[k] == np.inf
+                    continue
+                exact = _mp_cell(density, level, k, singular)
+                errors[level, k] = abs(cells[k] / float(exact) - 1.0)
+        return errors
+
+    @pytest.mark.parametrize("gamma", [-0.5, 1.5, -1.5])
+    def test_power_cells(self, gamma):
+        t0 = 1.0
+        density = lambda t: abs(2 * mpmath.sin((t - t0) / 2)) ** gamma if t != t0 else 0
+        errors = self._errors(lambda: PowerArcWeight(gamma, 1.0, t0), density, t0,
+                              [mpmath.mpf(t0)], pole=gamma <= -1)
+        assert max(errors.values()) < 1e-11
+
+    @staticmethod
+    def _half_sum_factored(reciprocal):
+        # |a|^2 = |1 - e^(it)|^2 / 4 for b = (1 + z)/2, and its reciprocal with a double pole
+        from hbspace.analyzers import _a2_weight_for
+
+        pair = pythagorean_mate(SymbolB.rational([0.5, 0.5]))
+        g = -1 if reciprocal else 1
+        density = lambda t: (abs(2 * mpmath.sin(t / 2)) ** 2 / 4) ** g
+        make = lambda: _a2_weight_for(pair).reciprocal() if reciprocal else _a2_weight_for(pair)
+        assert isinstance(make(), FactoredArcWeight)
+        return make, density
+
+    # A FactoredArcWeight takes cell ends and Gauss-Legendre nodes in radians, so
+    # next to 2 pi each carries up to 4.4e-16 of rounding.  Left of a pole at
+    # angle 0 that is about 2e-11 relative at level 17, under either rule.
+    LEFT_OF_ZERO = (17, 2**17 - 2)
+
+    @pytest.mark.parametrize("reciprocal", [False, True])
+    def test_half_sum_factored_cells(self, reciprocal):
+        make, density = self._half_sum_factored(reciprocal)
+        errors = self._errors(make, density, 0.0, [], pole=reciprocal)
+        errors.pop(self.LEFT_OF_ZERO)
+        assert max(errors.values()) < 1e-11
+
+    @pytest.mark.xfail(strict=True, reason="cell ends and nodes in radians round next to 2 pi")
+    def test_left_of_a_pole_at_angle_zero(self):
+        make, density = self._half_sum_factored(True)
+        level, k = self.LEFT_OF_ZERO
+        exact = _mp_cell(density, level, k)
+        assert make().cell_integrals(level)[k] == pytest.approx(float(exact), rel=1e-11)
+
+    def test_power_times_gap_cells(self):
+        # 1.2 |1 - e^(i(t - 1))|^-1/2 times the half-sum's |a|^2 = (1 - cos t)/2
+        pair = pythagorean_mate(SymbolB.rational([0.5, 0.5]))
+        t0 = 1.0
+        make = lambda: _QuadArcWeight(PowerArcWeight(-0.5, 1.2, t0), pair.gap2_fn)
+        density = lambda t: (1.2 * abs(2 * mpmath.sin((t - t0) / 2)) ** -0.5 * (1 - mpmath.cos(t)) / 2
+                             if t != t0 else 0)
+        errors = self._errors(make, density, t0, [mpmath.mpf(t0)])
+        assert max(errors.values()) < 1e-11
+
+    def test_lebesgue_times_gap_with_a_pole_near_the_circle(self):
+        # |a|^2 = 1 - |b|^2 for b = 0.008/(1 - 0.99 z), whose pole lies 0.01 outside the circle
+        pair = pythagorean_mate(SymbolB.rational([0.008], [1.0, -0.99]))
+        make = lambda: DiskMeasure.lebesgue().weighted(
+            PairWeight(boundary=pair.gap2_fn, point=None)).ac.weight
+        assert isinstance(make(), _QuadArcWeight)
+        density = lambda t: 1 - mpmath.mpf(0.008) ** 2 / abs(1 - mpmath.mpf(0.99) * mpmath.expj(t)) ** 2
+        errors = self._errors(make, density, 0.0, [])
+        assert max(errors.values()) < 1e-11
+
+    @pytest.mark.parametrize("level, nodes", [(10, 48), (11, 48), (12, 16), (14, 16)])
+    def test_nodes_per_cell(self, level, nodes):
+        # a zero factor and no pole: each cell is one segment, integrated by one rule
+        evaluated = []
+
+        def cofactor(t):
+            evaluated.append(np.size(t))
+            return np.ones(np.shape(t))
+
+        weight = FactoredArcWeight([PowerArcWeight(2.0, 1.0, 0.5)], cofactor)
+        weight.cell_integrals(level)
+        assert sum(evaluated) == nodes * 2**level
+
+
 class TestWeighting:
     def test_identity_weight(self):
         mu = DiskMeasure.radial_power(0.5).plus(DiskMeasure.point_mass(0.3j, 1.5))
