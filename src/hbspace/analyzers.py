@@ -10,6 +10,7 @@ The cumulative extremes are monotone in depth by construction.
 
 import csv
 import io
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,9 +18,14 @@ import numpy as np
 from .circle import grid_angles
 from .convergence import (
     DEFAULT_DEPTH,
-    RefinementTrace,
+    FAIL,
+    PASS,
+    RULES,
+    UNDETERMINED,
+    Ladder,
     dyadic_arcs,
     growth_exponent,
+    refine,
 )
 from .errors import (
     AdmissibilityError,
@@ -29,7 +35,6 @@ from .errors import (
     UnsupportedError,
 )
 from .functions import GridOuter, RationalFn
-from .convergence import refine_until
 from .measures import (
     ArcWindow,
     DiskAtoms,
@@ -44,13 +49,10 @@ from .measures import (
 from .space import (
     EXTREME,
     NONEXTREME,
-    UNDETERMINED,
     hb_kernel_norm_squared,
     rational_falpha_decompose,
 )
 
-PASS = "pass"
-FAIL = "fail"
 TWO_PI = 2.0 * np.pi
 
 
@@ -97,6 +99,12 @@ class AnalysisReport:
         }
 
 
+def _condition(verdict, scan, **evidence):
+    """A condition read off a level scan: its last value, two resolutions and witness."""
+    return ConditionResult(verdict=verdict, value=scan.value, resolutions=scan.resolutions(),
+                           witness=scan.witness, evidence=evidence)
+
+
 def _jsonable(obj):
     if obj is None or isinstance(obj, (bool, str)):
         return obj
@@ -123,42 +131,32 @@ def _jsonable(obj):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ScanResult:
-    mode: str
-    depth: int
-    value: float
+@dataclass(kw_only=True)
+class LevelScan(Ladder):
+    """A ladder of cumulative extremes over scan levels, with each level's own extreme."""
+
     per_level: list
-    cumulative: list
-    witness: dict
+    witness: dict | None = None
+
+    @property
+    def cumulative(self):
+        return self.values
+
+
+@dataclass(kw_only=True)
+class ScanResult(LevelScan):
+    depth: int
     exponent: float
-    stabilized: bool
-    divergent: bool
     infinite_witnesses: list = field(default_factory=list)
     table: list | None = None
 
     def verdict_bounded(self):
         """pass = stabilized finite sup, fail = infinite/divergent, else undetermined."""
-        if self.infinite_witnesses or self.divergent:
-            return FAIL
-        if self.stabilized:
-            return PASS
-        return UNDETERMINED
+        return FAIL if self.infinite_witnesses else self.verdict()
 
     def verdict_positive_inf(self):
         """pass = stabilized positive infimum, fail = zero/decaying, else undetermined."""
-        if self.value <= 0.0:
-            return FAIL
-        if self.divergent:  # for inf scans: sustained decay
-            return FAIL
-        if self.stabilized:
-            return PASS
-        return UNDETERMINED
-
-    def resolutions(self):
-        if len(self.cumulative) >= 2:
-            return (self.cumulative[-2], self.cumulative[-1])
-        return tuple(self.cumulative)
+        return self.verdict()
 
     def table_csv(self):
         if self.table is None:
@@ -179,8 +177,8 @@ class ScanResult:
             "cumulative": _jsonable(self.cumulative),
             "witness": _jsonable(self.witness),
             "exponent": _jsonable(self.exponent),
-            "stabilized": self.stabilized,
-            "divergent": self.divergent,
+            "stabilized": self.stabilized(),
+            "divergent": self.divergent(),
             "infinite_witnesses": _jsonable(self.infinite_witnesses),
         }
 
@@ -195,13 +193,13 @@ def _scan_families(level, complements=True):
     return fams
 
 
-def arc_scan(value_fn, depth, mode="sup", complements=True, collect_table=False,
-             stability_window=0.05):
+def arc_scan(value_fn, depth, mode="sup", complements=True, collect_table=False):
     """Run value_fn(starts, length) over the dyadic scan family up to `depth`.
 
     mode 'sup' tracks maxima (finite part; infinities reported separately),
     mode 'inf' tracks minima.  The cumulative series is what verdict rules
-    read; the exponent is the slope of log(cumulative) against log(2^-level).
+    read, by the 'scan' rule; the exponent is the slope of log(cumulative)
+    against log(2^-level).
     The infinite witnesses are the infinite arcs of the shortest scanned
     length that has one; they locate every singularity that makes a longer
     arc infinite.
@@ -257,33 +255,14 @@ def arc_scan(value_fn, depth, mode="sup", complements=True, collect_table=False,
         cumulative.append(cum)
 
     lengths = [2.0 ** (-k) for k in range(1, depth + 1)]
-    exponent = growth_exponent(lengths, cumulative)
-    stabilized = (
-        len(cumulative) >= 2
-        and np.isfinite(cumulative[-1])
-        and abs(cumulative[-1] - cumulative[-2])
-        <= stability_window * max(abs(cumulative[-1]), 1e-300)
-    )
-    trace = RefinementTrace()
-    for k, v in enumerate(cumulative):
-        trace.add(2 ** (k + 1), v if np.isfinite(v) else 0.0)
-    if mode == "sup":
-        divergent = trace.divergent()
-    else:
-        inv = RefinementTrace()
-        for k, v in enumerate(cumulative):
-            inv.add(2 ** (k + 1), 1.0 / v if v > 0 else np.inf)
-        divergent = inv.divergent() or cumulative[-1] <= 0.0
     return ScanResult(
+        rule=RULES["scan"],
         mode=mode,
-        depth=depth,
-        value=float(cum),
+        values=cumulative,
         per_level=per_level,
-        cumulative=cumulative,
         witness=witness,
-        exponent=exponent,
-        stabilized=bool(stabilized),
-        divergent=bool(divergent),
+        depth=depth,
+        exponent=growth_exponent(lengths, cumulative),
         infinite_witnesses=infinite,
         table=table,
     )
@@ -364,13 +343,8 @@ def two_weight_necessary(h, w, depth=DEFAULT_DEPTH, collect_table=False):
         kind="two-weight-necessary",
         overall=scan.verdict_bounded(),
         conditions={
-            "GenMuckenhoupt.sup": ConditionResult(
-                verdict=scan.verdict_bounded(),
-                value=scan.value,
-                resolutions=scan.resolutions(),
-                witness=scan.witness,
-                evidence={"exponent": scan.exponent},
-            )
+            "GenMuckenhoupt.sup": _condition(scan.verdict_bounded(), scan,
+                                             exponent=scan.exponent)
         },
         constants={"sup": scan.value},
         diagnostics={"note": "necessary condition only; boundedness is not implied"},
@@ -461,18 +435,10 @@ def _weighted_gap_values(pair, measure, n):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CoronaResult:
-    infimum: float
-    witness: dict
-    per_level: list
-    cumulative: list
-    verdict: str
-
-    def resolutions(self):
-        if len(self.cumulative) >= 2:
-            return (self.cumulative[-2], self.cumulative[-1])
-        return tuple(self.cumulative)
+@dataclass(kw_only=True)
+class CoronaResult(LevelScan):
+    infimum = Ladder.value
+    verdict = property(Ladder.verdict)
 
     def to_json(self):
         return {
@@ -487,9 +453,9 @@ class CoronaResult:
 def corona_check(pair, depth=DEFAULT_DEPTH, angle_cap=512):
     """inf of |a| + |b| over a log-radial interior grid.
 
-    Radii 1 - 2^-j probe the boundary-approach regime; stabilizing positive
-    minima pass, minima decaying geometrically (the divergence rule applied
-    to their reciprocals) fail.
+    Radii 1 - 2^-j probe the boundary-approach regime; the cumulative minima
+    are an inf ladder read by the 'corona' rule: stabilizing positive minima
+    pass, minima decaying geometrically or down to its floor fail.
     """
     per_level, cumulative = [], []
     witness = None
@@ -511,17 +477,8 @@ def corona_check(pair, depth=DEFAULT_DEPTH, angle_cap=512):
             }
         per_level.append(level_min)
         cumulative.append(cum)
-    inv = RefinementTrace()
-    for k, v in enumerate(cumulative):
-        inv.add(2 ** (k + 1), 1.0 / v if v > 0 else np.inf)
-    decaying = inv.divergent() or cumulative[-1] <= 1e-12
-    stabilized = (
-        len(cumulative) >= 2
-        and cumulative[-1] > 1e-12
-        and abs(cumulative[-1] - cumulative[-2]) <= 0.05 * cumulative[-1]
-    )
-    verdict = FAIL if decaying else (PASS if stabilized else UNDETERMINED)
-    return CoronaResult(float(cum), witness, per_level, cumulative, verdict)
+    return CoronaResult(rule=RULES["corona"], mode="inf", values=cumulative,
+                        per_level=per_level, witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -529,43 +486,14 @@ def corona_check(pair, depth=DEFAULT_DEPTH, angle_cap=512):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class KernelRatioResult:
-    max_ratio: float
-    witness: dict
-    per_level_max: list
-    cumulative: list
+@dataclass(kw_only=True)
+class KernelRatioResult(LevelScan):
     variant: str
+    max_ratio = Ladder.value
 
-    def resolutions(self):
-        if len(self.cumulative) >= 2:
-            return (self.cumulative[-2], self.cumulative[-1])
-        return tuple(self.cumulative)
-
-    def stabilized(self, window=0.05):
-        return (
-            len(self.cumulative) >= 2
-            and np.isfinite(self.cumulative[-1])
-            and abs(self.cumulative[-1] - self.cumulative[-2])
-            <= window * self.cumulative[-1]
-        )
-
-    def trend_exponent(self, tail=8):
-        """Slope of log(cumulative max) against log(level scale 2^-level)."""
-        vals = self.cumulative[-tail:]
-        k0 = len(self.cumulative) - len(vals)
-        lengths = [2.0 ** (-(k0 + i + 1)) for i in range(len(vals))]
-        return growth_exponent(lengths, vals)
-
-    def growing(self):
-        """Sustained geometric growth of the ratio maxima across levels."""
-        trace = RefinementTrace()
-        for k, v in enumerate(self.cumulative):
-            trace.add(2 ** (k + 1), v)
-        if trace.divergent():
-            return True
-        exponent = self.trend_exponent()
-        return bool(np.isfinite(exponent) and exponent <= -0.1)
+    @property
+    def per_level_max(self):
+        return self.per_level
 
     def to_json(self):
         return {
@@ -660,17 +588,20 @@ def _kernel_spectra(pair, weight, variant):
 
     For 'hb' these are the FFTs of h, h b and h |b|^2; for 'cauchy' the FFT
     of h alone, with b zero.  The pair keeps those of its last weight and
-    variant, so that a kernel scan takes them once for all its levels.
+    variant, so that a kernel scan takes them once for all its levels.  It
+    holds the weight by a weak reference: a weight built from the pair would
+    otherwise form a cycle that only a full garbage collection frees.
     """
     cached = pair._kernel_spectra
-    if cached is None or cached[0] is not weight or cached[1] != variant:
+    if cached is None or cached[0]() is not weight or cached[1] != variant:
         h = weight.grid_density()
         parts = [h]
         b = np.zeros(h.size)
         if variant == "hb":
             b = pair.b_boundary(h.size)
             parts += [h * b, h * np.abs(b) ** 2]
-        cached = pair._kernel_spectra = (weight, variant, h, b, np.fft.fft(parts))
+        cached = pair._kernel_spectra = (weakref.ref(weight), variant, h, b,
+                                         np.fft.fft(parts))
     return cached[2:]
 
 
@@ -739,10 +670,11 @@ def kernel_ratio_scan(pair, measure, depth=12, variant="hb", angle_cap=64):
     kernels (both sides of the reproducing-kernel test).  A level's probes
     are the m points r e^(i t_k) of one circle, so b (and a, for 'cauchy')
     is evaluated there once, by eval_on_circle, and every norm of the level
-    reuses those values.
+    reuses those values.  The cumulative maxima are read by the 'kernel' rule,
+    against the level sizes 2^j.
     """
     pair.require_nonextreme("kernel ratio scans")
-    per_level, cumulative = [], []
+    sizes, per_level, cumulative = [], [], []
     witness = None
     cum = 0.0
     if measure.total_mass() <= 0:
@@ -766,9 +698,11 @@ def kernel_ratio_scan(pair, measure, depth=12, variant="hb", angle_cap=64):
         if level_max > cum:
             cum = level_max
             witness = {"level": j, "lambda": complex(lams[idx]), "ratio": level_max}
+        sizes.append(2 ** j)
         per_level.append(level_max)
         cumulative.append(cum)
-    return KernelRatioResult(float(cum), witness, per_level, cumulative, variant)
+    return KernelRatioResult(rule=RULES["kernel"], sizes=sizes, values=cumulative,
+                             per_level=per_level, witness=witness, variant=variant)
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +710,7 @@ def kernel_ratio_scan(pair, measure, depth=12, variant="hb", angle_cap=64):
 # ---------------------------------------------------------------------------
 
 
-def _gap_reciprocal_trace(b, mask_zb=False):
+def _gap_reciprocal_ladder(b, mask_zb=False):
     def evaluate(n):
         t = grid_angles(n, offset=True)
         logs = b.gap_log(t)
@@ -786,7 +720,7 @@ def _gap_reciprocal_trace(b, mask_zb=False):
             vals = np.where(logs > -np.inf, vals, 0.0)
         return float(np.mean(vals))
 
-    return refine_until(evaluate, 10, 16, rtol=1e-3)
+    return refine(evaluate, [2 ** k for k in range(10, 17)], RULES["gap-integral"])
 
 
 def symbol_reverse_feasibility(b, extremeness):
@@ -806,35 +740,35 @@ def symbol_reverse_feasibility(b, extremeness):
     inner_fraction = float(np.mean(logs > np.log(1e-9)))
     zb_fraction = float(np.mean(logs > -np.inf))
     if extremeness.verdict == NONEXTREME:
-        trace, status = _gap_reciprocal_trace(b)
-        if status == "divergent":
+        ladder = _gap_reciprocal_ladder(b)
+        if ladder.divergent():
             return {
                 "feasible": "no",
                 "certificate": "(1 - |b|)^-1 is not integrable",
-                "trace": trace.values,
+                "trace": ladder.values,
             }
-        if status == "stabilized":
+        if ladder.stabilized():
             return {
                 "feasible": "yes",
                 "certificate": "(1 - |b|)^-1 dm is itself a reverse Carleson measure",
-                "integral": trace.values[-1],
+                "integral": ladder.value,
             }
-        return {"feasible": UNDETERMINED, "trace": trace.values}
+        return {"feasible": UNDETERMINED, "trace": ladder.values}
     if extremeness.verdict == EXTREME:
         if inner_fraction < 0.005:
             return {
                 "feasible": "out-of-scope",
                 "certificate": "b is inner to grid tolerance (model-space regime)",
             }
-        trace, status = _gap_reciprocal_trace(b, mask_zb=True)
-        if status == "divergent":
+        ladder = _gap_reciprocal_ladder(b, mask_zb=True)
+        if ladder.divergent():
             return {
                 "feasible": "no",
                 "certificate": "necessary integral of (1 - |b|)^-1 over {|b| < 1} diverges",
                 "zb_measure": zb_fraction,
-                "trace": trace.values,
+                "trace": ladder.values,
             }
-        if status == "stabilized" and zb_fraction > 1.0 - 1e-6:
+        if ladder.stabilized() and zb_fraction > 1.0 - 1e-6:
             return {
                 "feasible": "no",
                 "certificate": "{|b| < 1} has full measure, which would force non-extremeness",
@@ -889,29 +823,12 @@ def reverse_carleson_verdict(pair, measure, depth=DEFAULT_DEPTH, kernel_depth=12
     nu = measure.weighted(
         _gap_weight(pair, pair.b.fn, lambda z: 1.0 - np.abs(np.asarray(pair.b.fn(z))) ** 2))
     inf_scan = reverse_inf_scan(nu, depth=depth)
-    v3 = inf_scan.verdict_positive_inf()
-    conditions["MainThm.3"] = ConditionResult(
-        verdict=v3,
-        value=inf_scan.value,
-        resolutions=inf_scan.resolutions(),
-        witness=inf_scan.witness,
-        evidence={"per_level": inf_scan.per_level},
-    )
+    conditions["MainThm.3"] = _condition(inf_scan.verdict_positive_inf(), inf_scan,
+                                         per_level=inf_scan.per_level)
 
     kernels = kernel_ratio_scan(pair, measure, depth=kernel_depth, variant="hb")
-    if kernels.growing():
-        v2 = FAIL
-    elif kernels.stabilized(window=0.25):
-        v2 = PASS
-    else:
-        v2 = UNDETERMINED
-    conditions["MainThm.2"] = ConditionResult(
-        verdict=v2,
-        value=kernels.max_ratio,
-        resolutions=kernels.resolutions(),
-        witness=kernels.witness,
-        evidence={"per_level_max": kernels.per_level_max},
-    )
+    conditions["MainThm.2"] = _condition(kernels.verdict(), kernels,
+                                         per_level_max=kernels.per_level)
 
     # the three theorem conditions must agree whenever determinate
     determinate = {k: c.verdict for k, c in conditions.items()
@@ -961,24 +878,15 @@ def direct_carleson_verdict(pair, measure, depth=DEFAULT_DEPTH, seed=0):
     diagnostics = {}
 
     mu_scan = carleson_sup_scan(measure, depth=depth)
-    conditions["H2Window.mu"] = ConditionResult(
-        verdict=mu_scan.verdict_bounded(),
-        value=mu_scan.value,
-        resolutions=mu_scan.resolutions(),
-        witness=mu_scan.witness,
-        evidence={"exponent": mu_scan.exponent, "per_level": mu_scan.per_level},
-    )
+    conditions["H2Window.mu"] = _condition(mu_scan.verdict_bounded(), mu_scan,
+                                           exponent=mu_scan.exponent,
+                                           per_level=mu_scan.per_level)
 
     nu = measure.weighted(_gap_weight(pair, pair.a, lambda z: np.abs(np.asarray(pair.a(z))) ** 2))
     nu_scan = carleson_sup_scan(nu, depth=depth)
     v = nu_scan.verdict_bounded()
-    conditions["CorRationnel.nu"] = ConditionResult(
-        verdict=v,
-        value=nu_scan.value,
-        resolutions=nu_scan.resolutions(),
-        witness=nu_scan.witness,
-        evidence={"exponent": nu_scan.exponent, "per_level": nu_scan.per_level},
-    )
+    conditions["CorRationnel.nu"] = _condition(v, nu_scan, exponent=nu_scan.exponent,
+                                               per_level=nu_scan.per_level)
 
     rational = pair.b.is_rational and isinstance(pair.a, RationalFn)
     if rational:
@@ -1032,42 +940,21 @@ def norm_equivalence_verdict(pair, measure, depth=DEFAULT_DEPTH, a2_weight=None)
     )
 
     corona = corona_check(pair, depth=depth)
-    conditions["EquivNorm.corona"] = ConditionResult(
-        verdict=corona.verdict,
-        value=corona.infimum,
-        resolutions=corona.resolutions(),
-        witness=corona.witness,
-        evidence={"per_level": corona.per_level},
-    )
+    conditions["EquivNorm.corona"] = _condition(corona.verdict, corona,
+                                                per_level=corona.per_level)
 
     if a2_weight is None:
         a2_weight = _a2_weight_for(pair)
     a2 = a2_check(a2_weight, depth=depth)
-    conditions["EquivNorm.a2"] = ConditionResult(
-        verdict=a2.verdict_bounded(),
-        value=a2.value,
-        resolutions=a2.resolutions(),
-        witness=a2.witness,
-        evidence={"exponent": a2.exponent,
-                  "infinite_witnesses": a2.infinite_witnesses},
-    )
+    conditions["EquivNorm.a2"] = _condition(a2.verdict_bounded(), a2, exponent=a2.exponent,
+                                            infinite_witnesses=a2.infinite_witnesses)
 
     nu = measure.weighted(_gap_weight(pair, pair.a, lambda z: np.abs(np.asarray(pair.a(z))) ** 2))
     lo = reverse_inf_scan(nu, depth=depth)
     hi = carleson_sup_scan(nu, depth=depth)
-    conditions["EquivNorm.window_inf"] = ConditionResult(
-        verdict=lo.verdict_positive_inf(),
-        value=lo.value,
-        resolutions=lo.resolutions(),
-        witness=lo.witness,
-    )
-    conditions["EquivNorm.window_sup"] = ConditionResult(
-        verdict=hi.verdict_bounded(),
-        value=hi.value,
-        resolutions=hi.resolutions(),
-        witness=hi.witness,
-        evidence={"exponent": hi.exponent},
-    )
+    conditions["EquivNorm.window_inf"] = _condition(lo.verdict_positive_inf(), lo)
+    conditions["EquivNorm.window_sup"] = _condition(hi.verdict_bounded(), hi,
+                                                    exponent=hi.exponent)
 
     verdicts = [c.verdict for c in conditions.values()]
     if FAIL in verdicts:

@@ -357,22 +357,7 @@ def build_parser():
     return parser
 
 
-def _limit_threads():
-    cap = os.environ.get("HB_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=int(cap))
-    except Exception:
-        pass
-
-
 def main(argv=None):
-    _limit_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

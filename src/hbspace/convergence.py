@@ -1,21 +1,31 @@
-"""Refinement bookkeeping shared by every analyzer.
+"""Refinement ladders and the one table of rules that reads them.
 
 All verdicts in this package are three-valued (pass / fail / undetermined)
-and must carry numeric evidence at two resolutions.  The helpers here
-implement the two global rules:
+and carry numeric evidence at two resolutions.  A verdict reads a ladder:
+the values of one quantity at successive refinements (grid doublings, scan
+levels, truncations).  Each ladder names one rule of RULES, which says
 
-* stabilization: successive refinements agree to a relative tolerance;
-* divergence: the magnitude grows by a factor >= DIVERGENCE_FACTOR for
-  DIVERGENCE_RUNS consecutive refinements (distinguishes log/power-type
-  divergence from quadrature noise).
+* stabilization: the last two rungs agree to max(atol, rtol * |last|);
+* divergence: the value rises by a factor >= DIVERGENCE_FACTOR over `runs`
+  consecutive rungs (telling log/power-type divergence from quadrature
+  noise), a value is NaN or +inf, or the values grow at least like
+  size^(-trend) over the last `trend_rungs` rungs.
+
+A ladder in 'inf' mode tracks a quantity that must stay positive: it
+diverges ("decays") when its reciprocals do, a rung at or below the rule's
+floor counting as an infinite reciprocal.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
+PASS = "pass"
+FAIL = "fail"
+UNDETERMINED = "undetermined"
+
 DIVERGENCE_FACTOR = 1.25
-DIVERGENCE_RUNS = 3
+_TINY = 1e-300  # least scale of the relative tolerance
 
 #: default uniform-grid exponent (N = 2**14 boundary samples)
 DEFAULT_GRID_EXPONENT = 14
@@ -30,10 +40,53 @@ def is_power_of_two(n):
     return n >= 1 and (n & (n - 1)) == 0
 
 
-@dataclass
-class RefinementTrace:
-    """Sequence of values produced by successive grid doublings."""
+@dataclass(frozen=True)
+class Rule:
+    """How a ladder is read; None switches a test off."""
 
+    name: str
+    rtol: float | None  # stabilization window, relative to the last rung
+    atol: float = 0.0
+    floor: float = 0.0  # inf mode: a rung at or below it has decayed
+    runs: int | None = 3  # consecutive rises by DIVERGENCE_FACTOR that diverge
+    trend: float | None = None  # diverge once the exponent against 1/size is at most this
+    trend_rungs: int = 8
+
+
+RULES = {rule.name: rule for rule in (
+    Rule("scan", rtol=0.05),
+    Rule("corona", rtol=0.05, floor=1e-12),
+    Rule("kernel", rtol=0.25, trend=-0.1),
+    Rule("extremeness", rtol=1e-3, atol=1e-6),
+    Rule("gap-integral", rtol=1e-3, atol=1e-12),
+    Rule("partial-sums", rtol=1e-3, atol=1e-12, runs=2),
+    Rule("log-integrable", rtol=None),
+    Rule("hb-norm", rtol=1e-8, runs=None),
+)}
+
+
+def _rises(values, runs):
+    """True once `values` rise by DIVERGENCE_FACTOR `runs` times in a row, or hold NaN or +inf."""
+    v = np.asarray(values, dtype=float)
+    if np.any(np.isnan(v) | (v == np.inf)):
+        return True
+    consec = 0
+    for prev, cur in zip(v[:-1], v[1:]):
+        if prev > 0 and cur / prev >= DIVERGENCE_FACTOR:
+            consec += 1
+            if consec >= runs:
+                return True
+        else:
+            consec = 0
+    return False
+
+
+@dataclass(kw_only=True)
+class Ladder:
+    """Values of one quantity at successive refinements, read by one rule of RULES."""
+
+    rule: Rule
+    mode: str = "sup"  # 'sup': must stay bounded; 'inf': must stay positive
     sizes: list = field(default_factory=list)
     values: list = field(default_factory=list)
 
@@ -42,50 +95,54 @@ class RefinementTrace:
         self.values.append(float(value))
 
     @property
-    def last_pair(self):
-        if len(self.values) >= 2:
-            return (self.values[-2], self.values[-1])
-        return tuple(self.values)
+    def value(self):
+        return self.values[-1]
 
-    def stabilized(self, rtol=1e-6, atol=1e-12):
-        if len(self.values) < 2:
-            return False
-        a, b = self.values[-2], self.values[-1]
-        if not (np.isfinite(a) and np.isfinite(b)):
-            return False
-        return abs(b - a) <= max(atol, rtol * abs(b))
+    def resolutions(self):
+        """The last two rungs, the evidence every verdict carries."""
+        return tuple(self.values[-2:])
 
-    def divergent(self, factor=DIVERGENCE_FACTOR, runs=DIVERGENCE_RUNS):
-        """True once |value| has grown by >= factor over `runs` consecutive refinements."""
-        v = np.abs(np.asarray(self.values, dtype=float))
-        if np.any(~np.isfinite(v)):
+    def stabilized(self):
+        rtol, atol = self.rule.rtol, self.rule.atol
+        if rtol is None or len(self.values) < 2:
+            return False
+        prev, last = self.values[-2:]
+        return bool(np.isfinite(last)
+                    and abs(last - prev) <= max(atol, rtol * max(abs(last), _TINY)))
+
+    def divergent(self):
+        """Divergence in sup mode; in inf mode, decay: the reciprocals above the floor diverge."""
+        values = self.values
+        if self.mode == "inf":
+            values = [1.0 / v if v > self.rule.floor else np.inf for v in values]
+        if self.rule.runs is not None and _rises(values, self.rule.runs):
             return True
-        consec = 0
-        for prev, cur in zip(v[:-1], v[1:]):
-            if prev > 0 and cur / prev >= factor:
-                consec += 1
-                if consec >= runs:
-                    return True
-            else:
-                consec = 0
-        return False
+        if self.rule.trend is None:
+            return False
+        exponent = self.trend_exponent()
+        return bool(np.isfinite(exponent) and exponent <= self.rule.trend)
+
+    def trend_exponent(self):
+        """Slope of log(value) against log(1/size) over the rule's last trend_rungs rungs."""
+        tail = self.rule.trend_rungs
+        return growth_exponent([1.0 / s for s in self.sizes[-tail:]], self.values[-tail:])
+
+    def verdict(self):
+        if self.divergent():
+            return FAIL
+        if self.stabilized():
+            return PASS
+        return UNDETERMINED
 
 
-def refine_until(evaluate, start_exponent, cap_exponent, rtol=1e-6, atol=1e-12):
-    """Run `evaluate(n)` on n = 2**k for k = start..cap, recording a trace.
-
-    Stops early on stabilization or once the divergence rule fires.
-    Returns (trace, status) with status in {"stabilized", "divergent", "capped"}.
-    """
-    trace = RefinementTrace()
-    for k in range(start_exponent, cap_exponent + 1):
-        n = 2 ** k
-        trace.add(n, evaluate(n))
-        if trace.divergent():
-            return trace, "divergent"
-        if trace.stabilized(rtol=rtol, atol=atol):
-            return trace, "stabilized"
-    return trace, "capped"
+def refine(evaluate, sizes, rule):
+    """Evaluate a sup ladder rung by rung over `sizes` until it diverges or stabilizes."""
+    ladder = Ladder(rule=rule)
+    for n in sizes:
+        ladder.add(n, evaluate(n))
+        if ladder.divergent() or ladder.stabilized():
+            break
+    return ladder
 
 
 def growth_exponent(lengths, values):

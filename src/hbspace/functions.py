@@ -19,7 +19,7 @@ same coefficients.
 
 import numpy as np
 
-from .convergence import RefinementTrace
+from .convergence import RULES, Ladder
 from .errors import (
     DomainError,
     LogIntegrabilityError,
@@ -399,16 +399,16 @@ class GridOuter(AnalyticFunction):
 
     @staticmethod
     def _check_log_integrable(w, n):
-        trace = RefinementTrace()
+        ladder = Ladder(rule=RULES["log-integrable"])
         for m in (n // 4, n // 2, n, 2 * n, 4 * n):
             t = grid_angles(m, offset=True)
             vals = np.asarray(w(t), dtype=float)
             if np.any(vals <= 0):
                 raise DomainError("log-modulus callable must be strictly positive on sample grids")
-            trace.add(m, float(np.mean(np.abs(np.log(vals)))))
-        if trace.divergent():
+            ladder.add(m, np.mean(np.abs(np.log(vals))))
+        if ladder.divergent():
             raise LogIntegrabilityError(
-                f"log integral keeps growing under refinement: {trace.values}"
+                f"log integral keeps growing under refinement: {ladder.values}"
             )
 
     # -- evaluation --------------------------------------------------------

@@ -157,6 +157,8 @@ class ArcWeight:
     two such sums.  A cell whose closure holds a pole is +inf, and so is
     every arc holding that cell.  An arc off every lattice adds its two end
     segments to the nodes of its whole cells.
+    A subclass with a rule of its own for `l2`, `weighted`, `scaled` or
+    `to_json` overrides it; the defaults raise.
     """
 
     poles = ()
@@ -166,6 +168,7 @@ class ArcWeight:
     _MIN_LEVEL = 10
     _CHUNK = 2 ** 10  # segments per segment_integrals call, bounding quadrature temporaries
     _pyramid = None  # node integrals against dm, one array per level, coarsest first
+    grid_size = None  # the size of a grid weight's sample grid
 
     def cell_integrals(self, level):
         """Integrals against dm of the 2^level cells [k, k + 1] / 2^level (turns)."""
@@ -200,6 +203,21 @@ class ArcWeight:
             out[wrap] += self._span(levels, np.zeros(np.count_nonzero(wrap)),
                                     (end[wrap] - 1.0) * n)
         return out if np.ndim(start) else float(out[0])
+
+    def l2(self, fn):
+        """Integral of |fn|^2 against the weight, from fn's boundary values."""
+        raise AdmissibilityError("no L2 rule for this boundary density type")
+
+    def weighted(self, boundary):
+        """The weight times the function boundary(t)."""
+        raise WeightingError("cannot weight this boundary density type")
+
+    def scaled(self, t):
+        raise ConfigurationError("cannot scale this density type")
+
+    def to_json(self):
+        """The `ac_density` entry of a measure file."""
+        raise ConfigurationError("cannot serialize a runtime-weighted density")
 
     def _levels(self, level):
         """The pyramid, built first when the slot holds none reaching `level`."""
@@ -338,6 +356,19 @@ class PowerArcWeight(ArcWeight):
     def reciprocal(self):
         return PowerArcWeight(-self.gamma, 1.0 / self.scale, self.angle)
 
+    def l2(self, fn):
+        return _power_l2(self, fn)
+
+    def weighted(self, boundary):
+        return _QuadArcWeight(self, boundary)
+
+    def scaled(self, t):
+        return PowerArcWeight(self.gamma, self.scale * t, self.angle)
+
+    def to_json(self):
+        return {"power": {"beta": -self.gamma, "scale": self.scale,
+                          "singularity_angle": self.angle}}
+
 
 class GridArcWeight(ArcWeight):
     """Piecewise-constant boundary weight given by grid samples (exact arc sums)."""
@@ -367,6 +398,24 @@ class GridArcWeight(ArcWeight):
         if np.any(self.grid <= 0):
             raise DomainError("weight vanishes on the grid; reciprocal undefined")
         return GridArcWeight(1.0 / self.grid)
+
+    @property
+    def grid_size(self):
+        return self.grid.size
+
+    def l2(self, fn):
+        return float(np.mean(self.grid * np.abs(fn.boundary_grid(self.grid.size)) ** 2))
+
+    def weighted(self, boundary):
+        w = np.asarray(boundary(grid_angles(self.grid.size)), dtype=float)
+        _check_weight_values(w)
+        return GridArcWeight(self.grid * w)
+
+    def scaled(self, t):
+        return GridArcWeight(self.grid * t)
+
+    def to_json(self):
+        return {"grid": [float(v) for v in self.grid]}
 
 
 class FactoredArcWeight(ArcWeight):
@@ -562,50 +611,17 @@ class BoundaryAC:
 
     arc_mass = window_mass
 
-    def grid_values(self, n):
-        return np.asarray(self.weight.values(grid_angles(n)), dtype=float)
-
     def l2(self, fn):
-        if isinstance(self.weight, GridArcWeight):
-            n = self.weight.grid.size
-            vals = fn.boundary_grid(n)
-            return float(np.mean(self.weight.grid * np.abs(vals) ** 2))
-        if isinstance(self.weight, PowerArcWeight):
-            return _power_l2(self.weight, fn)
-        raise AdmissibilityError("no L2 rule for this boundary density type")
+        return self.weight.l2(fn)
 
     def weighted(self, weight):
-        if isinstance(self.weight, GridArcWeight):
-            n = self.weight.grid.size
-            w = np.asarray(weight.boundary(grid_angles(n)), dtype=float)
-            _check_weight_values(w)
-            return BoundaryAC(GridArcWeight(self.weight.grid * w))
-        if isinstance(self.weight, PowerArcWeight):
-            return BoundaryAC(_QuadArcWeight(self.weight, weight.boundary))
-        if isinstance(self.weight, _QuadArcWeight):
-            first = self.weight.correction
-            extra = weight.boundary
-            combined = lambda t: np.asarray(first(t), dtype=float) * np.asarray(
-                extra(t), dtype=float
-            )
-            return BoundaryAC(_QuadArcWeight(self.weight.base, combined))
-        return BoundaryAC(_QuadArcWeight(self.weight, weight.boundary))
+        return BoundaryAC(self.weight.weighted(weight.boundary))
 
     def scaled(self, t):
-        if isinstance(self.weight, GridArcWeight):
-            return BoundaryAC(GridArcWeight(self.weight.grid * t))
-        if isinstance(self.weight, PowerArcWeight):
-            return BoundaryAC(PowerArcWeight(self.weight.gamma, self.weight.scale * t,
-                                             self.weight.angle))
-        raise ConfigurationError("cannot scale this density type")
+        return BoundaryAC(self.weight.scaled(t))
 
     def to_json(self):
-        if isinstance(self.weight, GridArcWeight):
-            return {"grid": [float(v) for v in self.weight.grid]}
-        if isinstance(self.weight, PowerArcWeight):
-            return {"power": {"beta": -self.weight.gamma, "scale": self.weight.scale,
-                              "singularity_angle": self.weight.angle}}
-        raise ConfigurationError("cannot serialize a runtime-weighted density")
+        return self.weight.to_json()
 
 
 class _QuadArcWeight(ArcWeight):
@@ -624,6 +640,11 @@ class _QuadArcWeight(ArcWeight):
         self.correction = correction
         self.angle = TWO_PI * _turn(base.angle)
         self._breaks = np.union1d(_graded_breaks([self.angle], 1e-9, 120), self.angle)
+
+    def weighted(self, boundary):
+        first = self.correction
+        return _QuadArcWeight(self.base, lambda t: np.asarray(first(t), dtype=float)
+                              * np.asarray(boundary(t), dtype=float))
 
     def segment_integrals(self, lo, hi, rule=_GL48):
         return self.base.scale * _graded_integrals(
@@ -972,9 +993,7 @@ class DiskMeasure:
             return np.asarray(self.ac.weight.values(grid_angles(n)), dtype=float)
 
     def preferred_grid_size(self):
-        if self.ac is not None and isinstance(self.ac.weight, GridArcWeight):
-            return self.ac.weight.grid.size
-        return None
+        return self.ac.weight.grid_size if self.ac is not None else None
 
     def carried_on_boundary(self):
         return (self.ac is not None and self.ac.mass() > 0) or self.singular_atoms.mass() > 0

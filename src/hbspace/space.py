@@ -12,16 +12,18 @@ triangular Toeplitz matrix of the reciprocal power series, so the solve is a
 pair of FFT correlations.  Truncations are doubled until the norm stabilizes.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .circle import FourierSeries, analytic_mul, coanalytic_apply, grid_angles
 from .convergence import (
     DEFAULT_TRUNCATION,
-    RefinementTrace,
+    RULES,
     TRUNCATION_CAP,
-    refine_until,
+    UNDETERMINED,
+    Ladder,
+    refine,
 )
 from .errors import (
     AlphaResonanceError,
@@ -45,7 +47,6 @@ from .functions import (
 
 NONEXTREME = "non-extreme"
 EXTREME = "extreme"
-UNDETERMINED = "undetermined"
 TWO_PI = 2.0 * np.pi
 _BOUNDARY_INTERP_SIZE = 2 ** 16  # grid on which b is interpolated for grid outers
 
@@ -268,37 +269,32 @@ def _complex_array(pairs):
 # ---------------------------------------------------------------------------
 
 
-def classify_extremeness(b, start_exponent=10, cap_exponent=16, rtol=1e-3):
+def classify_extremeness(b, start_exponent=10, cap_exponent=16,
+                         rtol=RULES["extremeness"].rtol):
     """Classify b by the behaviour of the integral of log(1 - |b|).
 
     The integral is refined on half-offset grids; a finite stabilizing value
     means non-extreme, sustained growth fires the divergence rule and means
     extreme, anything else is reported as undetermined with the evidence.
+    The ladder holds the integral of log 1/(1 - |b|) >= 0, whose growth the
+    'extremeness' rule reads; the verdict reports the integral of log(1 - |b|).
     """
     def evaluate(n):
         t = grid_angles(n, offset=True)
-        return float(np.mean(b.gap_log(t)))
+        return float(np.mean(-b.gap_log(t)))
 
-    trace = RefinementTrace()
-    for k in range(start_exponent, cap_exponent + 1):
-        v = evaluate(2 ** k)
-        trace.add(2 ** k, v)
-        if not np.isfinite(v):
-            return ExtremenessVerdict(
-                EXTREME, None, tuple(trace.sizes), tuple(trace.values),
-                note="log(1 - |b|) = -inf at grid points",
-            )
-        if trace.divergent():
-            return ExtremenessVerdict(
-                EXTREME, None, tuple(trace.sizes), tuple(trace.values),
-                note="divergence rule fired",
-            )
-        if trace.stabilized(rtol=rtol, atol=1e-6):
-            return ExtremenessVerdict(
-                NONEXTREME, trace.values[-1], tuple(trace.sizes), tuple(trace.values)
-            )
+    ladder = refine(evaluate, [2 ** k for k in range(start_exponent, cap_exponent + 1)],
+                    replace(RULES["extremeness"], rtol=rtol))
+    sizes, values = tuple(ladder.sizes), tuple(-v for v in ladder.values)
+    if not np.isfinite(values[-1]):
+        return ExtremenessVerdict(EXTREME, None, sizes, values,
+                                  note="log(1 - |b|) = -inf at grid points")
+    if ladder.divergent():
+        return ExtremenessVerdict(EXTREME, None, sizes, values, note="divergence rule fired")
+    if ladder.stabilized():
+        return ExtremenessVerdict(NONEXTREME, values[-1], sizes, values)
     return ExtremenessVerdict(
-        UNDETERMINED, trace.values[-1], tuple(trace.sizes), tuple(trace.values),
+        UNDETERMINED, values[-1], sizes, values,
         note="neither stabilization nor divergence by the grid cap",
     )
 
@@ -322,7 +318,7 @@ class PythagoreanPair:
         self._b_over_a = None
         self._min_a_boundary = None
         self._boundary_interp = None  # b on the 2^16 grid, closed, for interpolation
-        self._kernel_spectra = None  # (weight, variant, h, b, FFTs) of the last kernel scan
+        self._kernel_spectra = None  # (weakref to weight, variant, h, b, FFTs) of the last scan
         residual = self.mate_residual()
         self.diagnostics.setdefault("mate_residual", residual)
         if residual > 1e-7:
@@ -481,30 +477,27 @@ def _as_taylor(f):
     return t[: nz[-1] + 1] if nz.size else t[:1]
 
 
-def hb_norm_squared(f, pair, rtol=1e-8, start=DEFAULT_TRUNCATION, cap=TRUNCATION_CAP,
-                    cross_check=True):
+def hb_norm_squared(f, pair, rtol=RULES["hb-norm"].rtol, start=DEFAULT_TRUNCATION,
+                    cap=TRUNCATION_CAP, cross_check=True):
     """||f||_b^2 by the truncated triangular Toeplitz solve, doubled to stabilization.
 
     Rungs double up to `cap` and are clamped to it; the first starts no
     higher than max(len(f), cap / 2), so that an input whose Taylor series
     fills most of the cap still gets two rungs and none runs above the cap.
+    The 'hb-norm' rule reads the rungs; it has no divergence test.
     """
     pair.require_nonextreme("the H(b) norm algorithm")
     f = _as_taylor(f)
     norm2_f = float(np.sum(np.abs(f) ** 2))
-    m = min(max(start, 2 * f.size), max(f.size, cap // 2))
-    previous = None
-    while True:
-        value, g = _norm_attempt(f, pair, m, norm2_f)
-        if previous is not None and abs(value - previous) <= rtol * max(value, 1e-300):
-            break
-        if m >= cap:
-            raise ConvergenceError(
-                f"H(b) norm did not stabilize by truncation {cap}",
-                last_values=(previous, value),
-            )
-        previous = value
-        m = min(2 * m, cap)
+    rungs = [min(max(start, 2 * f.size), max(f.size, cap // 2))]
+    while rungs[-1] < cap:
+        rungs.append(min(2 * rungs[-1], cap))
+    ladder = refine(lambda m: _norm_attempt(f, pair, m, norm2_f), rungs,
+                    replace(RULES["hb-norm"], rtol=rtol))
+    if not ladder.stabilized():
+        raise ConvergenceError(f"H(b) norm did not stabilize by truncation {cap}",
+                               last_values=(None, *ladder.values)[-2:])
+    value, m = ladder.value, ladder.sizes[-1]
     if cross_check and pair.min_a_boundary() > 1e-6:
         c = analytic_mul(pair.b_taylor(m + 1), pair.inv_a_taylor(m + 1), m + 1)
         f_pad = np.zeros(m + 1, dtype=complex)
@@ -525,7 +518,7 @@ def _norm_attempt(f, pair, m, norm2_f):
     f_pad[: min(f.size, length)] = f[:length]
     u = coanalytic_apply(pair.b_taylor(length), f_pad)
     g = coanalytic_apply(pair.inv_a_taylor(length), u)
-    return norm2_f + float(np.sum(np.abs(g) ** 2)), g
+    return norm2_f + float(np.sum(np.abs(g) ** 2))
 
 
 def hb_norm(f, pair, **kw):
@@ -689,18 +682,18 @@ def _partial_sum_verdict(coeffs):
     n = coeffs.size
     if n < 8:
         return UNDETERMINED
-    sums = RefinementTrace()
+    sums = Ladder(rule=RULES["partial-sums"])
     for d in (n // 4, n // 2, n):
-        sums.add(d, float(np.sum(np.abs(coeffs[:d]) ** 2)))
-    if sums.stabilized(rtol=1e-3):
+        sums.add(d, np.sum(np.abs(coeffs[:d]) ** 2))
+    if sums.stabilized():
         return "yes"
     q = n // 4
     third, last = np.max(np.abs(coeffs[2 * q : 3 * q])), np.max(np.abs(coeffs[3 * q :]))
     ratio = (last / third) ** (1.0 / q) if third > 0 else 0.0
     if ratio < 1.0 - 1e-6:
         tail = last**2 * ratio**2 / (1.0 - ratio**2)
-        return "yes" if tail <= 1e-3 * sums.values[-1] else UNDETERMINED
-    if sums.divergent(runs=2):
+        return "yes" if tail <= sums.rule.rtol * sums.value else UNDETERMINED
+    if sums.divergent():
         return "no"
     return UNDETERMINED
 
@@ -712,10 +705,10 @@ def _l1_gap_verdict(pair):
         with np.errstate(divide="ignore"):
             return float(np.mean(np.where(gap > 0, 1.0 / np.maximum(gap, 1e-300), np.inf)))
 
-    trace, status = refine_until(evaluate, 10, 16, rtol=1e-3)
-    if status == "divergent":
+    ladder = refine(evaluate, [2 ** k for k in range(10, 17)], RULES["gap-integral"])
+    if ladder.divergent():
         return "no"
-    if status == "stabilized":
+    if ladder.stabilized():
         return "yes"
     return UNDETERMINED
 

@@ -31,6 +31,7 @@ from hbspace.measures import (
     BoundaryAC,
     DiskMeasure,
     GridArcWeight,
+    PairWeight,
     PowerArcWeight,
     RadialPower,
 )
@@ -205,6 +206,24 @@ class TestKernelRatios:
     def test_degenerate_measure_raises(self, half_sum):
         with pytest.raises(DegenerateMeasureError):
             kernel_ratio_scan(half_sum, DiskMeasure.point_mass(0.0, 0.0), depth=4)
+
+    def test_scan_leaves_no_cycle_through_the_pair(self):
+        # a density built from the pair, as the reverse-canonical scenario's is:
+        # the pair's cached kernel spectra must not hold it, or pair and
+        # spectra live on until a full garbage collection
+        import gc
+        import weakref
+
+        pair = pythagorean_mate(SymbolB.rational([0.5, 0.5]))
+        mu = DiskMeasure.lebesgue().weighted(PairWeight(boundary=pair.gap2_fn, point=None))
+        kernel_ratio_scan(pair, mu, depth=4)
+        ref = weakref.ref(pair)
+        gc.disable()
+        try:
+            del pair, mu
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_cauchy_variant(self, alpha_pair, inv_gap_measure):
         scan = kernel_ratio_scan(alpha_pair, inv_gap_measure, depth=8, variant="cauchy")
@@ -426,7 +445,7 @@ class TestReverseVerdict:
         # whenever the verdict passes, the kernel ratio maxima are finite/stable
         scan = kernel_ratio_scan(alpha_pair, inv_gap_measure, depth=10)
         assert np.isfinite(scan.max_ratio)
-        assert scan.stabilized(window=0.25)
+        assert scan.stabilized()
 
     def test_scale_equivariance_of_verdict(self, alpha_pair, inv_gap_measure):
         rep1 = reverse_carleson_verdict(alpha_pair, inv_gap_measure, depth=8,

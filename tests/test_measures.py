@@ -5,7 +5,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from hbspace.circle import grid_angles
-from hbspace.errors import AdmissibilityError, ConfigurationError, DomainError
+from hbspace.errors import (
+    AdmissibilityError,
+    ConfigurationError,
+    DomainError,
+    HbError,
+    WeightingError,
+)
 from hbspace.measures import (
     ArcWindow,
     BoundaryAC,
@@ -546,6 +552,21 @@ class TestPiecewiseWeight:
     def test_must_partition(self):
         with pytest.raises(Exception):
             PiecewiseBoundaryWeight([(0.0, 1.0, 1.0, 1.0)])
+
+    @pytest.mark.parametrize("operation, error", [
+        (lambda mu: mu.weighted(PairWeight.constant(2.0)), WeightingError),
+        (lambda mu: mu.scaled(2.0), ConfigurationError),
+        (lambda mu: mu.to_json(), ConfigurationError),
+        (lambda mu: l2mu_norm(const_fn(), mu), AdmissibilityError),
+    ], ids=["weighted", "scaled", "to_json", "l2"])
+    @pytest.mark.parametrize("weight", [
+        PiecewiseBoundaryWeight([(0.0, 1.0, 2.0, 0.5), (1.0, TWO_PI, 0.5, 2.0)]),
+        FactoredArcWeight([PowerArcWeight(2.0, 1.0, 1.0)], lambda t: np.ones_like(t)),
+    ], ids=["piecewise", "factored"])
+    def test_operations_without_a_rule_raise_hb_errors(self, weight, operation, error):
+        with pytest.raises(error) as err:
+            operation(DiskMeasure(ac=BoundaryAC(weight)))
+        assert isinstance(err.value, HbError)
 
 
 class TestSerialization:
