@@ -924,7 +924,7 @@ def direct_carleson_verdict(pair, measure, depth=DEFAULT_DEPTH, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def norm_equivalence_verdict(pair, measure, depth=DEFAULT_DEPTH, a2_weight=None):
+def norm_equivalence_verdict(pair, measure, depth=DEFAULT_DEPTH):
     """Is ||.||_mu an equivalent norm? corona pair + A2 + two-sided window test."""
     pair.require_nonextreme("the norm-equivalence analysis")
     conditions = {}
@@ -943,9 +943,7 @@ def norm_equivalence_verdict(pair, measure, depth=DEFAULT_DEPTH, a2_weight=None)
     conditions["EquivNorm.corona"] = _condition(corona.verdict, corona,
                                                 per_level=corona.per_level)
 
-    if a2_weight is None:
-        a2_weight = _a2_weight_for(pair)
-    a2 = a2_check(a2_weight, depth=depth)
+    a2 = a2_check(_a2_weight_for(pair), depth=depth)
     conditions["EquivNorm.a2"] = _condition(a2.verdict_bounded(), a2, exponent=a2.exponent,
                                             infinite_witnesses=a2.infinite_witnesses)
 

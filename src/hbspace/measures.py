@@ -24,8 +24,8 @@ from .errors import AdmissibilityError, ConfigurationError, DomainError, Weighti
 
 TWO_PI = 2.0 * np.pi
 
-#: Gauss-Legendre rules as (nodes, weights): 48 nodes for whole rays, smoothstep joins and cells
-#: coarser than _CELL_WIDTH, 16 nodes for any segment of at most _CELL_WIDTH turn
+#: Gauss-Legendre rules as (nodes, weights): 48 nodes for whole rays and cells coarser than
+#: _CELL_WIDTH, 16 nodes for any segment of at most _CELL_WIDTH turn and for cut smoothstep joins
 _GL48 = np.polynomial.legendre.leggauss(48)
 _GL16 = np.polynomial.legendre.leggauss(16)
 #: longest segment (turns) that the 16-node rule integrates; see ArcWeight
@@ -48,20 +48,8 @@ def _gl_integrate(fn, lo, hi, rule=_GL48):
     return np.sum(vals * rule[1], axis=-1) * rad
 
 
-def _graded_breaks(points, smallest, count):
-    """Angles cut geometrically toward each point, from `smallest` out to pi on both sides."""
-    steps = np.geomspace(smallest, np.pi, count)
-    cuts = [(p + side * steps) % TWO_PI for p in points for side in (1.0, -1.0)]
-    return np.unique(np.concatenate([np.empty(0), *cuts]))
-
-
-def _graded_integrals(rule, lo, hi, breaks):
-    """Integrals against dm over segments [lo, hi] of turns, cut at the sorted `breaks` (radians).
-
-    `rule(a, b)` integrates the weight against dt over pieces [a, b] (radians)
-    that hold no break inside; each segment sums its pieces.
-    """
-    lo, hi = TWO_PI * lo, TWO_PI * hi
+def _pieces(lo, hi, breaks):
+    """Segments [lo, hi] cut at the sorted `breaks`: the pieces (a, b) and the segment of each."""
     first = np.searchsorted(breaks, lo, side="right")
     count = np.maximum(np.searchsorted(breaks, hi, side="left") - first, 0) + 1
     owner = np.repeat(np.arange(lo.size), count)
@@ -70,7 +58,13 @@ def _graded_integrals(rule, lo, hi, breaks):
     idx = first[owner] + k
     a = np.where(k == 0, lo[owner], cuts[idx - 1])
     b = np.where(k == count[owner] - 1, hi[owner], cuts[idx])
-    return np.bincount(owner, weights=rule(a, b), minlength=lo.size) / TWO_PI
+    return a, b, owner
+
+
+def _offset(x, c):
+    """Signed offset in turns from c to x, in [-1/2, 1/2]; exact when x is near c or a turn away."""
+    d = x - c
+    return d - np.rint(d)
 
 
 def _piecewise_integrals(lo, hi, edges, prefix, piece):
@@ -281,20 +275,23 @@ def _sin_power_segment(gamma, lo, hi, rule):
     out[~near] = _gl_integrate(lambda u: np.abs(2.0 * np.sin(np.pi * u)) ** gamma,
                                lo[~near], hi[~near], rule)
     x1, x2 = np.pi * lo[near], np.pi * hi[near]
+    lifts = []  # the exponents g < -1 that the reduction passes through, gamma first
+    g = gamma
+    while g < -1.0:
+        lifts.append(g)
+        g += 2.0
+    if g == -1.0:  # integral of sin^g over [x1, x2]
+        total = np.log(np.tan(x2 / 2) / np.tan(x1 / 2))
+    else:
+        from scipy.special import betainc, beta as beta_fn
 
-    def sin_int(g):  # integral of sin^g over [x1, x2]
-        if g == -1.0:
-            return np.log(np.tan(x2 / 2) / np.tan(x1 / 2))
-        if g > -1.0:
-            from scipy.special import betainc, beta as beta_fn
-
-            a = 0.5 * (g + 1.0)
-            return 0.5 * beta_fn(a, 0.5) * (betainc(a, 0.5, np.sin(x2) ** 2)
-                                            - betainc(a, 0.5, np.sin(x1) ** 2))
+        a = 0.5 * (g + 1.0)
+        total = 0.5 * beta_fn(a, 0.5) * (betainc(a, 0.5, np.sin(x2) ** 2)
+                                         - betainc(a, 0.5, np.sin(x1) ** 2))
+    for g in reversed(lifts):
         boundary = np.cos(x2) * np.sin(x2) ** (g + 1) - np.cos(x1) * np.sin(x1) ** (g + 1)
-        return (boundary + (g + 2.0) * sin_int(g + 2.0)) / (g + 1.0)
-
-    out[near] = 2.0 ** gamma / np.pi * sin_int(gamma)
+        total = (boundary + (g + 2.0) * total) / (g + 1.0)
+    out[near] = 2.0 ** gamma / np.pi * total
     return out
 
 
@@ -357,10 +354,14 @@ class PowerArcWeight(ArcWeight):
         return PowerArcWeight(-self.gamma, 1.0 / self.scale, self.angle)
 
     def l2(self, fn):
-        return _power_l2(self, fn)
+        """Total of the weight times |fn|^2 on the circle, cut toward fn's focus angles too."""
+        return FactoredArcWeight([self], lambda t: np.abs(fn.boundary_angles(t)) ** 2,
+                                 fn.focus_angles).total()
 
     def weighted(self, boundary):
-        return _QuadArcWeight(self, boundary)
+        if not self.integrable:
+            raise WeightingError("cannot weight a non-integrable boundary density")
+        return FactoredArcWeight([self], boundary)
 
     def scaled(self, t):
         return PowerArcWeight(self.gamma, self.scale * t, self.angle)
@@ -419,23 +420,49 @@ class GridArcWeight(ArcWeight):
 
 
 class FactoredArcWeight(ArcWeight):
-    """Boundary weight c(t) * prod_j |1 - e^(i(t - t_j))|^(2 m_j), c smooth and positive.
+    """Boundary weight c(t) * prod_j scale_j |1 - e^(i(t - t_j))|^gamma_j, c smooth and positive.
 
-    Each factor is a zero (m_j > 0) or a pole (m_j < 0) of even order, so the
-    weight is analytic away from its poles, and an arc whose closure holds a
-    pole has infinite integral, returned as such wherever the pole sits
-    relative to any lattice.  Segments are integrated by Gauss-Legendre on
-    pieces cut geometrically toward each pole, so that a cell next to a pole
-    keeps its accuracy; zeros need no cuts, since no difference is taken.
+    Each factor is a `PowerArcWeight` whose exponent is integrable (gamma_j >
+    -1) or an even integer; factors at one angle add their exponents.  An
+    angle whose exponent is <= -1 is a pole: an arc whose closure holds it
+    has infinite integral, wherever the pole sits relative to any lattice.
+    Segments are cut geometrically toward every pole, every angle of a
+    non-even exponent and each `focus` angle, where the cofactor peaks; an
+    even zero is analytic and needs no cut.  Each piece is integrated in its
+    offset in turns from the nearest factor or focus angle, exact next to
+    0 and 2 pi: through v = u^(1 + gamma) where that angle's exponent is a
+    non-even gamma > -1, which absorbs the power, and by plain Gauss-Legendre
+    otherwise.
     """
 
-    def __init__(self, factors, cofactor):
+    #: offsets (turns) of the cuts toward a cut angle, from the pole closure tolerance to the antipode
+    _CUTS = np.geomspace(ArcWeight._EPS / TWO_PI, 0.5, 100)
+
+    def __init__(self, factors, cofactor, focus=()):
         self.factors = list(factors)
         self.cofactor = cofactor
-        if any(f.gamma % 2 for f in self.factors):
-            raise ConfigurationError("factor exponents must be even integers")
-        self.poles = np.unique([f.angle for f in self.factors if f.gamma < 0])
-        self._breaks = _graded_breaks(self.poles, self._EPS, 100)
+        if any(f.gamma <= -1.0 and f.gamma % 2 for f in self.factors):
+            raise ConfigurationError("a factor exponent <= -1 must be an even integer")
+        angles, where = np.unique([_turn(f.angle) for f in self.factors], return_inverse=True)
+        gammas = np.bincount(where, weights=[f.gamma for f in self.factors],
+                             minlength=angles.size)
+        self._scale = float(np.prod([f.scale for f in self.factors]))
+        self._angles, self._gammas = angles[gammas != 0], gammas[gammas != 0]
+        self.poles = TWO_PI * self._angles[self._gammas <= -1.0]
+        even = self._gammas % 2 == 0
+        # a focus within the innermost cut of a factor is that factor's angle
+        focus = [u for u in map(_turn, focus)
+                 if np.all(np.abs(_offset(u, self._angles)) > self._CUTS[0])]
+        cut = np.union1d(self._angles[~even | (self._gammas <= -1.0)], focus)
+        steps = np.concatenate([-self._CUTS, [0.0], self._CUTS])
+        self._breaks = np.unique((cut[:, None] + steps).ravel() % 1.0)
+        # the angles pieces take offsets from (angle 0 when there is none), and the
+        # exponent each one's substitution absorbs (0: none)
+        refs = np.union1d(self._angles, focus)
+        self._refs = refs if refs.size else np.zeros(1)
+        self._absorbed = np.zeros(self._refs.size)
+        self._absorbed[np.searchsorted(self._refs, self._angles)] = np.where(
+            ~even & (self._gammas > -1.0), self._gammas, 0.0)
 
     def values(self, t):
         t = np.asarray(t, dtype=float)
@@ -445,8 +472,42 @@ class FactoredArcWeight(ArcWeight):
         return out
 
     def segment_integrals(self, lo, hi, rule=_GL48):
-        return _graded_integrals(lambda a, b: _gl_integrate(self.values, a, b, rule),
-                                 lo, hi, self._breaks)
+        a, b, owner = _pieces(lo, hi, self._breaks)
+        return self._scale * np.bincount(owner, weights=self._piece_integrals(a, b, rule),
+                                         minlength=lo.size)
+
+    def _piece_integrals(self, a, b, rule):
+        """Integrals against dm over pieces [a, b] (turns) holding no break, without the scale."""
+        mid = _offset(0.5 * (a + b), self._refs[:, None])
+        near = np.argmin(np.abs(mid), axis=0)
+        c, p = self._refs[near], self._absorbed[near]
+        # a substituted piece runs in the distance u from c on its own side; any
+        # other in the signed offset from c
+        side = np.where((p != 0) & (mid[near, np.arange(near.size)] < 0), -1.0, 1.0)
+        u1 = side * _offset(np.where(side < 0, b, a), c)
+        q, v1, dv = 1.0 + p, u1, b - a
+        if np.any(p):
+            v1 = u1 ** q
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # v2 - v1, free of cancellation on a piece short against its distance u1
+                dv = np.where(p == 0, dv, np.where(
+                    u1 > 0, v1 * np.expm1(q * np.log1p(dv / u1)), dv ** q))
+        v = v1[:, None] + 0.5 * dv[:, None] * (1.0 + rule[0])
+        u = v ** (1.0 / q)[:, None] if np.any(p) else v
+        s = side[:, None] * u
+        x = c[:, None] + s
+        vals = np.asarray(self.cofactor(TWO_PI * (x - np.rint(x))), dtype=float)
+        for angle, gamma in zip(self._angles, self._gammas):
+            base = np.abs(2.0 * np.sin(np.pi * _offset(c[:, None] - angle + s, 0.0)))
+            absorbed = (c == angle) & (p != 0)
+            base[absorbed] = TWO_PI * np.sinc(u[absorbed])
+            vals = vals * base ** gamma
+        return (vals @ rule[1]) * 0.5 * dv / q
+
+    def weighted(self, boundary):
+        cofactor = self.cofactor
+        return FactoredArcWeight(self.factors, lambda t: np.asarray(cofactor(t), dtype=float)
+                                 * np.asarray(boundary(t), dtype=float))
 
     def reciprocal(self):
         cofactor = self.cofactor
@@ -458,14 +519,19 @@ class PiecewiseBoundaryWeight(ArcWeight):
     """Boundary weight built from constant plateaus and cubic smoothstep joins.
 
     Exact arc integrals: constant pieces and the smoothstep antiderivative in
-    closed form, reciprocal-of-smoothstep portions by fixed Gauss-Legendre
-    (the integrand is smooth).  This is what makes Muckenhoupt products on
+    closed form, reciprocal-of-smoothstep portions by Gauss-Legendre on
+    pieces cut geometrically toward both ends of the join, next to which the
+    poles of 1/(v0 + (v1 - v0) s) lie (0.029 join-widths off the real line
+    for 0.00129 against 0.5).  This is what makes Muckenhoupt products on
     arcs far narrower than any practical grid cell trustworthy.
 
     Pieces are (t_lo, t_hi, v0, v1): value v0 + (v1 - v0) s((t-lo)/(hi-lo))
     with s(x) = 3x^2 - 2x^3; a constant piece has v0 == v1.  Pieces must
     partition [0, 2*pi).
     """
+
+    #: cuts of a join, as fractions of its width, toward both ends (ascending)
+    _JOIN_CUTS = np.concatenate([np.geomspace(1e-6, 0.5, 20), 1.0 - np.geomspace(1e-6, 0.5, 20)[-2::-1]])
 
     def __init__(self, pieces, reciprocal=False):
         self.pieces = [(float(a), float(b), float(v0), float(v1)) for a, b, v0, v1 in pieces]
@@ -487,17 +553,13 @@ class PiecewiseBoundaryWeight(ArcWeight):
         whole = self._piece_integrals(np.arange(len(self.pieces)), lo, hi)
         self._prefix = np.concatenate([[0.0], np.cumsum(whole)])
 
-    def _raw_values(self, t):
+    def values(self, t):
         t = np.asarray(t, dtype=float) % TWO_PI
         idx = np.clip(np.searchsorted(self._hi, t, side="right"), 0, len(self.pieces) - 1)
         lo = self._lo[idx]
         width = np.maximum(self._hi[idx] - lo, 1e-300)
         x = np.clip((t - lo) / width, 0.0, 1.0)
-        s = 3.0 * x**2 - 2.0 * x**3
-        return self._v0[idx] + (self._v1[idx] - self._v0[idx]) * s
-
-    def values(self, t):
-        v = self._raw_values(t)
+        v = self._v0[idx] + (self._v1[idx] - self._v0[idx]) * (3.0 * x**2 - 2.0 * x**3)
         return 1.0 / v if self._reciprocal else v
 
     def _piece_integrals(self, idx, a, b):
@@ -514,21 +576,28 @@ class PiecewiseBoundaryWeight(ArcWeight):
             out[const] = val * span[const]
         step = ~const & (span > 0)
         if np.any(step):
+            xa = np.clip((a[step] - lo[step]) / width[step], 0.0, 1.0)
+            xb = np.clip((b[step] - lo[step]) / width[step], 0.0, 1.0)
+            v0, v1 = v0[step], v1[step]
+            dv = v1 - v0
             if not self._reciprocal:
-                xa = np.clip((a[step] - lo[step]) / width[step], 0.0, 1.0)
-                xb = np.clip((b[step] - lo[step]) / width[step], 0.0, 1.0)
-                dv = v1[step] - v0[step]
                 out[step] = width[step] * (
-                    v0[step] * (xb - xa) + dv * (xb**3 - xa**3 - 0.5 * (xb**4 - xa**4))
+                    v0 * (xb - xa) + dv * (xb**3 - xa**3 - 0.5 * (xb**4 - xa**4))
                 )
             else:
-                out[step] = _gl_integrate(
-                    lambda t: 1.0 / self._raw_values(t), a[step], b[step]
-                )
+                pa, pb, owner = _pieces(xa, xb, self._JOIN_CUTS)
+                v0, v1, dv = v0[owner, None], v1[owner, None], dv[owner, None]
+
+                def reciprocal(x):  # 1 / (v0 + dv s(x)), s taken from the nearer end
+                    return 1.0 / np.where(x < 0.5, v0 + dv * x**2 * (3.0 - 2.0 * x),
+                                          v1 - dv * (1.0 - x) ** 2 * (1.0 + 2.0 * x))
+
+                out[step] = width[step] * np.bincount(
+                    owner, weights=_gl_integrate(reciprocal, pa, pb, _GL16), minlength=xa.size)
         return out
 
     def segment_integrals(self, lo, hi, rule=None):
-        """Integrals over [lo, hi] (turns); a reciprocal join always takes 48 nodes.
+        """Integrals over [lo, hi] (turns); a reciprocal join takes its own cuts and rule.
 
         A smoothstep join can be far narrower than a cell, and the poles of
         its reciprocal lie within a fraction of the join's width, so a cell's
@@ -622,80 +691,6 @@ class BoundaryAC:
 
     def to_json(self):
         return self.weight.to_json()
-
-
-class _QuadArcWeight(ArcWeight):
-    """Power density times a smooth correction, integrated by local quadrature.
-
-    Segments are cut geometrically toward the singular angle.  Each piece is
-    integrated in its distance u to that angle, on its nearer side, through
-    v = u^(1+gamma): the substitution absorbs the power exactly at the angle,
-    and distances taken from the angle keep their relative accuracy next to it.
-    """
-
-    def __init__(self, base, correction):
-        if not base.integrable:
-            raise WeightingError("cannot weight a non-integrable boundary density")
-        self.base = base
-        self.correction = correction
-        self.angle = TWO_PI * _turn(base.angle)
-        self._breaks = np.union1d(_graded_breaks([self.angle], 1e-9, 120), self.angle)
-
-    def weighted(self, boundary):
-        first = self.correction
-        return _QuadArcWeight(self.base, lambda t: np.asarray(first(t), dtype=float)
-                              * np.asarray(boundary(t), dtype=float))
-
-    def segment_integrals(self, lo, hi, rule=_GL48):
-        return self.base.scale * _graded_integrals(
-            lambda a, b: self._piece_integrals(a, b, rule), lo, hi, self._breaks)
-
-    def _piece_integrals(self, a, b, rule):
-        """Integrals against dt over pieces [a, b] free of the singular angle, without the scale."""
-        # both ends from the same formula, so that neighbouring pieces share an end
-        # exactly; a piece ending at the singular angle ends at 2*pi
-        lo = (a - self.angle) % TWO_PI
-        hi = (b - self.angle) % TWO_PI
-        hi[hi < lo] = TWO_PI
-        left = lo + hi > TWO_PI  # nearer the angle from below
-        side = np.where(left, -1.0, 1.0)[:, None]
-        gamma = self.base.gamma
-        onep = 1.0 + gamma
-
-        def h(v):
-            u = v ** (1.0 / onep)
-            ratio = np.where(u == 0, 1.0, np.abs(2.0 * np.sin(u / 2.0)) / np.where(u == 0, 1.0, u))
-            t = (self.angle + side * u) % TWO_PI
-            return ratio**gamma * np.asarray(self.correction(t), dtype=float)
-
-        near = np.where(left, TWO_PI - hi, lo)
-        far = np.where(left, TWO_PI - lo, hi)
-        return _gl_integrate(h, near**onep, far**onep, rule) / onep
-
-    def values(self, t):
-        t = np.asarray(t, dtype=float) % TWO_PI
-        base = np.abs(2.0 * np.sin((t - self.angle) / 2.0)) ** self.base.gamma
-        return self.base.scale * base * np.asarray(self.correction(t), dtype=float)
-
-
-def _power_l2(weight, fn, focus=()):
-    """Integral of |f|^2 against a power boundary density by singularity-aware quadrature."""
-    t0 = weight.angle
-    gamma = weight.gamma
-
-    def integrand(t):
-        vals = np.abs(fn.boundary_angles(np.atleast_1d(t))) ** 2
-        base = np.abs(2.0 * np.sin((np.atleast_1d(t) - t0) / 2.0)) ** gamma
-        return (vals * base)[0] if np.isscalar(t) else vals * base
-
-    from scipy.integrate import quad
-
-    points = sorted({t0 % TWO_PI, *[float(f) % TWO_PI for f in getattr(fn, "focus_angles", ())]})
-    val = quad(
-        integrand, 0.0, TWO_PI, points=points, limit=400, epsabs=1e-12, epsrel=1e-10,
-        full_output=True,
-    )[0]
-    return weight.scale * val / TWO_PI
 
 
 class SingularAtoms:

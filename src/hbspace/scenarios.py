@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analyzers import (
+    _a2_weight_for,
     a2_check,
     carleson_sup_scan,
     corona_check,
@@ -87,15 +88,13 @@ def _build_alpha_power(params):
     alpha = float(params.get("alpha", 0.25))
     if not 0.0 < alpha < 0.5:
         raise DomainError(f"alpha must lie in (0, 1/2); got {alpha}")
-    a = PowerOuter(alpha)
-    pair = pair_from_outer_a(a)
-    weight = PowerArcWeight(2.0 * alpha, a.scale**2, 0.0)
+    pair = pair_from_outer_a(PowerOuter(alpha))
     return Scenario(
         name="alpha-power",
         params={"alpha": alpha},
         symbol=pair.b,
         pair=pair,
-        weight=weight,
+        weight=_a2_weight_for(pair),
         expected=[
             Expectation("extremeness", "non-extreme",
                         "1 - |b|^2 = |a|^2 has an integrable logarithm"),

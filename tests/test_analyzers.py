@@ -593,10 +593,10 @@ class TestNormEquivalence:
         monkeypatch.setattr(ArcWeight, "_levels", recording)
         depth = 11
         norm_equivalence_verdict(half_sum, DiskMeasure.lebesgue(), depth=depth)
-        # the coarse build is the total mass nu's measure checks on construction
-        assert [lv for name, lv in builds if name == "_QuadArcWeight"] == [10, depth + 1]
-        # |a|^2 and its reciprocal for the A2 scan, one build each
-        assert [lv for name, lv in builds if name == "FactoredArcWeight"] == [depth + 1] * 2
+        # |a|^2 and its reciprocal for the A2 scan, one build each; then nu: the coarse
+        # build is the total mass its measure checks on construction
+        assert [lv for name, lv in builds if name == "FactoredArcWeight"] == [depth + 1] * 2 + [
+            10, depth + 1]
 
     def test_corona_failure_blocks(self):
         from hbspace.scenarios import build

@@ -181,6 +181,16 @@ class TestRemainingVerbs:
 
 
 class TestImportHygiene:
+    @staticmethod
+    def _fresh(script, *args):
+        """Run `script` in a fresh interpreter on this checkout; its last stdout line as JSON."""
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        return json.loads(out.stdout.strip().splitlines()[-1])
+
     def test_cli_imports_and_cheap_verbs_load_no_scipy(self, tmp_path):
         half = tmp_path / "half.json"
         half.write_text(json.dumps(HALF_SUM))
@@ -195,10 +205,14 @@ class TestImportHygiene:
             "    seen[args[0]] = scipy()\n"
             "print(json.dumps(seen))\n"
         )
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run([sys.executable, "-c", script, str(half)], env=env,
-                             capture_output=True, text=True, timeout=120)
-        assert out.returncode == 0, out.stderr
-        seen = json.loads(out.stdout.strip().splitlines()[-1])
-        assert seen == {"import": [], "mate": [], "norms": []}
+        assert self._fresh(script, str(half)) == {"import": [], "mate": [], "norms": []}
+
+    def test_power_density_l2_loads_no_scipy_integrate(self):
+        # boundary-beta's kernel-growth check takes L2 norms against a power density
+        script = (
+            "import json, sys\n"
+            "import hbspace.cli\n"
+            "assert hbspace.cli.main(['scenario', 'run', 'boundary-beta']) == 0\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy.integrate'))))\n"
+        )
+        assert self._fresh(script) == []
