@@ -4,8 +4,9 @@ A measure is a sum of four kinds of components: atoms inside the disk, an
 absolutely continuous boundary part (grid samples or a closed-form power
 density), singular boundary atoms, and radial line densities (1-t)^-beta
 along a ray.  Window and arc masses are exact wherever a closed form exists;
-power-type arc integrals next to their singularity go through incomplete-beta
-special functions, so the singular examples are not quadrature-limited there.
+power-type arc integrals take Gauss-Legendre on pieces cut geometrically
+toward their singularity, the innermost piece in a variable that absorbs the
+power, so the singular examples are not quadrature-limited there.
 
 Every boundary weight is an `ArcWeight`: its arc integrals are sums over a
 dyadic pyramid of cell integrals, built once per weight.  Inside it,
@@ -16,6 +17,7 @@ Angles are radians; arcs are handled internally as normalized spans
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +48,14 @@ def _gl_integrate(fn, lo, hi, rule=_GL48):
     nodes = mid[..., None] + rad[..., None] * rule[0]
     vals = fn(nodes)
     return np.sum(vals * rule[1], axis=-1) * rad
+
+
+def _distinct(x):
+    """The sorted distinct values of x, like np.unique but without importing numpy.ma."""
+    x = np.sort(np.ravel(x))
+    keep = np.ones(x.size, dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
 
 
 def _pieces(lo, hi, breaks):
@@ -253,50 +263,8 @@ class ArcWeight:
         return out
 
 
-# ---------------------------------------------------------------------------
-# exact integrals of |1 - e^(it)|^gamma over arcs
-# ---------------------------------------------------------------------------
-
-
-def _sin_power_segment(gamma, lo, hi, rule):
-    """Integral of |2 sin(pi u)|^gamma over [lo, hi] turns, 0 <= lo < hi <= 1/2.
-
-    A segment at least its own length away from the singular point 0 is
-    integrated by the Gauss-Legendre `rule`, which takes no difference and
-    is exact to rounding there.  A nearer one takes the incomplete-beta
-    closed form, valid for any real gamma while lo > 0 and for lo = 0 when
-    gamma > -1; exponents < -1 are lifted to -1 or above with the reduction
-    int sin^g = [cos v sin^(g+1) v]/(g+1) + (g+2)/(g+1) int sin^(g+2).
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    near = lo < hi - lo
-    out = np.empty(lo.shape)
-    out[~near] = _gl_integrate(lambda u: np.abs(2.0 * np.sin(np.pi * u)) ** gamma,
-                               lo[~near], hi[~near], rule)
-    x1, x2 = np.pi * lo[near], np.pi * hi[near]
-    lifts = []  # the exponents g < -1 that the reduction passes through, gamma first
-    g = gamma
-    while g < -1.0:
-        lifts.append(g)
-        g += 2.0
-    if g == -1.0:  # integral of sin^g over [x1, x2]
-        total = np.log(np.tan(x2 / 2) / np.tan(x1 / 2))
-    else:
-        from scipy.special import betainc, beta as beta_fn
-
-        a = 0.5 * (g + 1.0)
-        total = 0.5 * beta_fn(a, 0.5) * (betainc(a, 0.5, np.sin(x2) ** 2)
-                                         - betainc(a, 0.5, np.sin(x1) ** 2))
-    for g in reversed(lifts):
-        boundary = np.cos(x2) * np.sin(x2) ** (g + 1) - np.cos(x1) * np.sin(x1) ** (g + 1)
-        total = (boundary + (g + 2.0) * total) / (g + 1.0)
-    out[near] = 2.0 ** gamma / np.pi * total
-    return out
-
-
 class PowerArcWeight(ArcWeight):
-    """Boundary weight scale * |1 - e^(i(t - t0))|^gamma with exact arc integrals.
+    """Boundary weight scale * |1 - e^(i(t - t0))|^gamma.
 
     Integrals are taken against normalized Lebesgue measure dm = dt/(2*pi).
     For gamma <= -1 an arc whose closure contains the singular angle has
@@ -326,29 +294,18 @@ class PowerArcWeight(ArcWeight):
             return self.scale * base ** self.gamma
 
     def segment_integrals(self, lo, hi, rule=_GL48):
-        """Integrals over [lo, hi] (turns), each half turn folded onto [0, 1/2].
+        """Integrals over [lo, hi] (turns) by the one-factor `FactoredArcWeight` rule.
 
-        An offset from t0 becomes the distance to the nearest copy of t0,
-        exact next to it, so that no difference of two near-full integrals is
-        ever formed.  Lebesgue measure (gamma = 0) has the closed form
-        scale * (hi - lo).
+        Lebesgue measure (gamma = 0) has the closed form scale * (hi - lo).
         """
         if self.gamma == 0.0:
             return self.scale * (hi - lo)
-        t0 = _turn(self.angle)
-        d1, d2 = lo - t0, hi - t0
-        out = np.zeros(d1.shape)
-        for k in (-2, -1, 0, 1):  # the half turns [k/2, (k+1)/2] of offsets
-            a = np.clip(d1, k / 2, (k + 1) / 2)
-            b = np.clip(d2, k / 2, (k + 1) / 2)
-            part = b > a
-            if k % 2:  # distance falls across the half turn
-                a, b = (k + 1) / 2 - b, (k + 1) / 2 - a
-            else:
-                a, b = a - k / 2, b - k / 2
-            if np.any(part):
-                out[part] += _sin_power_segment(self.gamma, a[part], b[part], rule)
-        return self.scale * out
+        return self._rule.segment_integrals(lo, hi, rule)
+
+    @cached_property
+    def _rule(self):
+        # built on a copy of the weight, so that the weight holds no reference cycle
+        return FactoredArcWeight([PowerArcWeight(self.gamma, self.scale, self.angle)], np.ones_like)
 
     def reciprocal(self):
         return PowerArcWeight(-self.gamma, 1.0 / self.scale, self.angle)
@@ -422,17 +379,18 @@ class GridArcWeight(ArcWeight):
 class FactoredArcWeight(ArcWeight):
     """Boundary weight c(t) * prod_j scale_j |1 - e^(i(t - t_j))|^gamma_j, c smooth and positive.
 
-    Each factor is a `PowerArcWeight` whose exponent is integrable (gamma_j >
-    -1) or an even integer; factors at one angle add their exponents.  An
-    angle whose exponent is <= -1 is a pole: an arc whose closure holds it
-    has infinite integral, wherever the pole sits relative to any lattice.
-    Segments are cut geometrically toward every pole, every angle of a
-    non-even exponent and each `focus` angle, where the cofactor peaks; an
-    even zero is analytic and needs no cut.  Each piece is integrated in its
-    offset in turns from the nearest factor or focus angle, exact next to
-    0 and 2 pi: through v = u^(1 + gamma) where that angle's exponent is a
-    non-even gamma > -1, which absorbs the power, and by plain Gauss-Legendre
-    otherwise.
+    Each factor is a `PowerArcWeight`, with any real exponent; factors at one
+    angle add their exponents.  An angle whose exponent is <= -1 is a pole:
+    an arc whose closure holds it has infinite integral, wherever the pole
+    sits relative to any lattice.  Segments are cut geometrically toward
+    every pole, every angle of a non-even exponent and each `focus` angle,
+    where the cofactor peaks; an even zero is analytic and needs no cut.
+    Each piece is integrated in its offset in turns from the nearest factor
+    or focus angle, exact next to 0 and 2 pi.  A piece within its own length
+    of an angle whose exponent is a non-even gamma > -1 runs in v =
+    u^(1 + gamma), u the distance from that angle, which absorbs the power;
+    every other piece sits at least its own length from any branch point
+    (see ArcWeight) and takes plain Gauss-Legendre.
     """
 
     #: offsets (turns) of the cuts toward a cut angle, from the pole closure tolerance to the antipode
@@ -441,11 +399,10 @@ class FactoredArcWeight(ArcWeight):
     def __init__(self, factors, cofactor, focus=()):
         self.factors = list(factors)
         self.cofactor = cofactor
-        if any(f.gamma <= -1.0 and f.gamma % 2 for f in self.factors):
-            raise ConfigurationError("a factor exponent <= -1 must be an even integer")
-        angles, where = np.unique([_turn(f.angle) for f in self.factors], return_inverse=True)
-        gammas = np.bincount(where, weights=[f.gamma for f in self.factors],
-                             minlength=angles.size)
+        turns = np.array([_turn(f.angle) for f in self.factors])
+        angles = _distinct(turns)
+        gammas = np.bincount(np.searchsorted(angles, turns),
+                             weights=[f.gamma for f in self.factors], minlength=angles.size)
         self._scale = float(np.prod([f.scale for f in self.factors]))
         self._angles, self._gammas = angles[gammas != 0], gammas[gammas != 0]
         self.poles = TWO_PI * self._angles[self._gammas <= -1.0]
@@ -453,12 +410,12 @@ class FactoredArcWeight(ArcWeight):
         # a focus within the innermost cut of a factor is that factor's angle
         focus = [u for u in map(_turn, focus)
                  if np.all(np.abs(_offset(u, self._angles)) > self._CUTS[0])]
-        cut = np.union1d(self._angles[~even | (self._gammas <= -1.0)], focus)
+        cut = _distinct(np.append(self._angles[~even | (self._gammas <= -1.0)], focus))
         steps = np.concatenate([-self._CUTS, [0.0], self._CUTS])
-        self._breaks = np.unique((cut[:, None] + steps).ravel() % 1.0)
+        self._breaks = _distinct((cut[:, None] + steps) % 1.0)
         # the angles pieces take offsets from (angle 0 when there is none), and the
         # exponent each one's substitution absorbs (0: none)
-        refs = np.union1d(self._angles, focus)
+        refs = _distinct(np.append(self._angles, focus))
         self._refs = refs if refs.size else np.zeros(1)
         self._absorbed = np.zeros(self._refs.size)
         self._absorbed[np.searchsorted(self._refs, self._angles)] = np.where(
@@ -480,18 +437,19 @@ class FactoredArcWeight(ArcWeight):
         """Integrals against dm over pieces [a, b] (turns) holding no break, without the scale."""
         mid = _offset(0.5 * (a + b), self._refs[:, None])
         near = np.argmin(np.abs(mid), axis=0)
-        c, p = self._refs[near], self._absorbed[near]
+        c, below = self._refs[near], mid[near, np.arange(near.size)] < 0
+        # the distance from c of the piece's near end: the piece is substituted
+        # when that is less than its length
+        u1 = np.abs(_offset(np.where(below, b, a), c))
+        p = np.where(u1 < b - a, self._absorbed[near], 0.0)
         # a substituted piece runs in the distance u from c on its own side; any
         # other in the signed offset from c
-        side = np.where((p != 0) & (mid[near, np.arange(near.size)] < 0), -1.0, 1.0)
-        u1 = side * _offset(np.where(side < 0, b, a), c)
+        side = np.where((p != 0) & below, -1.0, 1.0)
+        u1 = np.where(p != 0, u1, _offset(a, c))
         q, v1, dv = 1.0 + p, u1, b - a
         if np.any(p):
             v1 = u1 ** q
-            with np.errstate(divide="ignore", invalid="ignore"):
-                # v2 - v1, free of cancellation on a piece short against its distance u1
-                dv = np.where(p == 0, dv, np.where(
-                    u1 > 0, v1 * np.expm1(q * np.log1p(dv / u1)), dv ** q))
+            dv = np.where(p == 0, dv, (u1 + dv) ** q - v1)
         v = v1[:, None] + 0.5 * dv[:, None] * (1.0 + rule[0])
         u = v ** (1.0 / q)[:, None] if np.any(p) else v
         s = side[:, None] * u

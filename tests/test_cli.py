@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import hbspace
 from hbspace.cli import main
 
 HALF_SUM = {"form": "rational", "numerator": [[0.5, 0.0], [0.5, 0.0]],
@@ -194,18 +196,42 @@ class TestImportHygiene:
     def test_cli_imports_and_cheap_verbs_load_no_scipy(self, tmp_path):
         half = tmp_path / "half.json"
         half.write_text(json.dumps(HALF_SUM))
+        power = tmp_path / "power.json"
+        power.write_text(json.dumps({"power": {"exponent": 1.5}}))
         script = (
             "import json, sys\n"
             "import hbspace.cli\n"
-            "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            "seen = {'import': scipy()}\n"
+            "heavy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+            "                       or m.split('.')[:2] == ['numpy', 'ma'])\n"
+            "seen = {'import': heavy()}\n"
             "for args in (['mate', '--b', sys.argv[1]],\n"
-            "             ['norms', '--b', sys.argv[1], '--kernel', '0.5,0']):\n"
+            "             ['norms', '--b', sys.argv[1], '--kernel', '0.5,0'],\n"
+            "             ['a2', '--alpha', '0.25'],\n"
+            "             ['a2', '--weight', sys.argv[2]]):\n"
             "    assert hbspace.cli.main(args) == 0\n"
-            "    seen[args[0]] = scipy()\n"
+            "    seen[' '.join(args[:2])] = heavy()\n"
             "print(json.dumps(seen))\n"
         )
-        assert self._fresh(script, str(half)) == {"import": [], "mate": [], "norms": []}
+        assert self._fresh(script, str(half), str(power)) == {
+            "import": [], "mate --b": [], "norms --b": [], "a2 --alpha": [], "a2 --weight": []}
+
+    def test_no_module_of_the_package_imports_scipy(self):
+        package = os.path.dirname(os.path.abspath(hbspace.__file__))
+        importers = []
+        for name in sorted(os.listdir(package)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(package, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    modules = [node.module]
+                else:
+                    continue
+                importers += [(name, m) for m in modules if m.split(".")[0] == "scipy"]
+        assert importers == []
 
     def test_power_density_l2_loads_no_scipy_integrate(self):
         # boundary-beta's kernel-growth check takes L2 norms against a power density

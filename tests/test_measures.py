@@ -25,8 +25,6 @@ from hbspace.measures import (
     PiecewiseBoundaryWeight,
     PowerArcWeight,
     RadialPower,
-    _GL16,
-    _sin_power_segment,
     l2mu_norm,
     window_mass,
 )
@@ -113,7 +111,8 @@ class TestPowerArcWeight:
     def test_total_of_lebesgue(self):
         assert PowerArcWeight(0.0).total() == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("gamma, scale", [(2.0, 0.25), (-0.5, 1.0)])
+    @pytest.mark.parametrize("gamma, scale", [(2.0, 0.25), (-0.5, 1.0), (-1.5, 1.0), (-1.0, 1.0),
+                                              (0.5, 1.0)])
     def test_short_arcs_just_below_two_pi_keep_relative_accuracy(self, gamma, scale):
         # arcs enter as normalized floats x1 = start / 2 pi and x2 = x1 + length, so
         # the 40-digit reference integrates |2 sin(pi u)|^gamma between those floats
@@ -130,14 +129,13 @@ class TestPowerArcWeight:
                 assert value == pytest.approx(float(exact), rel=1e-10)
 
     def test_reduction_below_minus_one_leaves_no_garbage(self):
-        # exponents below -1 are lifted by a loop, so a call leaves no reference cycle
-        lo, hi = np.array([1e-5, 0.1]), np.array([1e-3, 0.2])
-        _sin_power_segment(-2.5, lo, hi, _GL16)  # the first call imports scipy.special
+        # a weight and its cell pyramid form no reference cycle, whatever the exponent
+        PowerArcWeight(-2.5).arc_integral(np.array([0.1, 2.0]), 0.01)
         gc.collect()
         gc.disable()
         try:
             for gamma in (-0.5, -1.5, -2.5):
-                _sin_power_segment(gamma, lo, hi, _GL16)
+                PowerArcWeight(gamma).arc_integral(np.array([1e-5, 0.1, 2.0]), 0.01)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -190,12 +188,7 @@ class TestFactoredArcWeight:
         assert rec.arc_integral(np.array([3.5]), 0.9)[0] == np.inf  # wraps past 0.5
         assert rec.total() == np.inf
 
-    def test_non_even_exponent_rejected(self):
-        for gamma in (-1.5, -2.5):
-            with pytest.raises(ConfigurationError):
-                FactoredArcWeight([PowerArcWeight(gamma)], lambda t: np.ones_like(t))
-
-    @pytest.mark.parametrize("gamma", [-0.5, 1.5])
+    @pytest.mark.parametrize("gamma", [-0.5, 1.5, -1.5, -2.5])
     def test_non_even_exponent_arcs_match_mpmath(self, gamma):
         # 1.5 |1 - e^(it)|^gamma times a double zero at angle 3 and a smooth cofactor; arcs
         # enter as normalized floats x1 = start / 2 pi and x2 = x1 + length, as the reference takes them
@@ -214,10 +207,13 @@ class TestFactoredArcWeight:
         for x, length in arcs:
             x1 = TWO_PI * x / TWO_PI % 1.0
             x2 = x1 + length
+            got = weight.arc_integral(TWO_PI * x, length)
+            if gamma <= -1 and (x1 == 0 or x2 >= 1):  # the arc's closure holds the pole at 0
+                assert got == np.inf
+                continue
             ends = [mpmath.mpf(x1), mpmath.mpf(x2)]
             inner = [p for p in (zero, 1, zero + 1) if ends[0] < p < ends[1]]
             exact = mpmath.quad(density, sorted(ends + inner))
-            got = weight.arc_integral(TWO_PI * x, length)
             assert got == pytest.approx(float(exact), rel=1e-10, abs=0)
 
 
@@ -402,7 +398,7 @@ class TestCellRule:
                 errors[level, k] = abs(cells[k] / float(exact) - 1.0)
         return errors
 
-    @pytest.mark.parametrize("gamma", [-0.5, 1.5, -1.5])
+    @pytest.mark.parametrize("gamma", [-0.5, 1.5, -1.5, -1.0, -2.5, 2.5])
     def test_power_cells(self, gamma):
         t0 = 1.0
         density = lambda t: abs(2 * mpmath.sin((t - t0) / 2)) ** gamma if t != t0 else 0
