@@ -37,8 +37,8 @@ print("atom at 0.5, shallow window:", window_mass(atom, ArcWindow(0.0, 0.2)),
 
 print("\n== weighting by |a|^2 ==")
 pair = pythagorean_mate(SymbolB.rational([0.5, 0.5]))
-w = PairWeight(boundary=lambda t: pair.a.boundary_modulus(t) ** 2,
-               point=lambda z: np.abs(pair.a(z)) ** 2)
+# on the circle, the pair's gap weight: |a|^2 = |1 - e^(it)|^2 / 4 with its zero exact
+w = PairWeight(boundary=pair.gap2_weight, point=lambda z: np.abs(pair.a(z)) ** 2)
 nu = weight_measure(mu, w)
 print("the ray density becomes (1-t)^(2-beta)/4; window ratios now shrink:")
 for length in (0.5, 0.1, 0.01):

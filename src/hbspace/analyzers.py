@@ -39,11 +39,8 @@ from .measures import (
     ArcWindow,
     DiskAtoms,
     DiskMeasure,
-    FactoredArcWeight,
     FunctionOnDisk,
-    GridArcWeight,
     PairWeight,
-    PowerArcWeight,
     as_arc_weight,
 )
 from .space import (
@@ -527,8 +524,8 @@ def _up_to_circle(fn, value, boundary):
 
 
 def _gap_weight(pair, fn, interior):
-    """Weight |a|^2 on the circle and interior(z) inside, up to fn's interior limit."""
-    return PairWeight(boundary=pair.gap2_fn, point=_up_to_circle(fn, interior, pair.gap2_fn))
+    """Weight pair.gap2_weight on the circle and interior(z) inside, up to fn's interior limit."""
+    return PairWeight(pair.gap2_weight, _up_to_circle(fn, interior, pair.gap2_weight))
 
 
 def _kernel_adapter(pair, lam, bl, variant):
@@ -943,7 +940,7 @@ def norm_equivalence_verdict(pair, measure, depth=DEFAULT_DEPTH):
     conditions["EquivNorm.corona"] = _condition(corona.verdict, corona,
                                                 per_level=corona.per_level)
 
-    a2 = a2_check(_a2_weight_for(pair), depth=depth)
+    a2 = a2_check(pair.gap2_weight, depth=depth)
     conditions["EquivNorm.a2"] = _condition(a2.verdict_bounded(), a2, exponent=a2.exponent,
                                             infinite_witnesses=a2.infinite_witnesses)
 
@@ -973,31 +970,6 @@ def norm_equivalence_verdict(pair, measure, depth=DEFAULT_DEPTH):
         },
         witnesses={k: c.witness for k, c in conditions.items() if c.witness},
     )
-
-
-def _a2_weight_for(pair):
-    """|a|^2 as an arc weight: exact for closed forms, grid samples otherwise.
-
-    A rational mate with boundary zeros e^(i t_j) (multiplicity m_j, as the
-    Fejer-Riesz step recorded them) becomes exact |1 - e^(i(t - t_j))|^(2 m_j)
-    factors times |q/r|^2, q the numerator with those roots divided out, so
-    the reciprocal weight is infinite on every arc touching a zero wherever
-    the zero sits.  A zero-free mate is bounded below and keeps grid samples.
-    """
-    from .functions import PowerOuter
-
-    if isinstance(pair.a, PowerOuter):
-        return PowerArcWeight(2.0 * pair.a.alpha, pair.a.scale**2, 0.0)
-    zeros = pair.diagnostics.get("a_boundary_zeros")
-    if isinstance(pair.a, RationalFn) and zeros:
-        q = pair.a.num
-        for zeta in zeros:
-            q = np.polynomial.polynomial.polydiv(q, [-zeta, 1.0])[0]
-        angles, mult = np.unique(np.angle(zeros) % TWO_PI, return_counts=True)
-        factors = [PowerArcWeight(2.0 * m, 1.0, t) for t, m in zip(angles, mult)]
-        cofactor = RationalFn(q, pair.a.den)
-        return FactoredArcWeight(factors, lambda t: cofactor.boundary_modulus(t) ** 2)
-    return GridArcWeight(pair.a.boundary_modulus(grid_angles(2 ** 14)) ** 2)
 
 
 # ---------------------------------------------------------------------------

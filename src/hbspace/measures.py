@@ -174,6 +174,10 @@ class ArcWeight:
     _pyramid = None  # node integrals against dm, one array per level, coarsest first
     grid_size = None  # the size of a grid weight's sample grid
 
+    def __call__(self, t):
+        """The density at the angles t, so that a weight serves as a boundary function."""
+        return self.values(t)
+
     def cell_integrals(self, level):
         """Integrals against dm of the 2^level cells [k, k + 1] / 2^level (turns)."""
         return self._levels(level)[level]
@@ -318,7 +322,7 @@ class PowerArcWeight(ArcWeight):
     def weighted(self, boundary):
         if not self.integrable:
             raise WeightingError("cannot weight a non-integrable boundary density")
-        return FactoredArcWeight([self], boundary)
+        return self._rule.weighted(boundary)
 
     def scaled(self, t):
         return PowerArcWeight(self.gamma, self.scale * t, self.angle)
@@ -463,9 +467,14 @@ class FactoredArcWeight(ArcWeight):
         return (vals @ rule[1]) * 0.5 * dv / q
 
     def weighted(self, boundary):
+        """The weight times boundary(t); a power or factored boundary joins its factors to these."""
+        if isinstance(boundary, PowerArcWeight):
+            boundary = boundary._rule
+        factors, other = ((boundary.factors, boundary.cofactor)
+                          if isinstance(boundary, FactoredArcWeight) else ([], boundary))
         cofactor = self.cofactor
-        return FactoredArcWeight(self.factors, lambda t: np.asarray(cofactor(t), dtype=float)
-                                 * np.asarray(boundary(t), dtype=float))
+        return FactoredArcWeight(self.factors + factors, lambda t: (
+            np.asarray(cofactor(t), dtype=float) * np.asarray(other(t), dtype=float)))
 
     def reciprocal(self):
         cofactor = self.cofactor

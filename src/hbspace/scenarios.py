@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analyzers import (
-    _a2_weight_for,
     a2_check,
     carleson_sup_scan,
     corona_check,
@@ -25,8 +24,8 @@ from .measures import (
     ArcWindow,
     BoundaryAC,
     DiskMeasure,
+    PairWeight,
     PiecewiseBoundaryWeight,
-    PowerArcWeight,
 )
 from .space import (
     PythagoreanPair,
@@ -94,7 +93,7 @@ def _build_alpha_power(params):
         params={"alpha": alpha},
         symbol=pair.b,
         pair=pair,
-        weight=_a2_weight_for(pair),
+        weight=pair.gap2_weight,
         expected=[
             Expectation("extremeness", "non-extreme",
                         "1 - |b|^2 = |a|^2 has an integrable logarithm"),
@@ -296,15 +295,9 @@ def _build_reverse_canonical(params):
     alpha = float(params.get("alpha", 0.25))
     sc = _build_alpha_power({"alpha": alpha})
     pair = sc.pair
-    # (1 - |b|)^-1 = (1 + |b|) (1 - |b|^2)^-1: exact power density times a
+    # (1 - |b|)^-1 = (1 + |b|) (1 - |b|^2)^-1: the exact reciprocal gap weight times a
     # bounded correction, so the singular cell masses stay finite and exact
-    scale = PowerOuter(alpha).scale
-    base = DiskMeasure(
-        ac=BoundaryAC(PowerArcWeight(-2.0 * alpha, scale**-2, 0.0)),
-        label="reverse-canonical",
-    )
-    from .measures import PairWeight
-
+    base = DiskMeasure(ac=BoundaryAC(pair.gap2_weight.reciprocal()), label="reverse-canonical")
     one_plus = PairWeight(
         boundary=lambda t: 1.0 + pair.b.boundary_modulus(t),
         point=lambda z: 1.0 + np.abs(np.asarray(pair.b.fn(z))),

@@ -13,6 +13,7 @@ pair of FFT correlations.  Truncations are doubled until the norm stabilizes.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -38,12 +39,14 @@ from .errors import (
 from .functions import (
     BlaschkeProduct,
     GridOuter,
+    PowerOuter,
     ProductFn,
     RationalFn,
     fejer_riesz,
     modulus_squared_coeffs,
     outer_from_log_modulus,
 )
+from .measures import FactoredArcWeight, PowerArcWeight
 
 NONEXTREME = "non-extreme"
 EXTREME = "extreme"
@@ -370,11 +373,30 @@ class PythagoreanPair:
 
     def gap2_grid(self, n):
         """(1 - |b|^2) on the n-point grid, computed as |a|^2 (exact mate route)."""
-        t = grid_angles(n)
-        return np.clip(self.a.boundary_modulus(t) ** 2, 0.0, None)
+        return self.gap2_fn(grid_angles(n))
 
     def gap2_fn(self, t):
         return np.clip(self.a.boundary_modulus(np.asarray(t, dtype=float)) ** 2, 0.0, None)
+
+    @cached_property
+    def gap2_weight(self):
+        """(1 - |b|^2) = |a|^2 on the circle as an arc weight, the one that every scan reads.
+
+        A `PowerOuter` mate gives its power.  A rational mate gives one exact
+        |1 - e^(i(t - t_j))|^2 factor per boundary zero e^(i t_j) that the
+        Fejer-Riesz step recorded, so that the reciprocal is infinite on every
+        arc touching a zero, times |a|^2 with those roots divided out; any other
+        mate gives the clipped |a|^2 alone.  The cofactor closes over a, not the
+        pair, so that the pair holds no reference cycle.
+        """
+        a = self.a
+        if isinstance(a, PowerOuter):
+            return PowerArcWeight(2.0 * a.alpha, a.scale**2, 0.0)
+        zeros = self.diagnostics.get("a_boundary_zeros") or []
+        for zeta in zeros:
+            a = RationalFn(np.polynomial.polynomial.polydiv(a.num, [-zeta, 1.0])[0], a.den)
+        return FactoredArcWeight([PowerArcWeight(2.0, 1.0, np.angle(z)) for z in zeros],
+                                 lambda t: np.clip(a.boundary_modulus(t) ** 2, 0.0, None))
 
     def b_boundary(self, n):
         return np.asarray(self.b.fn.boundary_values(n), dtype=complex)

@@ -24,7 +24,7 @@ from hbspace.analyzers import (
 )
 from hbspace.circle import grid_angles
 from hbspace.errors import DegenerateMeasureError, UnsupportedError
-from hbspace.functions import PowerOuter, polynomial_fn
+from hbspace.functions import GridOuter, PowerOuter, polynomial_fn
 from hbspace.measures import (
     ArcWeight,
     ArcWindow,
@@ -484,6 +484,23 @@ class TestDirectVerdict:
         assert rep.overall.startswith("heuristic-")
         assert "heuristic" in rep.diagnostics
 
+    def test_nu_of_the_double_zero_mate_against_mpmath(self):
+        # b = (1+z)/2 * p with |p|^2 = (3 - cos t)/2 gives 1 - |b|^2 = |1 - z|^4 / 16;
+        # nu = |a|^2 dm, as this verdict weights Lebesgue measure, keeps its relative
+        # accuracy on arcs starting at the double zero of a
+        p = [np.sqrt((1.5 + np.sqrt(2)) / 2), -np.sqrt((1.5 - np.sqrt(2)) / 2)]
+        double = np.polynomial.polynomial.polymul([0.5, 0.5], p)
+        pair = pythagorean_mate(SymbolB.rational(list(double)))
+        nu = DiskMeasure.lebesgue().weighted(
+            _gap_weight(pair, pair.a, lambda z: np.abs(np.asarray(pair.a(z))) ** 2))
+        with mpmath.workdps(40):
+            for level in (14, 18, 22):
+                length = 2.0**-level
+                exact = mpmath.quad(lambda t: abs(1 - mpmath.expj(t)) ** 4 / 16,
+                                    [0, 2 * mpmath.pi * length]) / (2 * mpmath.pi)
+                mass = nu.window_mass((0.0, length))
+                assert mass == pytest.approx(float(exact), rel=1e-13, abs=0)
+
 
 class TestRayUnderOuterSymbol:
     """A radial ray reaches past |z| = 1 - 1e-9, where a grid outer is not summed."""
@@ -561,6 +578,16 @@ class TestNormEquivalence:
             short = [w for w in a2.evidence["infinite_witnesses"] if w["length"] <= 2.0**-10]
             for zero in zeros:
                 assert any((zero - w["start"]) % 1.0 <= w["length"] for w in short)
+
+    def test_a2_of_a_grid_outer_mate_whose_zero_is_a_grid_point(self, alpha_pair):
+        # the mate of the alpha pair's b, built back from |b|, is a grid outer vanishing
+        # at angle 0; its A2 product matches that of the closed-form mate
+        pair = pythagorean_mate(alpha_pair.b)
+        assert isinstance(pair.a, GridOuter)
+        rep = norm_equivalence_verdict(pair, DiskMeasure.lebesgue(), depth=10)
+        closed = norm_equivalence_verdict(alpha_pair, DiskMeasure.lebesgue(), depth=10)
+        assert rep.conditions["EquivNorm.a2"].verdict == "pass"
+        assert rep.constants["a2_sup"] == pytest.approx(closed.constants["a2_sup"], abs=1e-3)
 
     def test_a2_witnesses_are_the_shortest_infinite_arcs(self, half_sum):
         # every infinite arc at a zero of a is listed at the finest scanned length,

@@ -409,12 +409,14 @@ class TestCellRule:
     @staticmethod
     def _half_sum_factored(reciprocal):
         # |a|^2 = |1 - e^(it)|^2 / 4 for b = (1 + z)/2, and its reciprocal with a double pole
-        from hbspace.analyzers import _a2_weight_for
-
-        pair = pythagorean_mate(SymbolB.rational([0.5, 0.5]))
+        gap = pythagorean_mate(SymbolB.rational([0.5, 0.5])).gap2_weight
         g = -1 if reciprocal else 1
         density = lambda t: (abs(2 * mpmath.sin(t / 2)) ** 2 / 4) ** g
-        make = lambda: _a2_weight_for(pair).reciprocal() if reciprocal else _a2_weight_for(pair)
+
+        def make():  # a fresh copy of the pair's weight, so a fresh pyramid
+            weight = FactoredArcWeight(gap.factors, gap.cofactor)
+            return weight.reciprocal() if reciprocal else weight
+
         assert isinstance(make(), FactoredArcWeight)
         return make, density
 

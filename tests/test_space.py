@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hbspace.circle import grid_angles
 from hbspace.errors import (
@@ -83,6 +84,31 @@ class TestPythagoreanMate:
     def test_a_positive_at_zero(self, half_sum, alpha_pair):
         assert complex(np.asarray(half_sum.a(np.array([0.0])))[0]).real > 0
         assert complex(np.asarray(alpha_pair.a(np.array([0.0])))[0]).real > 0
+
+
+class TestGapWeight:
+    # by the order of the boundary zero of their mates (none, simple, double), symbols
+    # 0.8 (1 + z)/2, (1 + z)/2 and (1 + z)/2 p with |p|^2 = (3 - cos t)/2; the zero, if
+    # any, sits at angle 0 and moves to 2 pi turn when b(z) becomes b(e^(-2 pi i turn) z)
+    SYMBOLS = ([0.4, 0.4], [0.5, 0.5], np.polynomial.polynomial.polymul(
+        [0.5, 0.5], [np.sqrt((1.5 + np.sqrt(2)) / 2), -np.sqrt((1.5 - np.sqrt(2)) / 2)]))
+
+    @settings(max_examples=25, deadline=None)
+    @given(order=st.sampled_from([0, 1, 2]), turn=st.floats(0.0, 1.0, exclude_max=True))
+    def test_gap_weight_is_one_minus_b_squared(self, order, turn):
+        coeffs = np.asarray(self.SYMBOLS[order])
+        b = SymbolB.rational(coeffs * np.exp(-2j * np.pi * turn) ** np.arange(coeffs.size))
+        pair = pythagorean_mate(b)
+        w = pair.gap2_weight
+        # a zero of a is a pole of the reciprocal, wherever it sits
+        assert len(w.reciprocal().poles) == min(order, 1)
+        t = np.append(grid_angles(997, offset=True), 2 * np.pi * turn)
+        gap = 1.0 - np.abs(b(np.exp(1j * t))) ** 2
+        np.testing.assert_allclose(w.values(t), gap, rtol=0, atol=1e-12)
+        off = np.abs((t / (2 * np.pi) - turn + 0.5) % 1.0 - 0.5) > 1e-3
+        np.testing.assert_allclose(w.values(t[off]) * w.reciprocal().values(t[off]), 1.0,
+                                   rtol=1e-12)
+        assert abs(w.total() - np.mean(pair.gap2_grid(2 ** 16))) <= 1e-10
 
 
 class TestExtremeness:
