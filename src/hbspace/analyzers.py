@@ -12,6 +12,7 @@ import csv
 import io
 import weakref
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -36,12 +37,12 @@ from .errors import (
 )
 from .functions import GridOuter, RationalFn
 from .measures import (
-    ArcWindow,
     DiskAtoms,
     DiskMeasure,
     FunctionOnDisk,
     PairWeight,
     as_arc_weight,
+    window_span,
 )
 from .space import (
     EXTREME,
@@ -132,20 +133,44 @@ def _jsonable(obj):
 class LevelScan(Ladder):
     """A ladder of cumulative extremes over scan levels, with each level's own extreme."""
 
-    per_level: list
+    per_level: list = field(default_factory=list)
     witness: dict | None = None
 
     @property
     def cumulative(self):
         return self.values
 
+    def add_level(self, size, values, witness):
+        """Add one level: its extreme of `values` (-inf or +inf when empty) and the cumulative one.
+
+        On a strict improvement of the cumulative extreme, the witness
+        becomes witness(index, value) for the index of the level's extreme.
+        """
+        sup = self.mode == "sup"
+        values = np.asarray(values, dtype=float)
+        best = last = -np.inf if sup else np.inf
+        if values.size:
+            idx = int(np.argmax(values) if sup else np.argmin(values))
+            best = float(values[idx])
+        if self.values:
+            last = self.values[-1]
+        better = best > last if sup else best < last
+        self.per_level.append(best)
+        self.add(size, best if better else last)
+        if better:
+            self.witness = witness(idx, best)
+
 
 @dataclass(kw_only=True)
 class ScanResult(LevelScan):
     depth: int
-    exponent: float
     infinite_witnesses: list = field(default_factory=list)
     table: list | None = None
+
+    @property
+    def exponent(self):
+        """Slope of log(cumulative) against log(1/size), size 2^level."""
+        return growth_exponent([1.0 / s for s in self.sizes], self.values)
 
     def verdict_bounded(self):
         """pass = stabilized finite sup, fail = infinite/divergent, else undetermined."""
@@ -193,94 +218,61 @@ def _scan_families(level, complements=True):
 def arc_scan(value_fn, depth, mode="sup", complements=True, collect_table=False):
     """Run value_fn(starts, length) over the dyadic scan family up to `depth`.
 
-    mode 'sup' tracks maxima (finite part; infinities reported separately),
-    mode 'inf' tracks minima.  The cumulative series is what verdict rules
-    read, by the 'scan' rule; the exponent is the slope of log(cumulative)
-    against log(2^-level).
+    mode 'sup' tracks maxima of the finite values (infinities reported
+    separately), mode 'inf' tracks minima.  Level k has size 2^k.  The
+    cumulative series is what verdict rules read, by the 'scan' rule, and
+    the witness is the arc of the cumulative extreme.
     The infinite witnesses are the infinite arcs of the shortest scanned
     length that has one; they locate every singularity that makes a longer
     arc infinite.
     """
-    per_level, cumulative, table = [], [], [] if collect_table else None
-    witness = None
-    infinite, shortest = [], np.inf
-    cum = -np.inf if mode == "sup" else np.inf
+    scan = ScanResult(rule=RULES["scan"], mode=mode, depth=depth,
+                      table=[] if collect_table else None)
+    shortest = np.inf
     # the finest family is valued first, so that an arc weight integrates its
     # cells once, on the finest lattice the scan reads
     deepest = _scan_families(depth, complements)
     first = np.asarray(value_fn(*deepest[-1]), dtype=float)
     for level in range(1, depth + 1):
-        level_val = -np.inf if mode == "sup" else np.inf
         families = deepest if level == depth else _scan_families(level, complements)
-        for starts, length in families:
-            if starts is deepest[-1][0]:
-                vals = first
-            else:
-                vals = np.asarray(value_fn(starts, length), dtype=float)
-            if collect_table:
-                centers = (starts + length / 2.0) % 1.0 * TWO_PI
-                for c, v in zip(centers, vals):
-                    table.append((level, float(c), float(length), float(v)))
-            bad = ~np.isfinite(vals)
-            if mode == "sup" and np.any(bad & (vals > 0)):
-                if length < shortest:
-                    infinite, shortest = [], length
-                if length == shortest:
-                    infinite.extend(
-                        {"level": level, "start": float(starts[idx]), "length": float(length)}
-                        for idx in np.nonzero(bad & (vals > 0))[0]
-                    )
-                vals = vals[~bad]
-                if vals.size == 0:
-                    continue
-            if mode == "sup":
-                idx = int(np.argmax(vals))
-                if vals[idx] > level_val:
-                    level_val = float(vals[idx])
-                    candidate = (float(starts[idx]), float(length))
-            else:
-                idx = int(np.argmin(vals))
-                if vals[idx] < level_val:
-                    level_val = float(vals[idx])
-                    candidate = (float(starts[idx]), float(length))
-        better = level_val > cum if mode == "sup" else level_val < cum
-        if better:
-            cum = level_val
-            witness = {"level": level, "start": candidate[0], "length": candidate[1],
-                       "value": level_val}
-        per_level.append(level_val)
-        cumulative.append(cum)
+        starts = np.concatenate([s for s, _ in families])
+        lengths = np.concatenate([np.full(s.size, ell) for s, ell in families])
+        vals = np.concatenate([first if s is deepest[-1][0]
+                               else np.asarray(value_fn(s, ell), dtype=float)
+                               for s, ell in families])
+        if collect_table:
+            centers = (starts + lengths / 2.0) % 1.0 * TWO_PI
+            scan.table.extend((level, c, ell, v) for c, ell, v
+                              in zip(centers.tolist(), lengths.tolist(), vals.tolist()))
+        if mode == "sup":
+            hit = vals == np.inf
+            if np.any(hit):
+                ell = float(lengths[hit].min())
+                if ell < shortest:
+                    scan.infinite_witnesses, shortest = [], ell
+                if ell == shortest:
+                    scan.infinite_witnesses += [{"level": level, "start": float(x), "length": ell}
+                                                for x in starts[hit & (lengths == ell)]]
+            keep = np.isfinite(vals)
+            starts, lengths, vals = starts[keep], lengths[keep], vals[keep]
+        scan.add_level(2 ** level, vals, lambda i, v: {
+            "level": level, "start": float(starts[i]), "length": float(lengths[i]), "value": v})
+    return scan
 
-    lengths = [2.0 ** (-k) for k in range(1, depth + 1)]
-    return ScanResult(
-        rule=RULES["scan"],
-        mode=mode,
-        values=cumulative,
-        per_level=per_level,
-        witness=witness,
-        depth=depth,
-        exponent=growth_exponent(lengths, cumulative),
-        infinite_witnesses=infinite,
-        table=table,
-    )
+
+def _mass_ratios(measure):
+    """starts, length -> nu(S(I)) / m(I) on the arcs I of that length from those starts."""
+    return lambda starts, length: measure.batch_window_masses(starts, length) / length
 
 
 def reverse_inf_scan(measure, depth=DEFAULT_DEPTH, collect_table=False):
     """inf over scan arcs of nu(S(I))/m(I), with level-by-level minima."""
-
-    def ratios(starts, length):
-        return measure.batch_window_masses(starts, length) / length
-
-    return arc_scan(ratios, depth, mode="inf", collect_table=collect_table)
+    return arc_scan(_mass_ratios(measure), depth, mode="inf", collect_table=collect_table)
 
 
 def carleson_sup_scan(measure, depth=DEFAULT_DEPTH, collect_table=False):
     """sup over scan arcs of nu(S(I))/m(I), growth-exponent fit included."""
-
-    def ratios(starts, length):
-        return measure.batch_window_masses(starts, length) / length
-
-    return arc_scan(ratios, depth, mode="sup", collect_table=collect_table)
+    return arc_scan(_mass_ratios(measure), depth, mode="sup", collect_table=collect_table)
 
 
 # ---------------------------------------------------------------------------
@@ -288,18 +280,19 @@ def carleson_sup_scan(measure, depth=DEFAULT_DEPTH, collect_table=False):
 # ---------------------------------------------------------------------------
 
 
+def _paired_averages(u, v, starts, length):
+    """(avg of u)(avg of v) on the arcs of normalized length `length` from the normalized starts."""
+    s = np.asarray(starts, dtype=float) * TWO_PI
+    with np.errstate(invalid="ignore"):
+        return (np.asarray(u.arc_integral(s, length), dtype=float)
+                * np.asarray(v.arc_integral(s, length), dtype=float) / length**2)
+
+
 def a2_product(weight, window):
     """The Muckenhoupt product (avg of w)(avg of 1/w) on one arc."""
     w = as_arc_weight(weight)
-    rec = w.reciprocal()
-    if isinstance(window, ArcWindow):
-        start, length = window.start, window.length
-    else:
-        start, length = window
-    start = np.asarray([start * TWO_PI], dtype=float)
-    upper = np.asarray(w.arc_integral(start, length), dtype=float)[0]
-    lower = np.asarray(rec.arc_integral(start, length), dtype=float)[0]
-    return upper * lower / length**2
+    start, length = window_span(window)
+    return _paired_averages(w, w.reciprocal(), [start], length)[0]
 
 
 def a2_check(weight, depth=DEFAULT_DEPTH, collect_table=False):
@@ -310,31 +303,13 @@ def a2_check(weight, depth=DEFAULT_DEPTH, collect_table=False):
     products (dominated by arcs pinched against the singularity).
     """
     w = as_arc_weight(weight)
-    rec = w.reciprocal()
-
-    def products(starts, length):
-        s = np.asarray(starts, dtype=float) * TWO_PI
-        upper = np.asarray(w.arc_integral(s, length), dtype=float)
-        lower = np.asarray(rec.arc_integral(s, length), dtype=float)
-        with np.errstate(invalid="ignore"):
-            return upper * lower / length**2
-
-    return arc_scan(products, depth, mode="sup", collect_table=collect_table)
+    return arc_scan(partial(_paired_averages, w, w.reciprocal()), depth, mode="sup",
+                    collect_table=collect_table)
 
 
 def two_weight_necessary(h, w, depth=DEFAULT_DEPTH, collect_table=False):
     """Scan of the paired averages (avg h)(avg w); necessary, never sufficient."""
-    hw = as_arc_weight(h)
-    ww = as_arc_weight(w)
-
-    def products(starts, length):
-        s = np.asarray(starts, dtype=float) * TWO_PI
-        return (
-            np.asarray(hw.arc_integral(s, length), dtype=float)
-            * np.asarray(ww.arc_integral(s, length), dtype=float)
-            / length**2
-        )
-
+    products = partial(_paired_averages, as_arc_weight(h), as_arc_weight(w))
     scan = arc_scan(products, depth, mode="sup", collect_table=collect_table)
     report = AnalysisReport(
         kind="two-weight-necessary",
@@ -454,28 +429,14 @@ def corona_check(pair, depth=DEFAULT_DEPTH, angle_cap=512):
     are an inf ladder read by the 'corona' rule: stabilizing positive minima
     pass, minima decaying geometrically or down to its floor fail.
     """
-    per_level, cumulative = [], []
-    witness = None
-    cum = np.inf
+    scan = CoronaResult(rule=RULES["corona"], mode="inf")
     for j in range(1, depth + 1):
         radius = 1.0 - 2.0 ** (-j)
         m = int(min(2 ** (j + 2), angle_cap))
-        a_vals = np.abs(pair.a.eval_on_circle(radius, m))
-        b_vals = np.abs(pair.b.fn.eval_on_circle(radius, m))
-        s = a_vals + b_vals
-        idx = int(np.argmin(s))
-        level_min = float(s[idx])
-        if level_min < cum:
-            cum = level_min
-            witness = {
-                "radius": radius,
-                "angle": float(grid_angles(m)[idx]),
-                "value": level_min,
-            }
-        per_level.append(level_min)
-        cumulative.append(cum)
-    return CoronaResult(rule=RULES["corona"], mode="inf", values=cumulative,
-                        per_level=per_level, witness=witness)
+        s = np.abs(pair.a.eval_on_circle(radius, m)) + np.abs(pair.b.fn.eval_on_circle(radius, m))
+        scan.add_level(2 ** j, s, lambda i, v: {
+            "radius": radius, "angle": float(grid_angles(m)[i]), "value": v})
+    return scan
 
 
 # ---------------------------------------------------------------------------
@@ -671,11 +632,9 @@ def kernel_ratio_scan(pair, measure, depth=12, variant="hb", angle_cap=64):
     against the level sizes 2^j.
     """
     pair.require_nonextreme("kernel ratio scans")
-    sizes, per_level, cumulative = [], [], []
-    witness = None
-    cum = 0.0
     if measure.total_mass() <= 0:
         raise DegenerateMeasureError("measure has zero total mass")
+    scan = KernelRatioResult(rule=RULES["kernel"], variant=variant)
     for j, lams in log_radial_points(depth, angle_cap):
         radius = 1.0 - 2.0 ** (-j)
         bvals = np.asarray(pair.b.fn.eval_on_circle(radius, lams.size), dtype=complex)
@@ -690,16 +649,9 @@ def kernel_ratio_scan(pair, measure, depth=12, variant="hb", angle_cap=64):
             avals = np.asarray(pair.a.eval_on_circle(radius, lams.size), dtype=complex)
             b_sq = (1.0 + np.abs(bvals) ** 2 / np.abs(avals) ** 2) / (1.0 - np.abs(lams) ** 2)
         ratios = np.sqrt(b_sq / mu_sq)
-        idx = int(np.argmax(ratios))
-        level_max = float(ratios[idx])
-        if level_max > cum:
-            cum = level_max
-            witness = {"level": j, "lambda": complex(lams[idx]), "ratio": level_max}
-        sizes.append(2 ** j)
-        per_level.append(level_max)
-        cumulative.append(cum)
-    return KernelRatioResult(rule=RULES["kernel"], sizes=sizes, values=cumulative,
-                             per_level=per_level, witness=witness, variant=variant)
+        scan.add_level(2 ** j, ratios, lambda i, v: {
+            "level": j, "lambda": complex(lams[i]), "ratio": v})
+    return scan
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,11 @@ def _piecewise_integrals(lo, hi, edges, prefix, piece):
     return out
 
 
+def _on_arc(x, start, length):
+    """Whether the point x lies on the arc [start, start + length) of the circle; all in turns."""
+    return (x - start) % 1.0 < length
+
+
 def _lattice_level(x):
     """Coarsest level whose lattice k / 2^level holds every normalized point, or None."""
     pos = x * 2.0 ** _MAX_LEVEL
@@ -408,6 +413,13 @@ class FactoredArcWeight(ArcWeight):
         gammas = np.bincount(np.searchsorted(angles, turns),
                              weights=[f.gamma for f in self.factors], minlength=angles.size)
         self._scale = float(np.prod([f.scale for f in self.factors]))
+        # one power per distinct angle, so that factors whose exponents cancel give 1
+        groups = {}
+        for u, f in zip(turns, self.factors):
+            groups.setdefault(u, []).append(f)
+        self._powers = [fs[0] if len(fs) == 1 else PowerArcWeight(
+            sum(f.gamma for f in fs), float(np.prod([f.scale for f in fs])), fs[0].angle)
+            for fs in groups.values()]
         self._angles, self._gammas = angles[gammas != 0], gammas[gammas != 0]
         self.poles = TWO_PI * self._angles[self._gammas <= -1.0]
         even = self._gammas % 2 == 0
@@ -428,7 +440,7 @@ class FactoredArcWeight(ArcWeight):
     def values(self, t):
         t = np.asarray(t, dtype=float)
         out = np.asarray(self.cofactor(t), dtype=float)
-        for f in self.factors:
+        for f in self._powers:
             out = out * f.values(t)
         return out
 
@@ -605,8 +617,7 @@ class DiskAtoms:
             return np.zeros(np.shape(start))
         x = (np.angle(self.points) / TWO_PI) % 1.0
         deep_enough = (1.0 - np.abs(self.points)) <= length / 2.0 + 1e-15
-        rel = (x[None, :] - np.atleast_1d(start)[:, None]) % 1.0
-        inside = (rel < length) & deep_enough[None, :]
+        inside = _on_arc(x[None, :], np.atleast_1d(start)[:, None], length) & deep_enough[None, :]
         out = inside @ self.weights
         return out if np.shape(start) else float(out[0])
 
@@ -674,8 +685,7 @@ class SingularAtoms:
         if self.angles.size == 0:
             return np.zeros(np.shape(start))
         x = self.angles / TWO_PI
-        rel = (x[None, :] - np.atleast_1d(start)[:, None]) % 1.0
-        inside = rel < length
+        inside = _on_arc(x[None, :], np.atleast_1d(start)[:, None], length)
         out = inside @ self.weights
         return out if np.shape(start) else float(out[0])
 
@@ -743,8 +753,7 @@ class RadialPower:
 
     def window_mass(self, start, length):
         x = (self.angle / TWO_PI) % 1.0
-        rel = (x - np.asarray(start, dtype=float)) % 1.0
-        inside = rel < length
+        inside = _on_arc(x, np.asarray(start, dtype=float), length)
         m = self._depth_mass(length / 2.0)
         return np.where(inside, m, 0.0) if np.shape(start) else (float(m) if inside else 0.0)
 
@@ -836,8 +845,7 @@ class ArcWindow:
         return self.length / 2.0
 
     def contains_angle(self, t):
-        rel = ((np.asarray(t, dtype=float) / TWO_PI) - self.start) % 1.0
-        return rel < self.length
+        return _on_arc(np.asarray(t, dtype=float) / TWO_PI, self.start, self.length)
 
     def contains_point(self, z):
         z = np.asarray(z, dtype=complex)
@@ -847,6 +855,13 @@ class ArcWindow:
     def from_span(cls, start, length):
         center = (start + length / 2.0) * TWO_PI
         return cls(center, length)
+
+
+def window_span(window):
+    """The normalized (start, length) of an `ArcWindow` or of a (start, length) pair."""
+    if isinstance(window, ArcWindow):
+        return window.start, window.length
+    return window
 
 
 class FunctionOnDisk:
@@ -927,10 +942,7 @@ class DiskMeasure:
         return float(sum(c.mass() for c in self.components()))
 
     def window_mass(self, window):
-        if isinstance(window, ArcWindow):
-            start, length = window.start, window.length
-        else:
-            start, length = window
+        start, length = window_span(window)
         return float(sum(np.asarray(c.window_mass(start, length)) for c in self.components()))
 
     def batch_window_masses(self, starts, length):
@@ -941,10 +953,7 @@ class DiskMeasure:
         return out
 
     def arc_mass(self, window):
-        if isinstance(window, ArcWindow):
-            start, length = window.start, window.length
-        else:
-            start, length = window
+        start, length = window_span(window)
         return float(sum(np.asarray(c.arc_mass(start, length)) for c in self.components()))
 
     def ac_grid(self, n):

@@ -357,7 +357,6 @@ class CheckResult:
 def run_scenario(scenario, depth=12, seed=0):
     """Execute the scenario's analyzers and compare against expectations."""
     checks = []
-    reports = {}
     for exp in scenario.expected:
         actual, detail = _dispatch(scenario, exp.analyzer, depth, seed)
         checks.append(
@@ -370,8 +369,6 @@ def run_scenario(scenario, depth=12, seed=0):
                 detail=detail,
             )
         )
-        if detail:
-            reports[exp.analyzer] = detail
     return {
         "name": scenario.name,
         "params": scenario.params,

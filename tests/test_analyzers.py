@@ -29,11 +29,13 @@ from hbspace.measures import (
     ArcWeight,
     ArcWindow,
     BoundaryAC,
+    DiskAtoms,
     DiskMeasure,
     GridArcWeight,
     PairWeight,
     PowerArcWeight,
     RadialPower,
+    SingularAtoms,
 )
 from hbspace.space import SymbolB, pair_from_outer_a, pythagorean_mate
 from oracles import quadrature_depth_mass
@@ -195,6 +197,64 @@ class TestCorona:
         c = 2.0 ** -0.4
         oracle = [c * 2.0 ** (-0.4 * n) for n in range(1, 13)]
         assert np.allclose(res.per_level, oracle, rtol=1e-6)
+
+
+class TestWitnesses:
+    """A scan's witness is the arc or probe point of its cumulative extreme, and reproduces it."""
+
+    @staticmethod
+    def reproduces_a2(weight, depth=10):
+        scan = a2_check(weight, depth=depth)
+        witness = scan.witness
+        assert witness["value"] == scan.value
+        product = a2_product(weight, (witness["start"], witness["length"]))
+        assert product == pytest.approx(witness["value"], rel=1e-13, abs=0)
+        return scan
+
+    @pytest.mark.parametrize("gamma", [1.5, 2.0, -1.5, 0.5])
+    def test_a2_witness_of_a_power_weight(self, gamma):
+        scan = self.reproduces_a2(PowerArcWeight(gamma, 1.0, 2.0))
+        # the arcs of 2^-10 turn whose closure holds the singularity, for a pole on either side
+        touching = [325 / 1024, 325.5 / 1024] if abs(gamma) > 1 else []
+        assert [w["start"] for w in scan.infinite_witnesses] == touching
+        assert all(w["length"] == 2.0**-10 for w in scan.infinite_witnesses)
+
+    def test_a2_witness_of_a_rotated_half_sum(self):
+        # the zero of a sits at angle 2, and the witness arc is pinched against it
+        pair = pythagorean_mate(SymbolB.rational([0.5, 0.5 * np.exp(-2j)]))
+        scan = self.reproduces_a2(pair.gap2_weight)
+        assert [w["start"] for w in scan.infinite_witnesses] == [325 / 1024, 325.5 / 1024]
+        start, length = scan.witness["start"], scan.witness["length"]
+        ends = np.array([start, start + length]) - 1.0 / np.pi
+        assert np.min(np.abs(ends - np.rint(ends))) < 2.0**-10
+
+    @pytest.fixture(scope="class")
+    def mixed(self):
+        return DiskMeasure(
+            disk_atoms=DiskAtoms([0.6 * np.exp(2.5j), 0.3j], [0.7, 0.4]),
+            ac=BoundaryAC(PowerArcWeight(-0.5, 1.2, 1.0)),
+            singular_atoms=SingularAtoms([4.0], [0.3]),
+            radial=[RadialPower(5.0, 0.5, 0.4)],
+        )
+
+    @pytest.mark.parametrize("scan_fn", [carleson_sup_scan, reverse_inf_scan])
+    def test_window_scan_witness(self, mixed, scan_fn):
+        scan = scan_fn(mixed, depth=10)
+        witness = scan.witness
+        assert witness["value"] == scan.value
+        ratio = mixed.window_mass((witness["start"], witness["length"])) / witness["length"]
+        assert ratio == pytest.approx(witness["value"], rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("name", ["half-sum", "blaschke-corona"])
+    def test_corona_witness(self, name):
+        from hbspace.scenarios import build
+
+        pair = build(name).pair
+        res = corona_check(pair, depth=10)
+        z = res.witness["radius"] * np.exp(1j * res.witness["angle"])
+        assert res.witness["value"] == res.infimum
+        at = abs(complex(pair.a(z))) + abs(complex(pair.b.fn(z)))
+        assert at == pytest.approx(res.witness["value"], rel=1e-12, abs=1e-12)
 
 
 class TestKernelRatios:

@@ -188,6 +188,27 @@ class TestFactoredArcWeight:
         assert rec.arc_integral(np.array([3.5]), 0.9)[0] == np.inf  # wraps past 0.5
         assert rec.total() == np.inf
 
+    def test_values_multiply_the_factors(self, weight):
+        # one factor per angle: the cofactor times each factor's values, in factor order
+        t = np.linspace(0.0, TWO_PI, 97)
+        want = (1.0 + 0.5 * np.cos(t)) * weight.factors[0].values(t) * weight.factors[1].values(t)
+        assert np.array_equal(weight.values(t), want)
+
+    def test_values_where_exponents_cancel(self):
+        # reverse-canonical: (1 - |b|^2)^-1 (1 + |b|) dm weighted by 1 - |b|^2 is (1 + |b|) dm,
+        # two power factors at angle 0 whose exponents cancel
+        from hbspace.analyzers import _gap_weight
+        from hbspace.scenarios import build
+
+        sc = build("reverse-canonical")
+        pair = sc.pair
+        nu = sc.measure.weighted(
+            _gap_weight(pair, pair.b.fn, lambda z: 1.0 - np.abs(np.asarray(pair.b.fn(z))) ** 2))
+        got = nu.ac_grid(8)
+        assert got[0] == pytest.approx(2.0, rel=1e-14)
+        np.testing.assert_allclose(got, 1.0 + pair.b.boundary_modulus(grid_angles(8)),
+                                   rtol=1e-14, atol=0)
+
     @pytest.mark.parametrize("gamma", [-0.5, 1.5, -1.5, -2.5])
     def test_non_even_exponent_arcs_match_mpmath(self, gamma):
         # 1.5 |1 - e^(it)|^gamma times a double zero at angle 3 and a smooth cofactor; arcs
@@ -330,10 +351,16 @@ class TestCellPyramid:
 
     def test_depth_14_scan_family_of_the_gap_weighted_half_sum(self):
         # |a|^2 = (1 - cos t)/2 for b = (1 + z)/2; over [t, t + 2x] it integrates to
-        # (x - sin x) + 2 sin(x) sin(t/2 + x/2)^2, two nonnegative terms
+        # (x - sin x) + 2 sin(x) sin(t/2 + x/2)^2, two nonnegative terms.  x - sin x is
+        # taken at 40 digits, and each sin(pi u) from u less the nearest whole number
+        mpmath.mp.dps = 40
         pair = pythagorean_mate(SymbolB.rational([0.5, 0.5]))
         nu = DiskMeasure.lebesgue().weighted(PairWeight(
-            boundary=pair.gap2_fn, point=lambda z: 1.0 - np.abs(pair.b.fn(z)) ** 2))
+            boundary=pair.gap2_weight, point=lambda z: 1.0 - np.abs(pair.b.fn(z)) ** 2))
+
+        def sin_pi(u):  # |sin(pi u)|
+            return np.abs(np.sin(np.pi * (u - np.rint(u))))
+
         worst = 0.0
         for level in range(1, 15):
             length = 2.0 ** -level
@@ -344,12 +371,12 @@ class TestCellPyramid:
                 families += [((aligned + length) % 1.0, 1.0 - length),
                              ((shifted + length) % 1.0, 1.0 - length)]
             for starts, ell in families:
-                x = np.pi * ell
-                x_minus_sin = x - np.sin(x) if x > 0.1 else x**3 / 6 * (1 - x**2 / 20 * (1 - x**2 / 42))
-                exact = (x_minus_sin + 2 * np.sin(x) * np.sin(np.pi * starts + x / 2) ** 2) / TWO_PI
+                x = mpmath.pi * mpmath.mpf(ell)
+                x_minus_sin = float(x - mpmath.sin(x))
+                exact = (x_minus_sin + 2 * sin_pi(ell) * sin_pi(starts + ell / 2) ** 2) / TWO_PI
                 got = nu.batch_window_masses(starts, ell)
                 worst = max(worst, float(np.max(np.abs(got / exact - 1.0))))
-        assert worst < 1e-7
+        assert worst < 1e-13
 
     def test_off_lattice_arcs_reuse_the_finest_pyramid(self):
         w = PowerArcWeight(-0.5, 1.0, 1.0)
