@@ -19,7 +19,7 @@ from hbspace import (
     reverse_carleson_verdict,
 )
 from hbspace.circle import grid_angles
-from hbspace.measures import BoundaryAC, PowerArcWeight
+from hbspace.measures import PowerArcWeight
 
 print("== direct dichotomy ==")
 half_sum = pythagorean_mate(SymbolB.rational([0.5, 0.5]))
@@ -35,7 +35,7 @@ print("decomposition certificate:", rep.diagnostics["falpha_certificate"])
 print("\n== reverse: canonical pass case ==")
 alpha_pair = pair_from_outer_a(PowerOuter(0.25))
 c = 2.0 ** -0.25
-inv_gap = DiskMeasure(ac=BoundaryAC(PowerArcWeight(-0.5, c**-2, 0.0)), label="inv-gap")
+inv_gap = DiskMeasure(ac=PowerArcWeight(-0.5, c**-2, 0.0), label="inv-gap")
 rep = reverse_carleson_verdict(alpha_pair, inv_gap, depth=12, kernel_depth=10)
 print("overall:", rep.overall)
 for key in ("MainThm.2", "MainThm.3", "MainThm.4"):

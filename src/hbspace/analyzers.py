@@ -26,7 +26,6 @@ from .convergence import (
     Ladder,
     dyadic_arcs,
     growth_exponent,
-    refine,
 )
 from .errors import (
     AdmissibilityError,
@@ -47,6 +46,7 @@ from .measures import (
 from .space import (
     EXTREME,
     NONEXTREME,
+    gap_reciprocal_ladder,
     hb_kernel_norm_squared,
     rational_falpha_decompose,
 )
@@ -530,7 +530,7 @@ def _kernel_mu_norms_squared(pair, measure, lams, variant, beta=None):
     out = np.zeros(lams.size)
     grid_part = measure.ac if measure.ac is not None and measure.ac.mass() < np.inf else None
     if grid_part is not None:
-        out += _grid_kernel_norms_squared(pair, grid_part.weight, lams, beta, variant)
+        out += _grid_kernel_norms_squared(pair, grid_part, lams, beta, variant)
     for comp in measure.components():
         if comp is not grid_part and comp.mass() > 0:
             for i, lam in enumerate(lams):
@@ -659,19 +659,6 @@ def kernel_ratio_scan(pair, measure, depth=12, variant="hb", angle_cap=64):
 # ---------------------------------------------------------------------------
 
 
-def _gap_reciprocal_ladder(b, mask_zb=False):
-    def evaluate(n):
-        t = grid_angles(n, offset=True)
-        logs = b.gap_log(t)
-        with np.errstate(over="ignore"):
-            vals = np.exp(-logs)
-        if mask_zb:
-            vals = np.where(logs > -np.inf, vals, 0.0)
-        return float(np.mean(vals))
-
-    return refine(evaluate, [2 ** k for k in range(10, 17)], RULES["gap-integral"])
-
-
 def symbol_reverse_feasibility(b, extremeness):
     """Whether the space of b can admit reverse Carleson measures at all.
 
@@ -689,7 +676,7 @@ def symbol_reverse_feasibility(b, extremeness):
     inner_fraction = float(np.mean(logs > np.log(1e-9)))
     zb_fraction = float(np.mean(logs > -np.inf))
     if extremeness.verdict == NONEXTREME:
-        ladder = _gap_reciprocal_ladder(b)
+        ladder = gap_reciprocal_ladder(b)
         if ladder.divergent():
             return {
                 "feasible": "no",
@@ -709,7 +696,7 @@ def symbol_reverse_feasibility(b, extremeness):
                 "feasible": "out-of-scope",
                 "certificate": "b is inner to grid tolerance (model-space regime)",
             }
-        ladder = _gap_reciprocal_ladder(b, mask_zb=True)
+        ladder = gap_reciprocal_ladder(b, mask_zb=True)
         if ladder.divergent():
             return {
                 "feasible": "no",

@@ -1,23 +1,25 @@
 """Finite positive measures on the closed unit disk.
 
 A measure is a sum of four kinds of components: atoms inside the disk, an
-absolutely continuous boundary part (grid samples or a closed-form power
-density), singular boundary atoms, and radial line densities (1-t)^-beta
-along a ray.  Window and arc masses are exact wherever a closed form exists;
-power-type arc integrals take Gauss-Legendre on pieces cut geometrically
-toward their singularity, the innermost piece in a variable that absorbs the
-power, so the singular examples are not quadrature-limited there.
+absolutely continuous boundary part h dm, singular boundary atoms, and
+radial line densities (1-t)^-beta along a ray.  Window and arc masses are
+exact wherever a closed form exists; power-type arc integrals take
+Gauss-Legendre on pieces cut geometrically toward their singularity, the
+innermost piece in a variable that absorbs the power, so the singular
+examples are not quadrature-limited there.
 
-Every boundary weight is an `ArcWeight`: its arc integrals are sums over a
-dyadic pyramid of cell integrals, built once per weight.  Inside it,
-positions are turns (fractions of the circle), so lattice points are exact.
+Every boundary weight h is an `ArcWeight`, and the a.c. part of a measure is
+its weight itself: window masses of h dm are the weight's arc integrals,
+sums over a dyadic pyramid of cell integrals built once per weight.  Inside
+it, positions are turns (fractions of the circle), so lattice points are
+exact.  A power density is a `FactoredArcWeight` of one factor, so every
+product of powers takes one rule.
 
 Angles are radians; arcs are handled internally as normalized spans
 (m(circle) = 1), matching the window definition 1 - |z| <= m(I)/2.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -190,6 +192,14 @@ class ArcWeight:
     def total(self):
         return float(self.cell_integrals(0)[0])
 
+    # as the a.c. part h dm of a measure: its component methods
+    mass = total
+
+    def window_mass(self, start, length):
+        return self.arc_integral(np.asarray(start) * TWO_PI, length)
+
+    arc_mass = window_mass
+
     def grid_density(self, n=2 ** 16):
         """The density on the grid t_k = 2 pi k / n (n a power of two), as kernel sums take it.
 
@@ -272,71 +282,6 @@ class ArcWeight:
         return out
 
 
-class PowerArcWeight(ArcWeight):
-    """Boundary weight scale * |1 - e^(i(t - t0))|^gamma.
-
-    Integrals are taken against normalized Lebesgue measure dm = dt/(2*pi).
-    For gamma <= -1 an arc whose closure contains the singular angle has
-    infinite integral, and that infinity is returned as such.
-    """
-
-    def __init__(self, gamma, scale=1.0, angle=0.0):
-        if scale < 0:
-            raise DomainError("weight scale must be nonnegative")
-        self.gamma = float(gamma)
-        self.scale = float(scale)
-        self.angle = float(angle) % TWO_PI
-        self.poles = () if self.integrable else (self.angle,)
-
-    # bound here as well as inherited: perfbench's tracer tests look the
-    # method up in this class's own namespace
-    arc_integral = ArcWeight.arc_integral
-
-    @property
-    def integrable(self):
-        return self.gamma > -1.0
-
-    def values(self, t):
-        rel = np.asarray(t, dtype=float) - self.angle
-        base = np.abs(2.0 * np.sin(rel / 2.0))
-        with np.errstate(divide="ignore"):
-            return self.scale * base ** self.gamma
-
-    def segment_integrals(self, lo, hi, rule=_GL48):
-        """Integrals over [lo, hi] (turns) by the one-factor `FactoredArcWeight` rule.
-
-        Lebesgue measure (gamma = 0) has the closed form scale * (hi - lo).
-        """
-        if self.gamma == 0.0:
-            return self.scale * (hi - lo)
-        return self._rule.segment_integrals(lo, hi, rule)
-
-    @cached_property
-    def _rule(self):
-        # built on a copy of the weight, so that the weight holds no reference cycle
-        return FactoredArcWeight([PowerArcWeight(self.gamma, self.scale, self.angle)], np.ones_like)
-
-    def reciprocal(self):
-        return PowerArcWeight(-self.gamma, 1.0 / self.scale, self.angle)
-
-    def l2(self, fn):
-        """Total of the weight times |fn|^2 on the circle, cut toward fn's focus angles too."""
-        return FactoredArcWeight([self], lambda t: np.abs(fn.boundary_angles(t)) ** 2,
-                                 fn.focus_angles).total()
-
-    def weighted(self, boundary):
-        if not self.integrable:
-            raise WeightingError("cannot weight a non-integrable boundary density")
-        return self._rule.weighted(boundary)
-
-    def scaled(self, t):
-        return PowerArcWeight(self.gamma, self.scale * t, self.angle)
-
-    def to_json(self):
-        return {"power": {"beta": -self.gamma, "scale": self.scale,
-                          "singularity_angle": self.angle}}
-
-
 class GridArcWeight(ArcWeight):
     """Piecewise-constant boundary weight given by grid samples (exact arc sums)."""
 
@@ -389,7 +334,9 @@ class FactoredArcWeight(ArcWeight):
     """Boundary weight c(t) * prod_j scale_j |1 - e^(i(t - t_j))|^gamma_j, c smooth and positive.
 
     Each factor is a `PowerArcWeight`, with any real exponent; factors at one
-    angle add their exponents.  An angle whose exponent is <= -1 is a pole:
+    angle add their exponents.  A `cofactor` of None is c = 1 and is never
+    evaluated; with no nonzero exponent either, the weight is a constant and
+    integrates in closed form.  An angle whose exponent is <= -1 is a pole:
     an arc whose closure holds it has infinite integral, wherever the pole
     sits relative to any lattice.  Segments are cut geometrically toward
     every pole, every angle of a non-even exponent and each `focus` angle,
@@ -405,21 +352,26 @@ class FactoredArcWeight(ArcWeight):
     #: offsets (turns) of the cuts toward a cut angle, from the pole closure tolerance to the antipode
     _CUTS = np.geomspace(ArcWeight._EPS / TWO_PI, 0.5, 100)
 
-    def __init__(self, factors, cofactor, focus=()):
+    def __init__(self, factors, cofactor=None, focus=()):
         self.factors = list(factors)
+        self._factorize(cofactor, focus)
+
+    def _factorize(self, cofactor, focus):
+        """Set the cofactor, and the powers, poles and cuts that `self.factors` give."""
         self.cofactor = cofactor
-        turns = np.array([_turn(f.angle) for f in self.factors])
+        factors = self.factors
+        turns = np.array([_turn(f.angle) for f in factors])
         angles = _distinct(turns)
         gammas = np.bincount(np.searchsorted(angles, turns),
-                             weights=[f.gamma for f in self.factors], minlength=angles.size)
-        self._scale = float(np.prod([f.scale for f in self.factors]))
-        # one power per distinct angle, so that factors whose exponents cancel give 1
+                             weights=[f.gamma for f in factors], minlength=angles.size)
+        self._scale = float(np.prod([f.scale for f in factors]))
+        # one (angle, exponent, scale) per distinct angle, so that factors whose
+        # exponents cancel give their scale
         groups = {}
-        for u, f in zip(turns, self.factors):
+        for u, f in zip(turns, factors):
             groups.setdefault(u, []).append(f)
-        self._powers = [fs[0] if len(fs) == 1 else PowerArcWeight(
-            sum(f.gamma for f in fs), float(np.prod([f.scale for f in fs])), fs[0].angle)
-            for fs in groups.values()]
+        self._powers = [(fs[0].angle, sum(f.gamma for f in fs),
+                         float(np.prod([f.scale for f in fs]))) for fs in groups.values()]
         self._angles, self._gammas = angles[gammas != 0], gammas[gammas != 0]
         self.poles = TWO_PI * self._angles[self._gammas <= -1.0]
         even = self._gammas % 2 == 0
@@ -439,12 +391,15 @@ class FactoredArcWeight(ArcWeight):
 
     def values(self, t):
         t = np.asarray(t, dtype=float)
-        out = np.asarray(self.cofactor(t), dtype=float)
-        for f in self._powers:
-            out = out * f.values(t)
+        out = np.ones(t.shape) if self.cofactor is None else np.asarray(self.cofactor(t), float)
+        with np.errstate(divide="ignore"):
+            for angle, gamma, scale in self._powers:
+                out = out * (scale * np.abs(2.0 * np.sin((t - angle) / 2.0)) ** gamma)
         return out
 
     def segment_integrals(self, lo, hi, rule=_GL48):
+        if self.cofactor is None and not self._angles.size:
+            return self._scale * (hi - lo)
         a, b, owner = _pieces(lo, hi, self._breaks)
         return self._scale * np.bincount(owner, weights=self._piece_integrals(a, b, rule),
                                          minlength=lo.size)
@@ -469,8 +424,10 @@ class FactoredArcWeight(ArcWeight):
         v = v1[:, None] + 0.5 * dv[:, None] * (1.0 + rule[0])
         u = v ** (1.0 / q)[:, None] if np.any(p) else v
         s = side[:, None] * u
-        x = c[:, None] + s
-        vals = np.asarray(self.cofactor(TWO_PI * (x - np.rint(x))), dtype=float)
+        vals = 1.0
+        if self.cofactor is not None:
+            x = c[:, None] + s
+            vals = np.asarray(self.cofactor(TWO_PI * (x - np.rint(x))), dtype=float)
         for angle, gamma in zip(self._angles, self._gammas):
             base = np.abs(2.0 * np.sin(np.pi * _offset(c[:, None] - angle + s, 0.0)))
             absorbed = (c == angle) & (p != 0)
@@ -479,19 +436,73 @@ class FactoredArcWeight(ArcWeight):
         return (vals @ rule[1]) * 0.5 * dv / q
 
     def weighted(self, boundary):
-        """The weight times boundary(t); a power or factored boundary joins its factors to these."""
-        if isinstance(boundary, PowerArcWeight):
-            boundary = boundary._rule
+        """The weight times boundary(t); a factored boundary, a power one too, joins its factors."""
         factors, other = ((boundary.factors, boundary.cofactor)
                           if isinstance(boundary, FactoredArcWeight) else ([], boundary))
-        cofactor = self.cofactor
-        return FactoredArcWeight(self.factors + factors, lambda t: (
-            np.asarray(cofactor(t), dtype=float) * np.asarray(other(t), dtype=float)))
+        return FactoredArcWeight(self.factors + factors, _times(self.cofactor, other))
 
     def reciprocal(self):
         cofactor = self.cofactor
-        return FactoredArcWeight([f.reciprocal() for f in self.factors],
-                                 lambda t: 1.0 / np.asarray(cofactor(t), dtype=float))
+        inverse = None if cofactor is None else lambda t: 1.0 / np.asarray(cofactor(t), dtype=float)
+        return FactoredArcWeight([f.reciprocal() for f in self.factors], inverse)
+
+
+def _times(f, g):
+    """The pointwise product of two cofactors, None standing for 1."""
+    if f is None or g is None:
+        return g if f is None else f
+    return lambda t: np.asarray(f(t), dtype=float) * np.asarray(g(t), dtype=float)
+
+
+class PowerArcWeight(FactoredArcWeight):
+    """Boundary weight scale * |1 - e^(i(t - t0))|^gamma: a `FactoredArcWeight` of one factor.
+
+    Integrals are taken against normalized Lebesgue measure dm = dt/(2*pi).
+    For gamma <= -1 an arc whose closure contains the singular angle has
+    infinite integral, and that infinity is returned as such.  Lebesgue
+    measure (gamma = 0) has no factor left and integrates in closed form.
+    """
+
+    def __init__(self, gamma, scale=1.0, angle=0.0):
+        if scale < 0:
+            raise DomainError("weight scale must be nonnegative")
+        self.gamma = float(gamma)
+        self.scale = float(scale)
+        self.angle = float(angle) % TWO_PI
+        self._factorize(None, ())
+
+    # bound here as well as inherited: perfbench's tracer tests look the
+    # method up in this class's own namespace
+    arc_integral = ArcWeight.arc_integral
+
+    @property
+    def factors(self):
+        """The one factor, the weight itself, in a new list: the weight never holds itself."""
+        return [self]
+
+    @property
+    def integrable(self):
+        return self.gamma > -1.0
+
+    def reciprocal(self):
+        return PowerArcWeight(-self.gamma, 1.0 / self.scale, self.angle)
+
+    def l2(self, fn):
+        """Total of the weight times |fn|^2 on the circle, cut toward fn's focus angles too."""
+        return FactoredArcWeight([self], lambda t: np.abs(fn.boundary_angles(t)) ** 2,
+                                 fn.focus_angles).total()
+
+    def weighted(self, boundary):
+        if not self.integrable:
+            raise WeightingError("cannot weight a non-integrable boundary density")
+        return super().weighted(boundary)
+
+    def scaled(self, t):
+        return PowerArcWeight(self.gamma, self.scale * t, self.angle)
+
+    def to_json(self):
+        return {"power": {"beta": -self.gamma, "scale": self.scale,
+                          "singularity_angle": self.angle}}
 
 
 class PiecewiseBoundaryWeight(ArcWeight):
@@ -642,33 +653,6 @@ class DiskAtoms:
     def to_json(self):
         return [[float(p.real), float(p.imag), float(w)]
                 for p, w in zip(self.points, self.weights)]
-
-
-class BoundaryAC:
-    """Absolutely continuous boundary part h dm, backed by an arc-weight object."""
-
-    def __init__(self, weight):
-        self.weight = as_arc_weight(weight)
-
-    def mass(self):
-        return self.weight.total()
-
-    def window_mass(self, start, length):
-        return self.weight.arc_integral(np.asarray(start) * TWO_PI, length)
-
-    arc_mass = window_mass
-
-    def l2(self, fn):
-        return self.weight.l2(fn)
-
-    def weighted(self, weight):
-        return BoundaryAC(self.weight.weighted(weight.boundary))
-
-    def scaled(self, t):
-        return BoundaryAC(self.weight.scaled(t))
-
-    def to_json(self):
-        return self.weight.to_json()
 
 
 class SingularAtoms:
@@ -889,7 +873,10 @@ class FunctionOnDisk:
 
 
 class DiskMeasure:
-    """Finite positive Borel measure on the closed disk, in component form."""
+    """Finite positive Borel measure on the closed disk, in component form.
+
+    The a.c. part `ac` is the boundary weight h of h dm, an `ArcWeight`, or None.
+    """
 
     def __init__(self, disk_atoms=None, ac=None, singular_atoms=None, radial=(), label=None):
         self.disk_atoms = disk_atoms or DiskAtoms([], [])
@@ -905,18 +892,18 @@ class DiskMeasure:
 
     @classmethod
     def lebesgue(cls, label="lebesgue"):
-        return cls(ac=BoundaryAC(PowerArcWeight(0.0, 1.0, 0.0)), label=label)
+        return cls(ac=PowerArcWeight(0.0, 1.0, 0.0), label=label)
 
     @classmethod
     def from_density_grid(cls, values, label=None):
-        return cls(ac=BoundaryAC(GridArcWeight(values)), label=label)
+        return cls(ac=GridArcWeight(values), label=label)
 
     @classmethod
     def boundary_power(cls, beta, scale=1.0, angle=0.0, label=None):
         """d mu = scale |1 - e^(i(t-angle))|^-beta dm; beta < 1 for finiteness."""
         if beta >= 1.0:
             raise DomainError(f"boundary exponent beta = {beta} >= 1 gives an infinite measure")
-        return cls(ac=BoundaryAC(PowerArcWeight(-beta, scale, angle)), label=label)
+        return cls(ac=PowerArcWeight(-beta, scale, angle), label=label)
 
     @classmethod
     def radial_power(cls, beta, scale=1.0, angle=0.0, r0=0.0, label=None):
@@ -961,10 +948,10 @@ class DiskMeasure:
         if self.ac is None:
             return np.zeros(n)
         with np.errstate(divide="ignore"):
-            return np.asarray(self.ac.weight.values(grid_angles(n)), dtype=float)
+            return np.asarray(self.ac.values(grid_angles(n)), dtype=float)
 
     def preferred_grid_size(self):
-        return self.ac.weight.grid_size if self.ac is not None else None
+        return self.ac.grid_size if self.ac is not None else None
 
     def carried_on_boundary(self):
         return (self.ac is not None and self.ac.mass() > 0) or self.singular_atoms.mass() > 0
@@ -991,7 +978,7 @@ class DiskMeasure:
         """Componentwise reweighting d(nu) = w d(mu)."""
         return DiskMeasure(
             disk_atoms=self.disk_atoms.weighted(weight),
-            ac=self.ac.weighted(weight) if self.ac is not None else None,
+            ac=self.ac.weighted(weight.boundary) if self.ac is not None else None,
             singular_atoms=self.singular_atoms.weighted(weight),
             radial=[r.weighted(weight) for r in self.radial],
             label=self.label,
@@ -1046,16 +1033,14 @@ class DiskMeasure:
         ac = None
         if ac_doc:
             if "grid" in ac_doc:
-                ac = BoundaryAC(GridArcWeight(np.asarray(ac_doc["grid"], dtype=float)))
+                ac = GridArcWeight(np.asarray(ac_doc["grid"], dtype=float))
             elif "power" in ac_doc:
                 p = ac_doc["power"]
                 beta = float(p["beta"])
                 if beta >= 1.0:
                     raise DomainError("boundary power beta >= 1 gives an infinite measure")
-                ac = BoundaryAC(
-                    PowerArcWeight(-beta, float(p.get("scale", 1.0)),
-                                   float(p.get("singularity_angle", 0.0)))
-                )
+                ac = PowerArcWeight(-beta, float(p.get("scale", 1.0)),
+                                    float(p.get("singularity_angle", 0.0)))
             else:
                 raise ConfigurationError(f"unknown ac_density form: {sorted(ac_doc)}")
         sing = doc.get("singular_atoms") or []

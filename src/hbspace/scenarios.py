@@ -22,7 +22,6 @@ from .errors import DomainError
 from .functions import BlaschkeProduct, PowerOuter, ProductFn, outer_from_log_modulus
 from .measures import (
     ArcWindow,
-    BoundaryAC,
     DiskMeasure,
     PairWeight,
     PiecewiseBoundaryWeight,
@@ -297,7 +296,7 @@ def _build_reverse_canonical(params):
     pair = sc.pair
     # (1 - |b|)^-1 = (1 + |b|) (1 - |b|^2)^-1: the exact reciprocal gap weight times a
     # bounded correction, so the singular cell masses stay finite and exact
-    base = DiskMeasure(ac=BoundaryAC(pair.gap2_weight.reciprocal()), label="reverse-canonical")
+    base = DiskMeasure(ac=pair.gap2_weight.reciprocal(), label="reverse-canonical")
     one_plus = PairWeight(
         boundary=lambda t: 1.0 + pair.b.boundary_modulus(t),
         point=lambda z: 1.0 + np.abs(np.asarray(pair.b.fn(z))),

@@ -721,18 +721,28 @@ def _partial_sum_verdict(coeffs):
 
 
 def _l1_gap_verdict(pair):
-    def evaluate(n):
-        t = grid_angles(n, offset=True)
-        gap = 1.0 - pair.b.boundary_modulus(t)
-        with np.errstate(divide="ignore"):
-            return float(np.mean(np.where(gap > 0, 1.0 / np.maximum(gap, 1e-300), np.inf)))
-
-    ladder = refine(evaluate, [2 ** k for k in range(10, 17)], RULES["gap-integral"])
+    ladder = gap_reciprocal_ladder(pair.b)
     if ladder.divergent():
         return "no"
     if ladder.stabilized():
         return "yes"
     return UNDETERMINED
+
+
+def gap_reciprocal_ladder(b, mask_zb=False):
+    """Means of (1 - |b|)^-1 on the offset grids 2^10..2^16, through `b.gap_log`.
+
+    With `mask_zb` the mean is taken over {|b| < 1} only.
+    """
+    def evaluate(n):
+        logs = b.gap_log(grid_angles(n, offset=True))
+        with np.errstate(over="ignore"):
+            vals = np.exp(-logs)
+        if mask_zb:
+            vals = np.where(logs > -np.inf, vals, 0.0)
+        return float(np.mean(vals))
+
+    return refine(evaluate, [2 ** k for k in range(10, 17)], RULES["gap-integral"])
 
 
 def monomial_norm(n, pair, cross_check=True):
@@ -798,13 +808,25 @@ def clark_density(pair, alpha, size=2 ** 12, rng=None):
 
 def random_unimodular_alpha(pair, seed=0, size=2 ** 12, margin=1e-6, tries=64):
     """Scan pseudo-random unimodular alphas until the resonance guard passes."""
+    return _unimodular_alpha(pair, seed, size, margin, tries)
+
+
+def _unimodular_alpha(pair, seed, size, margin=1e-6, tries=64, excluded=()):
+    """The first of `tries` seeded draws alpha = e^(2 pi i u) that passes the guards.
+
+    The resonance guard asks |1 - conj(alpha) b| > margin on the size-point
+    grid; a draw within 1e-3 of an `excluded` value is skipped.
+    """
     rng = np.random.default_rng(seed)
     bvals = pair.b_boundary(size)
+    excluded = np.asarray(excluded)
     for _ in range(tries):
         alpha = np.exp(2j * np.pi * rng.uniform())
+        if excluded.size and np.min(np.abs(alpha - excluded)) < 1e-3:
+            continue
         if float(np.min(np.abs(1.0 - np.conj(alpha) * bvals))) > margin:
             return complex(alpha)
-    raise AlphaResonanceError(f"no alpha passed the resonance guard in {tries} draws")
+    raise AlphaResonanceError(f"no alpha passed the guards in {tries} draws")
 
 
 @dataclass
@@ -860,7 +882,7 @@ def rational_falpha_decompose(pair, alpha=None, seed=0, size=2 ** 12):
         np.asarray(pair.b.fn(np.array(boundary))) if boundary else np.array([])
     )
     if alpha is None:
-        alpha = _falpha_alpha_scan(pair, bvals_at_bz, seed=seed, size=size)
+        alpha = _unimodular_alpha(pair, seed, size, excluded=bvals_at_bz)
     else:
         alpha = complex(alpha)
         alpha /= abs(alpha)
@@ -915,18 +937,6 @@ def _classify_circle_roots(roots, snap_tol=1e-9, band=1e-6):
             "root moduli too close to the circle to classify", moduli=ambiguous
         )
     return boundary, outside
-
-
-def _falpha_alpha_scan(pair, excluded_values, seed=0, size=2 ** 12, tries=64):
-    rng = np.random.default_rng(seed)
-    bvals = pair.b_boundary(size)
-    for _ in range(tries):
-        alpha = np.exp(2j * np.pi * rng.uniform())
-        if excluded_values.size and np.min(np.abs(alpha - excluded_values)) < 1e-3:
-            continue
-        if float(np.min(np.abs(1.0 - np.conj(alpha) * bvals))) > 1e-6:
-            return complex(alpha)
-    raise AlphaResonanceError(f"no alpha passed the guards in {tries} draws")
 
 
 def _closed_disk_grid(size):

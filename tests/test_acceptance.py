@@ -31,7 +31,6 @@ from hbspace.functions import (
 )
 from hbspace.measures import (
     ArcWindow,
-    BoundaryAC,
     DiskMeasure,
     FunctionOnDisk,
     PairWeight,
@@ -166,7 +165,7 @@ def test_criterion_06_reverse_equivalence(alpha_pair):
     """All three reverse conditions pass for (1-|b|^2)^-1 dm; a killed quarter
     arc zeroes the essential infimum and produces a kernel witness above 10."""
     c = 2.0 ** -0.25
-    mu = DiskMeasure(ac=BoundaryAC(PowerArcWeight(-0.5, c**-2, 0.0)), label="inv-gap")
+    mu = DiskMeasure(ac=PowerArcWeight(-0.5, c**-2, 0.0), label="inv-gap")
     rep = reverse_carleson_verdict(alpha_pair, mu, depth=12, kernel_depth=10)
     ess = rep.conditions["MainThm.4"].value
     inf = rep.constants["reverse_window_inf"]

@@ -28,7 +28,6 @@ from hbspace.functions import GridOuter, PowerOuter, polynomial_fn
 from hbspace.measures import (
     ArcWeight,
     ArcWindow,
-    BoundaryAC,
     DiskAtoms,
     DiskMeasure,
     GridArcWeight,
@@ -55,7 +54,7 @@ def alpha_pair():
 def inv_gap_measure():
     # d(mu) = (1 - |b|^2)^-1 dm for the alpha pair, as an exact power density
     c = 2.0 ** -0.25
-    return DiskMeasure(ac=BoundaryAC(PowerArcWeight(-0.5, c**-2, 0.0)), label="inv-gap")
+    return DiskMeasure(ac=PowerArcWeight(-0.5, c**-2, 0.0), label="inv-gap")
 
 
 class TestReverseInfScan:
@@ -232,7 +231,7 @@ class TestWitnesses:
     def mixed(self):
         return DiskMeasure(
             disk_atoms=DiskAtoms([0.6 * np.exp(2.5j), 0.3j], [0.7, 0.4]),
-            ac=BoundaryAC(PowerArcWeight(-0.5, 1.2, 1.0)),
+            ac=PowerArcWeight(-0.5, 1.2, 1.0),
             singular_atoms=SingularAtoms([4.0], [0.3]),
             radial=[RadialPower(5.0, 0.5, 0.4)],
         )
@@ -329,12 +328,12 @@ class TestKernelRatios:
     @pytest.mark.parametrize("density", ["grid-8192", "grid-1000", "mixed-power"])
     def test_fft_route_matches_the_plain_grid_sum(self, half_sum, density, variant):
         if density == "mixed-power":
-            weight = DiskMeasure.from_json(self.MIXED).ac.weight
+            weight = DiskMeasure.from_json(self.MIXED).ac
         else:
             size = int(density.split("-")[1])
             weight = GridArcWeight(np.random.default_rng(size).uniform(0.1, 2.0, size))
         h = weight.grid_density()
-        mu = DiskMeasure(ac=BoundaryAC(weight))
+        mu = DiskMeasure(ac=weight)
         offsets = set()
         for j, lams in log_radial_points(12):
             offsets |= set(np.round((np.angle(lams) / (2 * np.pi) * h.size + 1e-9) % 1.0, 6))
@@ -376,7 +375,7 @@ class TestKernelRatios:
         # it (where a difference of two primitives used to lose 1e-7) and elsewhere
         mu = DiskMeasure.from_json(self.MIXED)
         n = 2 ** 16
-        h = mu.ac.weight.grid_density(n)
+        h = mu.ac.grid_density(n)
         mpmath.mp.dps = 30
         t0 = mpmath.mpf(1.0) / (2 * mpmath.pi)  # in turns
         near = round(1.0 / (2 * np.pi) * n)
@@ -394,11 +393,11 @@ class TestKernelRatios:
         # every stride of the 64 level-12 probes down to a single one; on the 1000-point
         # grid the probes of one sub-grid offset share little or no stride
         if density == "mixed-power":
-            weight = DiskMeasure.from_json(self.MIXED).ac.weight
+            weight = DiskMeasure.from_json(self.MIXED).ac
         else:
             weight = GridArcWeight(np.random.default_rng(1000).uniform(0.1, 2.0, 1000))
         h = weight.grid_density()
-        mu = DiskMeasure(ac=BoundaryAC(weight))
+        mu = DiskMeasure(ac=weight)
         lams = log_radial_points(12)[-1][1]
         for stride in range(1, 65):
             for sub in (lams[::stride], lams[stride - 1 :: stride]):

@@ -16,7 +16,6 @@ from hbspace.errors import (
 )
 from hbspace.measures import (
     ArcWindow,
-    BoundaryAC,
     DiskMeasure,
     FactoredArcWeight,
     FunctionOnDisk,
@@ -140,10 +139,50 @@ class TestPowerArcWeight:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("gamma", [0.5, -0.5, 1.5, -1.5, 2.5])
+    @pytest.mark.parametrize("scale, angle", [(1.0, 0.0), (1.25, 2.0)])
+    def test_cells_are_those_of_the_one_factor_product(self, gamma, scale, angle):
+        # a power weight is a one-factor product whose cofactor 1 is never evaluated:
+        # multiplying by 1.0 is exact, so every level-12 cell keeps its bits
+        calls = []
+
+        def ones(t):
+            calls.append(np.size(t))
+            return np.ones_like(t)
+
+        power = PowerArcWeight(gamma, scale, angle)
+        product = FactoredArcWeight([PowerArcWeight(gamma, scale, angle)], ones)
+        assert power.cofactor is None and power.factors == [power]
+        assert np.array_equal(power.cell_integrals(12), product.cell_integrals(12))
+        assert calls
+        t = np.linspace(0.0, TWO_PI, 1001)
+        assert np.array_equal(power.values(t), product.values(t))
+        if power.integrable:
+            other = PowerArcWeight(1.0, 2.0, 3.0)
+            assert np.array_equal(power.weighted(other).cell_integrals(12),
+                                  product.weighted(other).cell_integrals(12))
+
+    def test_weighted_reciprocal_and_factors_leave_no_garbage(self):
+        # the one factor of a power weight is the weight itself, handed out in a new list
+        gc.collect()
+        gc.disable()
+        try:
+            for gamma in (0.5, -0.5, -1.5, 0.0):
+                w = PowerArcWeight(gamma, 2.0, 1.0)
+                assert w.factors == [w]
+                w.reciprocal().arc_integral(np.array([1e-5, 0.1, 2.0]), 0.01)
+                if w.integrable:
+                    w.weighted(PowerArcWeight(1.0)).arc_integral(np.array([0.1, 2.0]), 0.01)
+                    w.weighted(lambda t: 1.0 + 0.5 * np.cos(t)).arc_integral(np.array([0.1]), 0.01)
+                del w
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestLebesgueCells:
     def test_grid_density_is_exactly_one(self):
-        weight = DiskMeasure.lebesgue().ac.weight
+        weight = DiskMeasure.lebesgue().ac
         density = weight.grid_density()
         assert density.size == 2 ** 16
         assert np.all(density == 1.0)
@@ -345,8 +384,8 @@ class TestCellPyramid:
         shift = TWO_PI * k / TURN
         x = np.asarray(starts, dtype=float) / 2 ** LEVEL
         length = 2.0 ** -level
-        before = BoundaryAC(make(0.0)).window_mass(x, length)
-        after = BoundaryAC(make(shift)).window_mass((x + k / TURN) % 1.0, length)
+        before = make(0.0).window_mass(x, length)
+        after = make(shift).window_mass((x + k / TURN) % 1.0, length)
         same_masses(after, before)
 
     def test_depth_14_scan_family_of_the_gap_weighted_half_sum(self):
@@ -474,7 +513,7 @@ class TestCellRule:
         # |a|^2 = 1 - |b|^2 for b = 0.008/(1 - 0.99 z), whose pole lies 0.01 outside the circle
         pair = pythagorean_mate(SymbolB.rational([0.008], [1.0, -0.99]))
         make = lambda: DiskMeasure.lebesgue().weighted(
-            PairWeight(boundary=pair.gap2_fn, point=None)).ac.weight
+            PairWeight(boundary=pair.gap2_fn, point=None)).ac
         assert isinstance(make(), FactoredArcWeight)
         density = lambda t: 1 - mpmath.mpf(0.008) ** 2 / abs(1 - mpmath.mpf(0.99) * mpmath.expj(t)) ** 2
         errors = self._errors(make, density, 0.0, [])
@@ -682,7 +721,7 @@ class TestPiecewiseWeight:
         FactoredArcWeight([PowerArcWeight(2.0, 1.0, 1.0)], lambda t: np.ones_like(t)),
     ], ids=["piecewise", "factored"])
     def test_operations_without_a_rule_raise_hb_errors(self, weight, operation, error):
-        mu = DiskMeasure(ac=BoundaryAC(weight))
+        mu = DiskMeasure(ac=weight)
         if isinstance(weight, FactoredArcWeight) and error is WeightingError:
             # a factored weight has a rule for weighting: it multiplies its cofactor
             assert operation(mu).total_mass() == pytest.approx(2.0 * mu.total_mass(), rel=1e-14)
@@ -695,7 +734,7 @@ class TestPiecewiseWeight:
 class TestSerialization:
     def test_measure_round_trip(self):
         mu = DiskMeasure(
-            ac=BoundaryAC(PowerArcWeight(-0.5, 2.0, 1.0)),
+            ac=PowerArcWeight(-0.5, 2.0, 1.0),
             radial=[RadialPower(0.0, 0.5, 1.5)],
         ).plus(DiskMeasure.point_mass(0.3 + 0.1j, 2.0)).plus(
             DiskMeasure.point_mass(np.exp(1j), 0.7)

@@ -24,6 +24,7 @@ from hbspace.space import (
     monomial_norm,
     pair_from_outer_a,
     pythagorean_mate,
+    random_unimodular_alpha,
     rational_falpha_decompose,
     taylor_b_over_a,
 )
@@ -362,6 +363,37 @@ class TestFAlphaDecomposition:
         # b(1) = 1 sits in the excluded set
         with pytest.raises(AlphaResonanceError):
             rational_falpha_decompose(half_sum, alpha=1.0)
+
+
+class TestUnimodularAlpha:
+    """`random_unimodular_alpha` and the F_alpha split draw alphas by one seeded loop."""
+
+    # first draws for seeds 0..9 on the half-sum mate; every one passes the 1e-6 guard
+    FIRST = [-0.6520162635843662 - 0.7582049802141122j,
+             -0.9972426976221218 - 0.07420917759518231j,
+             -0.0728964757119928 + 0.9973395128183636j,
+             0.8586585755304812 + 0.5125479984040178j,
+             0.9366733995096276 - 0.3502041442517173j,
+             0.33875520457621455 - 0.9408745460328529j,
+             -0.9713869940323033 - 0.23750222698931892j,
+             -0.7066825070539889 - 0.7075308009011967j,
+             -0.46499687149511487 + 0.8853123231378606j,
+             0.6856876815361844 - 0.7278958740022724j]
+    # margin 0.5 keeps only |alpha - 1/2| > 1, so seeds 3, 4, 5 and 9 take later draws
+    WIDE = FIRST[:3] + [0.08277720600833575 + 0.9965680780385521j,
+                        -0.9974682629676828 - 0.07111303939667908j,
+                        -0.995367377629595 - 0.09614459709616079j] + FIRST[6:9] + [
+                        -0.2292716624036455 + 0.9733624735003239j]
+
+    def test_draws_are_pinned_for_seeds_0_to_9(self, half_sum):
+        assert [random_unimodular_alpha(half_sum, seed=s) for s in range(10)] == self.FIRST
+        assert [rational_falpha_decompose(half_sum, seed=s).alpha for s in range(10)] == self.FIRST
+        assert [random_unimodular_alpha(half_sum, seed=s, margin=0.5)
+                for s in range(10)] == self.WIDE
+
+    def test_no_passing_draw_raises(self, half_sum):
+        with pytest.raises(AlphaResonanceError):
+            random_unimodular_alpha(half_sum, seed=3, margin=0.5, tries=1)
 
 
 class TestHbInner:
