@@ -329,77 +329,35 @@ def two_weight_necessary(h, w, depth=DEFAULT_DEPTH, collect_table=False):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EssInfResult:
-    value: float
-    minimum: float
-    resolutions: tuple
-    min_resolutions: tuple
-    dropped: int = 0
+def _ess_inf_scan(ac, last):
+    """The least cell average 2^level * ac.cell_integrals(level) at levels 1..last, in inf mode.
 
-    def verdict(self):
-        """Three-valued essential-positivity verdict.
-
-        The 1st percentile is robust to isolated artifacts but blind to a
-        density vanishing continuously at a point, so the grid minimum and
-        its refinement trend carry the fail side: an (effectively) zero
-        minimum, or a minimum shrinking by more than half under grid
-        doubling, means the infimum is genuinely zero.
-        """
-        if self.value <= 0.0 or self.minimum < 1e-30:
-            return FAIL
-        lo, hi = self.min_resolutions
-        if lo > 0 and hi / lo <= 0.45:
-            return FAIL
-        p_lo, p_hi = self.resolutions
-        stable_pct = abs(p_hi - p_lo) <= 0.1 * max(p_hi, 1e-300)
-        stable_min = lo > 0 and hi >= 0.8 * lo
-        if stable_pct and stable_min:
-            return PASS
-        return UNDETERMINED
-
-    def to_json(self):
-        return {
-            "value": _jsonable(self.value),
-            "minimum": _jsonable(self.minimum),
-            "resolutions": _jsonable(self.resolutions),
-            "min_resolutions": _jsonable(self.min_resolutions),
-            "dropped_indeterminate_points": self.dropped,
-        }
+    A parent cell's average is the mean of its children's, so the level
+    minima never rise: they tend to the essential infimum of the density,
+    and a density vanishing anywhere makes them decay, which the 'scan'
+    rule reads as fail.  Without an a.c. part (`ac` None) every average is 0.
+    The witness is the cell of the cumulative minimum.
+    """
+    scan = LevelScan(rule=RULES["scan"], mode="inf")
+    if ac is not None:
+        ac.cell_integrals(last)  # the finest level first, so that one pyramid holds them all
+    for level in range(1, last + 1):
+        n = 2 ** level
+        averages = np.zeros(n) if ac is None else n * ac.cell_integrals(level)
+        scan.add_level(n, averages, lambda i, v: {
+            "level": level, "start": i / n, "length": 1.0 / n, "value": v})
+    return scan
 
 
 def ess_inf_weighted(pair, measure, size=None):
-    """Essential infimum of (1 - |b|^2) h, as the 1st percentile of grid values.
+    """Essential infimum of (1 - |b|^2) h, as the least cell average over dyadic levels.
 
-    (1 - |b|^2) is evaluated as |a|^2 through the mate, and h comes from the
-    measure's a.c. part (exact for closed-form densities).  Isolated grid
-    points where the product is 0 * inf are a null set and are dropped with a
-    count in the result.  The plain minimum rides along at two resolutions.
+    (1 - |b|^2) is the pair's gap weight |a|^2, which weights the measure's
+    a.c. part h; the levels run up to log2(size), 14 by default.  An a.c.
+    part that cannot be weighted, a piecewise weight say, raises WeightingError.
     """
-    n = size or measure.preferred_grid_size() or 2 ** 14
-    vals, dropped = _weighted_gap_values(pair, measure, n)
-    half, _ = _weighted_gap_values(pair, measure, n // 2)
-    pct = float(np.percentile(vals, 1.0, method="lower")) if vals.size else 0.0
-    pct_half = float(np.percentile(half, 1.0, method="lower")) if half.size else 0.0
-    return EssInfResult(
-        value=pct,
-        minimum=float(np.min(vals)) if vals.size else 0.0,
-        resolutions=(pct_half, pct),
-        min_resolutions=(
-            float(np.min(half)) if half.size else 0.0,
-            float(np.min(vals)) if vals.size else 0.0,
-        ),
-        dropped=int(dropped),
-    )
-
-
-def _weighted_gap_values(pair, measure, n):
-    gap2 = pair.gap2_grid(n)
-    h = measure.ac_grid(n)
-    with np.errstate(invalid="ignore"):
-        prod = gap2 * h
-    bad = np.isnan(prod)
-    return prod[~bad], int(np.sum(bad))
+    ac = None if measure.ac is None else measure.ac.weighted(pair.gap2_weight)
+    return _ess_inf_scan(ac, int(np.log2(size or 2 ** 14)))
 
 
 # ---------------------------------------------------------------------------
@@ -520,19 +478,17 @@ def _kernel_mu_norms_squared(pair, measure, lams, variant, beta=None):
     """||k_lam||^2 in L2(mu) for every lam of one probe level.
 
     `beta` holds b at the lams; without it, b is evaluated there.  The
-    finite boundary a.c. part takes the grid sum of its density through FFT
-    convolutions; atoms, radial parts and an infinite a.c. part take their
-    own l2 rule at each lam.
+    boundary a.c. part takes the grid sum of its density through FFT
+    convolutions; atoms and radial parts take their own l2 rule at each lam.
     """
     lams = np.asarray(lams, dtype=complex)
     if beta is None:
         beta = np.asarray(pair.b.fn(lams), dtype=complex)
     out = np.zeros(lams.size)
-    grid_part = measure.ac if measure.ac is not None and measure.ac.mass() < np.inf else None
-    if grid_part is not None:
-        out += _grid_kernel_norms_squared(pair, grid_part, lams, beta, variant)
+    if measure.ac is not None:
+        out += _grid_kernel_norms_squared(pair, measure.ac, lams, beta, variant)
     for comp in measure.components():
-        if comp is not grid_part and comp.mass() > 0:
+        if comp is not measure.ac and comp.mass() > 0:
             for i, lam in enumerate(lams):
                 out[i] += comp.l2(_kernel_adapter(pair, lam, beta[i], variant))
     return out
@@ -726,7 +682,8 @@ def symbol_reverse_feasibility(b, extremeness):
 def reverse_carleson_verdict(pair, measure, depth=DEFAULT_DEPTH, kernel_depth=12, size=None):
     """Decide whether mu is a reverse Carleson measure for the space of b.
 
-    The primary criterion is the essential infimum of (1 - |b|^2) h; the
+    The primary criterion is the essential infimum of (1 - |b|^2) h, read
+    from cell averages up to level log2(size), `depth` by default; the
     window infimum of (1 - |b|^2) d(mu) and the kernel-ratio test provide
     the cross-checks; determinate disagreement downgrades the verdict to
     undetermined with a diagnostics flag.
@@ -745,20 +702,16 @@ def reverse_carleson_verdict(pair, measure, depth=DEFAULT_DEPTH, kernel_depth=12
         verdict=sarason, evidence=feasibility
     )
 
-    ess = ess_inf_weighted(pair, measure, size=size)
-    v4 = ess.verdict()
-    conditions["MainThm.4"] = ConditionResult(
-        verdict=v4,
-        # a failed verdict means the essential infimum is genuinely zero even
-        # when the robust percentile is not; the percentile stays in evidence
-        value=0.0 if v4 == FAIL else ess.value,
-        resolutions=ess.resolutions,
-        evidence=ess.to_json(),
-    )
-
     nu = measure.weighted(
         _gap_weight(pair, pair.b.fn, lambda z: 1.0 - np.abs(np.asarray(pair.b.fn(z))) ** 2))
     inf_scan = reverse_inf_scan(nu, depth=depth)
+    # nu.ac is (1 - |b|^2) h, and its cells come from the pyramid the scan built
+    ess = _ess_inf_scan(nu.ac, int(np.log2(size)) if size else depth)
+    v4 = ess.verdict()
+    conditions["MainThm.4"] = _condition(v4, ess, per_level=ess.per_level)
+    if v4 == FAIL:
+        # decaying cell minima mean the essential infimum is zero, whatever the last one
+        conditions["MainThm.4"].value = 0.0
     conditions["MainThm.3"] = _condition(inf_scan.verdict_positive_inf(), inf_scan,
                                          per_level=inf_scan.per_level)
 

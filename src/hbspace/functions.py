@@ -377,15 +377,7 @@ class GridOuter(AnalyticFunction):
         if np.any(values <= 0) or not np.all(np.isfinite(values)):
             raise DomainError("log-modulus data must be strictly positive and finite")
         n = values.size
-        logs = np.log(values)
-        spec = np.fft.fft(logs) / n
-        lam = spec[: n // 2]
-        diag = {"sampling": "grid", "size_pair": (n // 2, n)}
-        # subsampled comparison stands in for true refinement on raw grid input
-        if n >= 16:
-            coarse = np.fft.fft(logs[::2]) / (n // 2)
-            diag["mean_log_pair"] = (float(coarse[0].real), float(lam[0].real))
-        return cls(lam)
+        return cls(np.fft.fft(np.log(values))[: n // 2] / n)
 
     @staticmethod
     def _log_series_from_callable(w, n):

@@ -179,7 +179,6 @@ class ArcWeight:
     _MIN_LEVEL = 10
     _CHUNK = 2 ** 10  # segments per segment_integrals call, bounding quadrature temporaries
     _pyramid = None  # node integrals against dm, one array per level, coarsest first
-    grid_size = None  # the size of a grid weight's sample grid
 
     def __call__(self, t):
         """The density at the angles t, so that a weight serves as a boundary function."""
@@ -310,10 +309,6 @@ class GridArcWeight(ArcWeight):
         if np.any(self.grid <= 0):
             raise DomainError("weight vanishes on the grid; reciprocal undefined")
         return GridArcWeight(1.0 / self.grid)
-
-    @property
-    def grid_size(self):
-        return self.grid.size
 
     def l2(self, fn):
         return float(np.mean(self.grid * np.abs(fn.boundary_grid(self.grid.size)) ** 2))
@@ -949,9 +944,6 @@ class DiskMeasure:
             return np.zeros(n)
         with np.errstate(divide="ignore"):
             return np.asarray(self.ac.values(grid_angles(n)), dtype=float)
-
-    def preferred_grid_size(self):
-        return self.ac.grid_size if self.ac is not None else None
 
     def carried_on_boundary(self):
         return (self.ac is not None and self.ac.mass() > 0) or self.singular_atoms.mass() > 0

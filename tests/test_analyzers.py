@@ -1,7 +1,9 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hbspace import analyzers
 from hbspace.analyzers import (
     _gap_weight,
     _kernel_mu_norms_squared,
@@ -23,6 +25,7 @@ from hbspace.analyzers import (
     two_weight_necessary,
 )
 from hbspace.circle import grid_angles
+from hbspace.cli import _report_exit
 from hbspace.errors import DegenerateMeasureError, UnsupportedError
 from hbspace.functions import GridOuter, PowerOuter, polynomial_fn
 from hbspace.measures import (
@@ -120,10 +123,32 @@ class TestEssInf:
 
     def test_vanishing_gap_detected_through_min_trend(self, half_sum):
         # (1 - |b|^2) h with h = 1 vanishes continuously at one boundary point:
-        # the percentile is positive but the minimum trend exposes ess inf = 0
+        # every cell average is positive, but their minima decay, so ess inf = 0
         res = ess_inf_weighted(half_sum, DiskMeasure.lebesgue())
         assert res.value > 0
         assert res.verdict() == "fail"
+
+    @pytest.mark.parametrize("t0", [0.0, 1.0])
+    def test_weak_zero_is_undetermined_on_and_off_the_lattice(self, t0):
+        # h = |1 - e^(i(t - t0))|^0.2 vanishes, but its cell minima shrink only
+        # by 2^-0.2 a level: neither stable nor decaying by the scan rule, at a
+        # lattice angle or off it
+        pair = pythagorean_mate(SymbolB.rational([0.0, 0.5]))
+        res = ess_inf_weighted(pair, DiskMeasure.boundary_power(-0.2, 1.0, t0))
+        assert res.verdict() == "undetermined"
+
+    @settings(max_examples=25, deadline=None)
+    @given(beta=st.floats(-2.0, 0.9), angle=st.floats(0.0, 2 * np.pi),
+           rotation=st.floats(0.0, 2 * np.pi))
+    def test_level_minima_never_rise_and_witness_is_a_cell_average(self, beta, angle, rotation):
+        pair = pythagorean_mate(SymbolB.rational([0.5, 0.5 * np.exp(-1j * rotation)]))
+        measure = DiskMeasure.boundary_power(beta, 1.0, angle)
+        res = ess_inf_weighted(pair, measure, size=2 ** 8)
+        assert all(b <= a for a, b in zip(res.per_level, res.per_level[1:]))
+        w = res.witness
+        ac = measure.ac.weighted(pair.gap2_weight)
+        assert ac.arc_integral(w["start"] * 2 * np.pi, w["length"]) / w["length"] == pytest.approx(
+            w["value"], rel=1e-12)
 
 
 class TestA2Check:
@@ -505,6 +530,46 @@ class TestReverseVerdict:
         scan = kernel_ratio_scan(alpha_pair, inv_gap_measure, depth=10)
         assert np.isfinite(scan.max_ratio)
         assert scan.stabilized()
+
+    @pytest.mark.parametrize("t0", [0.0, 1.0])
+    def test_vanishing_density_fails_wherever_its_zero_sits(self, t0):
+        # h = |1 - e^(i(t - t0))|^2 vanishes at t0 and (1 - |b|^2) = 3/4: every
+        # condition fails, whether the zero sits on a grid point or off it
+        pair = pythagorean_mate(SymbolB.rational([0.0, 0.5]))
+        rep = reverse_carleson_verdict(pair, DiskMeasure.boundary_power(-2.0, 1.0, t0),
+                                       depth=10, kernel_depth=8)
+        assert rep.conditions["MainThm.4"].verdict == "fail"
+        assert rep.overall == "not-reverse-carleson"
+        assert _report_exit(rep)[0] == 0
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0, 2.0, 4.0])
+    def test_rotated_half_sum_fails_essential_infimum_at_every_angle(self, theta):
+        pair = pythagorean_mate(SymbolB.rational([0.5, 0.5 * np.exp(-1j * theta)]))
+        rep = reverse_carleson_verdict(pair, DiskMeasure.lebesgue(), depth=10, kernel_depth=8)
+        assert rep.conditions["MainThm.4"].verdict == "fail"
+        assert "equivalence_violation" not in rep.diagnostics
+
+    def test_essential_infimum_builds_no_pyramid(self, alpha_pair, inv_gap_measure, monkeypatch):
+        # it reads the cells of (1 - |b|^2) h from the pyramid that the window
+        # scan of the same weight has built
+        scans, built = [], []
+        levels, ess_scan = ArcWeight._levels, analyzers._ess_inf_scan
+
+        def counting(self, level):
+            if self._pyramid is None or len(self._pyramid) <= level:
+                built.append(level)
+            return levels(self, level)
+
+        def scan(ac, last):
+            before = len(built)
+            result = ess_scan(ac, last)
+            scans.append((last, built[before:]))
+            return result
+
+        monkeypatch.setattr(ArcWeight, "_levels", counting)
+        monkeypatch.setattr(analyzers, "_ess_inf_scan", scan)
+        reverse_carleson_verdict(alpha_pair, inv_gap_measure, depth=10, kernel_depth=6)
+        assert scans == [(10, [])]
 
     def test_scale_equivariance_of_verdict(self, alpha_pair, inv_gap_measure):
         rep1 = reverse_carleson_verdict(alpha_pair, inv_gap_measure, depth=8,
