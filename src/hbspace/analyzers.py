@@ -588,7 +588,7 @@ def kernel_ratio_scan(pair, measure, depth=12, variant="hb", angle_cap=64):
     against the level sizes 2^j.
     """
     pair.require_nonextreme("kernel ratio scans")
-    if measure.total_mass() <= 0:
+    if not measure.charges():
         raise DegenerateMeasureError("measure has zero total mass")
     scan = KernelRatioResult(rule=RULES["kernel"], variant=variant)
     for j, lams in log_radial_points(depth, angle_cap):

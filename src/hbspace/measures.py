@@ -28,12 +28,10 @@ from .errors import AdmissibilityError, ConfigurationError, DomainError, Weighti
 
 TWO_PI = 2.0 * np.pi
 
-#: Gauss-Legendre rules as (nodes, weights): 48 nodes for whole rays and cells coarser than
-#: _CELL_WIDTH, 16 nodes for any segment of at most _CELL_WIDTH turn and for cut smoothstep joins
-_GL48 = np.polynomial.legendre.leggauss(48)
-_GL16 = np.polynomial.legendre.leggauss(16)
-#: longest segment (turns) that the 16-node rule integrates; see ArcWeight
-_CELL_WIDTH = 2.0 ** -12
+#: Gauss-Legendre rules as (nodes, weights), by node count: 48 nodes for whole rays and for
+#: segments longer than 2^-12 turn, 16 up to that, for pieces cut toward a singularity and for
+#: cut smoothstep joins, 8 for uncut segments of at most 2^-15 turn; see ArcWeight
+_GL = {n: np.polynomial.legendre.leggauss(n) for n in (8, 16, 48)}
 
 #: normalized distance within which an arc end or a singular angle counts as a lattice point
 _SNAP = 1e-15
@@ -41,7 +39,7 @@ _SNAP = 1e-15
 _MAX_LEVEL = 18
 
 
-def _gl_integrate(fn, lo, hi, rule=_GL48):
+def _gl_integrate(fn, lo, hi, rule=_GL[48]):
     """Gauss-Legendre with the given rule on [lo, hi] (vectorized endpoints allowed)."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -101,14 +99,57 @@ def _on_arc(x, start, length):
     return (x - start) % 1.0 < length
 
 
-def _lattice_level(x):
-    """Coarsest level whose lattice k / 2^level holds every normalized point, or None."""
+def _lattice_levels(x):
+    """Per normalized point, the coarsest level whose lattice k / 2^level holds it.
+
+    A point off every lattice up to _MAX_LEVEL gets _MAX_LEVEL + 1.
+    """
     pos = x * 2.0 ** _MAX_LEVEL
     idx = np.rint(pos)
-    if np.any(np.abs(pos - idx) > _SNAP * 2.0 ** _MAX_LEVEL):
-        return None
-    bits = int(np.bitwise_or.reduce(idx.astype(np.int64))) | (1 << _MAX_LEVEL)
-    return _MAX_LEVEL - ((bits & -bits).bit_length() - 1)
+    bits = idx.astype(np.int64) | (1 << _MAX_LEVEL)
+    level = _MAX_LEVEL - np.log2(bits & -bits).astype(int)  # less the trailing zero bits
+    return np.where(np.abs(pos - idx) > _SNAP * 2.0 ** _MAX_LEVEL, _MAX_LEVEL + 1, level)
+
+
+def _family(x, length):
+    """The scan-family level k of arcs of this length from the starts x (turns), and their indices.
+
+    An arc of 2^-k turn whose start lies on the level-(k + 1) lattice covers the
+    pair of level-(k + 1) nodes (j, j + 1); so does the arc that a complement of
+    1 - 2^-k turn (k >= 2) leaves out.  Returns (k, complement, j), with j -1
+    for an arc off that lattice, or None for a length of neither kind.
+    """
+    for ell, complement in ((length, False), (1.0 - length, True)):
+        mantissa, exponent = np.frexp(ell)
+        k = 1 - int(exponent)
+        if mantissa == 0.5 and k < _MAX_LEVEL and (k >= 2 or not complement):
+            n = 2 ** (k + 1)
+            pos = x * n
+            idx = np.rint(pos)
+            # the arc a complement leaves out ends where the complement starts
+            j = (idx.astype(np.int64) - (2 if complement else 0)) % n
+            return k, complement, np.where(np.abs(pos - idx) <= _SNAP * n, j, -1)
+    return None
+
+
+def _pair_complements(levels, m):
+    """Integrals over the complements of the pairs of adjacent level-m nodes (j, j + 1), m >= 1.
+
+    A pair from an even j is one level-(m - 1) node, whose complement is one
+    sibling per ancestor level; one from an odd j has two flanking nodes, and
+    its parents form the pair from (j - 1) / 2 a level up.  The nodes are
+    summed level by level and no difference is taken, so a complement is
+    infinite only when it holds an infinite node.
+    """
+    single, pair = levels[1][::-1].copy(), np.zeros(2)  # at level 1 a pair is the whole circle
+    for nodes in levels[2 : m + 1]:
+        left, right = nodes[0::2], nodes[1::2]
+        up_single, up_pair = single, pair
+        single, pair = np.empty(nodes.size), np.empty(nodes.size)
+        single[0::2], single[1::2] = right + up_single, left + up_single
+        pair[0::2] = up_single
+        pair[1::2] = left + np.append(right[1:], right[0]) + up_pair  # nodes j - 1, j + 2, parents
+    return pair
 
 
 def _turn(angle):
@@ -145,44 +186,56 @@ def _tree_sums(levels, lo, hi):
 class ArcWeight:
     """Boundary weight whose arc integrals are sums over a dyadic cell pyramid.
 
-    A subclass gives `segment_integrals(lo, hi, rule)`, its integrals against
-    dm over segments [lo, hi] of turns, 0 <= lo <= hi <= 1, that stay farther
+    A subclass gives `segment_integrals(lo, hi)`, its integrals against dm
+    over segments [lo, hi] of turns, 0 <= lo <= hi <= 1, that stay farther
     than `_EPS` radians from its poles, and `poles`, the angles where it is
     not integrable.  The 2^m cells of the lattice k / 2^m are integrated
     once, when first needed, and summed pairwise into a pyramid; `_pyramid`
     holds the finest one built.
     Every segment that reaches `segment_integrals` lies inside one cell of a
-    pyramid, so the Gauss-Legendre `rule` is sized from the longest segment
-    of the call: 16 nodes up to `_CELL_WIDTH` = 2^-12 turn, 48 above.  For
-    an integrand analytic within distance d of a segment of half-width w,
-    the n-node error is O(rho^-2n), rho = x + sqrt(x^2 + 1), x = d / w
+    pyramid, so a Gauss-Legendre rule is sized from each segment: 48 nodes
+    above 2^-12 turn, 16 up to that and 8 up to 2^-15 turn.  For an
+    integrand analytic within distance d of a segment of half-width w, the
+    n-node error is O(rho^-2n), rho = x + sqrt(x^2 + 1), x = d / w
     (Trefethen, "Is Gauss quadrature better than Clenshaw-Curtis?", SIAM
-    Review 50, 2008).  Whatever d, 16 nodes on a 2^-12-turn cell stay below
-    the larger of 1e-20 and the bound of 48 nodes on a cell of the coarsest
-    pyramid (level 10); that bound needs 27 nodes at level 11, 16 at 12 and
-    7 at 15.  Pieces cut geometrically toward a singularity sit at least
-    their own length from it (rho >= 5.8).
-    An arc with both ends on a lattice is a sum of at most two nodes per
-    level and no difference is taken, so a small arc keeps its relative
-    accuracy next to a zero or a pole.  A wrapping arc (a complement, say) is
-    two such sums.  A cell whose closure holds a pole is +inf, and so is
-    every arc holding that cell.  An arc off every lattice adds its two end
-    segments to the nodes of its whole cells.
+    Review 50, 2008).  Whatever d, each rule stays below the larger of 1e-20
+    and the bound of 48 nodes on a cell of the coarsest pyramid (level 10);
+    that bound needs 27 nodes at level 11, 16 at 12 and 7 at 15.  Pieces cut
+    geometrically toward a singularity sit only their own length from it
+    (rho >= 5.8), where 8 nodes reach about 6e-13, so they keep 16.
+    A scan-family arc is read by whole-array slices: an arc of 2^-k turn from
+    the level-(k + 1) lattice is a pair of adjacent level-(k + 1) nodes, one
+    level-k node when aligned, and its complement is the sum, level by level,
+    of the nodes flanking it (see `_pair_complements`); such an arc reads a
+    pyramid of level k + 1 or finer.  Any other arc with both ends on a
+    lattice is a walk down a pyramid at least as fine as that lattice,
+    taking at most two nodes per level, and a wrapping arc is two walks.  No
+    difference is taken on either path, so a small arc keeps its relative
+    accuracy next to a zero or a pole, and given the pyramid an arc's value
+    never depends on the other arcs of its call.  A cell whose closure holds
+    a pole is +inf, and so is every arc holding that cell.  An arc off every
+    lattice adds its two end segments to the nodes of its whole cells.
     A subclass with a rule of its own for `l2`, `weighted`, `scaled` or
     `to_json` overrides it; the defaults raise.
     """
 
     poles = ()
     _EPS = 1e-12  # closure tolerance around a pole, radians
-    # coarsest pyramid: cells short enough for the 48-node rule; a pyramid of
-    # level 12 or finer integrates its cells with 16 nodes (see above)
+    # coarsest pyramid: cells short enough for the 48-node rule (see above)
     _MIN_LEVEL = 10
     _CHUNK = 2 ** 10  # segments per segment_integrals call, bounding quadrature temporaries
     _pyramid = None  # node integrals against dm, one array per level, coarsest first
+    #: whether the weight vanishes almost everywhere, read from its form without integrating
+    vanishes = False
 
     def __call__(self, t):
         """The density at the angles t, so that a weight serves as a boundary function."""
         return self.values(t)
+
+    @property
+    def integrable(self):
+        """Whether the total is finite, read from the poles without integrating."""
+        return not len(self.poles)
 
     def cell_integrals(self, level):
         """Integrals against dm of the 2^level cells [k, k + 1] / 2^level (turns)."""
@@ -213,17 +266,24 @@ class ArcWeight:
     def arc_integral(self, start, length):
         """Integral against dm over the arc of normalized length `length` from angle `start`."""
         x = np.atleast_1d(np.asarray(start, dtype=float) / TWO_PI % 1.0)
-        end = x + min(float(length), 1.0)
-        level = _lattice_level(np.concatenate([x, end]))
-        levels = self._levels(0 if level is None else level)
-        if level is not None:
-            levels = levels[: level + 1]
-        n = levels[-1].size
-        out = self._span(levels, x * n, np.minimum(end, 1.0) * n)
-        wrap = end > 1.0
-        if np.any(wrap):
-            out[wrap] += self._span(levels, np.zeros(np.count_nonzero(wrap)),
-                                    (end[wrap] - 1.0) * n)
+        length = min(float(length), 1.0)
+        end = x + length
+        k, complement, j = _family(x, length) or (0, False, np.full(x.size, -1))
+        scan, rest = j >= 0, j < 0
+        # the pyramid must reach level k + 1 for a family arc, the lattice of both
+        # ends for any other; a finer one gives the same nodes
+        level = np.maximum(_lattice_levels(x[rest]), _lattice_levels(end[rest]))
+        top = np.max(level[level <= _MAX_LEVEL], initial=k + 1 if np.any(scan) else 0)
+        levels = self._levels(int(top))
+        out = np.empty(x.size)
+        if np.any(scan):
+            if complement:
+                out[scan] = _pair_complements(levels, k + 1)[j[scan]]
+            else:
+                nodes = levels[k + 1]
+                out[scan] = nodes[j[scan]] + nodes[(j[scan] + 1) % nodes.size]
+        if np.any(rest):
+            out[rest] = self._walk(levels, x[rest], end[rest])
         return out if np.ndim(start) else float(out[0])
 
     def l2(self, fn):
@@ -252,6 +312,16 @@ class ArcWeight:
             self._pyramid = levels[::-1]
         return self._pyramid
 
+    def _walk(self, levels, x, end):
+        """Integrals over the arcs [x, end], 0 <= x < 1 and x <= end <= x + 1, from `levels`."""
+        n = levels[-1].size
+        out = self._span(levels, x * n, np.minimum(end, 1.0) * n)
+        wrap = end > 1.0
+        if np.any(wrap):
+            out[wrap] += self._span(levels, np.zeros(np.count_nonzero(wrap)),
+                                    (end[wrap] - 1.0) * n)
+        return out
+
     def _span(self, levels, a, b):
         """Integrals over [a, b], 0 <= a <= b <= n, in units of the n finest cells."""
         n = levels[-1].size
@@ -274,10 +344,9 @@ class ArcWeight:
             held |= (rel <= eps) | (rel + (hi - lo) >= 1.0 - eps)
         out = np.full(lo.shape, np.inf)
         idx = np.nonzero(~held)[0]
-        rule = _GL16 if np.max(hi - lo, initial=0.0) <= _CELL_WIDTH else _GL48
         for s in range(0, idx.size, self._CHUNK):
             part = idx[s : s + self._CHUNK]
-            out[part] = self.segment_integrals(lo[part], hi[part], rule)
+            out[part] = self.segment_integrals(lo[part], hi[part])
         return out
 
 
@@ -301,7 +370,11 @@ class GridArcWeight(ArcWeight):
         """The samples, each repeated n / size times (n a multiple of the size, default the size)."""
         return np.repeat(self.grid, (n or self.grid.size) // self.grid.size)
 
-    def segment_integrals(self, lo, hi, rule=None):
+    @property
+    def vanishes(self):
+        return not np.any(self.grid)
+
+    def segment_integrals(self, lo, hi):
         return _piecewise_integrals(lo, hi, self._edges, self._prefix,
                                     lambda i, a, b: self.grid[i] * (b - a))
 
@@ -336,6 +409,8 @@ class FactoredArcWeight(ArcWeight):
     sits relative to any lattice.  Segments are cut geometrically toward
     every pole, every angle of a non-even exponent and each `focus` angle,
     where the cofactor peaks; an even zero is analytic and needs no cut.
+    With a cofactor, an angle whose exponents cancel is cut toward as well:
+    the cofactor may branch there (1 + |b| where |a|^-2 |a|^2 is 1, say).
     Each piece is integrated in its offset in turns from the nearest factor
     or focus angle, exact next to 0 and 2 pi.  A piece within its own length
     of an angle whose exponent is a non-even gamma > -1 runs in v =
@@ -357,8 +432,10 @@ class FactoredArcWeight(ArcWeight):
         factors = self.factors
         turns = np.array([_turn(f.angle) for f in factors])
         angles = _distinct(turns)
-        gammas = np.bincount(np.searchsorted(angles, turns),
-                             weights=[f.gamma for f in factors], minlength=angles.size)
+        where = np.searchsorted(angles, turns)
+        gammas = np.bincount(where, weights=[f.gamma for f in factors], minlength=angles.size)
+        live = np.bincount(where, weights=[f.gamma != 0 for f in factors],
+                           minlength=angles.size) > 0
         self._scale = float(np.prod([f.scale for f in factors]))
         # one (angle, exponent, scale) per distinct angle, so that factors whose
         # exponents cancel give their scale
@@ -370,9 +447,11 @@ class FactoredArcWeight(ArcWeight):
         self._angles, self._gammas = angles[gammas != 0], gammas[gammas != 0]
         self.poles = TWO_PI * self._angles[self._gammas <= -1.0]
         even = self._gammas % 2 == 0
+        focus = [_turn(t) for t in focus]
+        if cofactor is not None:
+            focus += list(angles[live & (gammas == 0)])
         # a focus within the innermost cut of a factor is that factor's angle
-        focus = [u for u in map(_turn, focus)
-                 if np.all(np.abs(_offset(u, self._angles)) > self._CUTS[0])]
+        focus = [u for u in focus if np.all(np.abs(_offset(u, self._angles)) > self._CUTS[0])]
         cut = _distinct(np.append(self._angles[~even | (self._gammas <= -1.0)], focus))
         steps = np.concatenate([-self._CUTS, [0.0], self._CUTS])
         self._breaks = _distinct((cut[:, None] + steps) % 1.0)
@@ -392,12 +471,24 @@ class FactoredArcWeight(ArcWeight):
                 out = out * (scale * np.abs(2.0 * np.sin((t - angle) / 2.0)) ** gamma)
         return out
 
-    def segment_integrals(self, lo, hi, rule=_GL48):
+    @property
+    def vanishes(self):
+        return self._scale == 0.0
+
+    def segment_integrals(self, lo, hi):
         if self.cofactor is None and not self._angles.size:
             return self._scale * (hi - lo)
         a, b, owner = _pieces(lo, hi, self._breaks)
-        return self._scale * np.bincount(owner, weights=self._piece_integrals(a, b, rule),
-                                         minlength=lo.size)
+        # the rule of each segment's width (see ArcWeight); a cut piece keeps 16 nodes
+        width = (hi - lo)[owner]
+        nodes = np.where(width <= 2.0 ** -15, 8, np.where(width <= 2.0 ** -12, 16, 48))
+        cut = (a != lo[owner]) | (b != hi[owner])
+        nodes[cut] = np.maximum(nodes[cut], 16)
+        parts = np.empty(a.size)
+        for n in _distinct(nodes):
+            pick = nodes == n
+            parts[pick] = self._piece_integrals(a[pick], b[pick], _GL[n])
+        return self._scale * np.bincount(owner, weights=parts, minlength=lo.size)
 
     def _piece_integrals(self, a, b, rule):
         """Integrals against dm over pieces [a, b] (turns) holding no break, without the scale."""
@@ -431,9 +522,15 @@ class FactoredArcWeight(ArcWeight):
         return (vals @ rule[1]) * 0.5 * dv / q
 
     def weighted(self, boundary):
-        """The weight times boundary(t); a factored boundary, a power one too, joins its factors."""
-        factors, other = ((boundary.factors, boundary.cofactor)
-                          if isinstance(boundary, FactoredArcWeight) else ([], boundary))
+        """The weight times boundary(t); a factored boundary, a power one too, joins its factors.
+
+        Lebesgue measure (no nonzero exponent, no cofactor, scale 1) times a
+        factored boundary is that boundary itself, with the cells it has integrated.
+        """
+        factored = isinstance(boundary, FactoredArcWeight)
+        if factored and self.cofactor is None and not self._angles.size and self._scale == 1.0:
+            return boundary
+        factors, other = (boundary.factors, boundary.cofactor) if factored else ([], boundary)
         return FactoredArcWeight(self.factors + factors, _times(self.cofactor, other))
 
     def reciprocal(self):
@@ -474,10 +571,6 @@ class PowerArcWeight(FactoredArcWeight):
     def factors(self):
         """The one factor, the weight itself, in a new list: the weight never holds itself."""
         return [self]
-
-    @property
-    def integrable(self):
-        return self.gamma > -1.0
 
     def reciprocal(self):
         return PowerArcWeight(-self.gamma, 1.0 / self.scale, self.angle)
@@ -578,10 +671,10 @@ class PiecewiseBoundaryWeight(ArcWeight):
                                           v1 - dv * (1.0 - x) ** 2 * (1.0 + 2.0 * x))
 
                 out[step] = width[step] * np.bincount(
-                    owner, weights=_gl_integrate(reciprocal, pa, pb, _GL16), minlength=xa.size)
+                    owner, weights=_gl_integrate(reciprocal, pa, pb, _GL[16]), minlength=xa.size)
         return out
 
-    def segment_integrals(self, lo, hi, rule=None):
+    def segment_integrals(self, lo, hi):
         """Integrals over [lo, hi] (turns); a reciprocal join takes its own cuts and rule.
 
         A smoothstep join can be far narrower than a cell, and the poles of
@@ -879,8 +972,8 @@ class DiskMeasure:
         self.singular_atoms = singular_atoms or SingularAtoms([], [])
         self.radial = list(radial)
         self.label = label
-        total = self.total_mass()
-        if not np.isfinite(total):
+        # finite without integrating the a.c. part: a boundary weight is finite off its poles
+        if not all(c.integrable if c is ac else np.isfinite(c.mass()) for c in self.components()):
             raise DomainError("measure must be finite")
 
     # -- constructors ---------------------------------------------------------
@@ -945,8 +1038,12 @@ class DiskMeasure:
         with np.errstate(divide="ignore"):
             return np.asarray(self.ac.values(grid_angles(n)), dtype=float)
 
+    def charges(self):
+        """Whether the total mass is positive, the a.c. part read from its form, not integrated."""
+        return any(not c.vanishes if c is self.ac else c.mass() > 0 for c in self.components())
+
     def carried_on_boundary(self):
-        return (self.ac is not None and self.ac.mass() > 0) or self.singular_atoms.mass() > 0
+        return (self.ac is not None and not self.ac.vanishes) or self.singular_atoms.mass() > 0
 
     # -- operations -------------------------------------------------------------
 

@@ -571,6 +571,32 @@ class TestReverseVerdict:
         reverse_carleson_verdict(alpha_pair, inv_gap_measure, depth=10, kernel_depth=6)
         assert scans == [(10, [])]
 
+    @pytest.mark.parametrize("make", [
+        DiskMeasure.lebesgue,
+        lambda: DiskMeasure.boundary_power(0.5, 1.3, 1.0).plus(DiskMeasure.point_mass(0.5j, 0.2)),
+    ], ids=["lebesgue", "power-and-atom"])
+    def test_default_depth_verdict_builds_each_weight_once(self, make, monkeypatch):
+        # nu.ac for the window scans and the essential infimum, mu.ac for the kernel
+        # spectra: no weight is built at a coarse level first and then again.  A fresh
+        # pair, whose |a|^2 has no pyramid yet
+        half_sum = pythagorean_mate(SymbolB.rational([0.5, 0.5]))
+        builds = []
+        levels = ArcWeight._levels
+
+        def recording(self, level):
+            before = self._pyramid
+            out = levels(self, level)
+            if out is not before:
+                builds.append((self, len(out) - 1))
+            return out
+
+        measure = make()
+        monkeypatch.setattr(ArcWeight, "_levels", recording)
+        reverse_carleson_verdict(half_sum, measure)
+        # the weights are held in `builds`, so their ids are distinct
+        assert len(builds) == len({id(w) for w, _ in builds}) == 2
+        assert sorted(lv for _, lv in builds) == [15, 17]
+
     def test_scale_equivariance_of_verdict(self, alpha_pair, inv_gap_measure):
         rep1 = reverse_carleson_verdict(alpha_pair, inv_gap_measure, depth=8,
                                         kernel_depth=6)
@@ -728,9 +754,11 @@ class TestNormEquivalence:
             assert all(w["level"] == depth and w["length"] == 2.0**-depth for w in witnesses)
             assert any((zero - w["start"]) % 1.0 <= w["length"] for w in witnesses)
 
-    def test_window_scans_build_each_nu_pyramid_once(self, half_sum, monkeypatch):
+    def test_window_scans_build_each_nu_pyramid_once(self, monkeypatch):
         # reverse_inf_scan and carleson_sup_scan read the same nu: the second scan
-        # must find its cells already integrated
+        # must find its cells already integrated.  A fresh pair, whose |a|^2 has no
+        # pyramid yet
+        half_sum = pythagorean_mate(SymbolB.rational([0.5, 0.5]))
         builds = []
         levels = ArcWeight._levels
 
@@ -744,10 +772,9 @@ class TestNormEquivalence:
         monkeypatch.setattr(ArcWeight, "_levels", recording)
         depth = 11
         norm_equivalence_verdict(half_sum, DiskMeasure.lebesgue(), depth=depth)
-        # |a|^2 and its reciprocal for the A2 scan, one build each; then nu: the coarse
-        # build is the total mass its measure checks on construction
-        assert [lv for name, lv in builds if name == "FactoredArcWeight"] == [depth + 1] * 2 + [
-            10, depth + 1]
+        # |a|^2 and its reciprocal for the A2 scan, one build each; nu.ac is Lebesgue
+        # measure times |a|^2, that is |a|^2 itself, so the window scans read its pyramid
+        assert [lv for name, lv in builds if name == "FactoredArcWeight"] == [depth + 1] * 2
 
     def test_corona_failure_blocks(self):
         from hbspace.scenarios import build

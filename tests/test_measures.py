@@ -3,7 +3,7 @@ import gc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from hbspace.circle import grid_angles
@@ -365,15 +365,21 @@ class TestCellPyramid:
 
     @settings(max_examples=60, deadline=None)
     @given(make=weights())
+    @example(make=lambda shift: PowerArcWeight(-2.5, 1.0, 1e-12 + shift))  # a pole at the tolerance
     def test_a_cell_is_infinite_iff_its_closure_holds_a_pole(self, make):
         w = make(0.0)
         n = 2 ** LEVEL
         cells = w.cell_integrals(LEVEL)
         held = np.zeros(n, dtype=bool)
-        slack = 1e-12 / TWO_PI * n  # the 1e-12 radian closure tolerance, in cells
         for p in w.poles:
-            rel = (p / TWO_PI * n - np.arange(n)) % n
-            held |= (rel <= 1.0 + slack) | (rel >= n - slack)
+            # offset in turns from the nearest lattice point, exact for a pole near it
+            u = p / TWO_PI
+            m = int(np.rint(u * n))
+            offset = u - m / n
+            if abs(offset) <= 1e-12 / TWO_PI:  # the 1e-12 radian closure tolerance
+                held[[(m - 1) % n, m % n]] = True
+            else:
+                held[(m if offset > 0 else m - 1) % n] = True
         assert np.array_equal(np.isinf(cells), held)
         assert np.all(cells[~held] >= 0.0)
 
@@ -417,6 +423,47 @@ class TestCellPyramid:
                 worst = max(worst, float(np.max(np.abs(got / exact - 1.0))))
         assert worst < 1e-13
 
+    @settings(max_examples=25, deadline=None)
+    @given(pole=angles(), zero=angles(), power=angles(), phi=angles(),
+           order=st.sampled_from([-1.0, -1.5, -2.0]), gamma=st.sampled_from([-0.5, 0.5, 1.5]),
+           reciprocal=st.booleans(), k=st.integers(1, 14))
+    def test_scan_family_slices_agree_with_the_tree_walk(self, pole, zero, power, phi, order,
+                                                         gamma, reciprocal, k):
+        # a pole, an even zero, a non-even power and a cofactor; the reciprocal has its
+        # poles at the zero, and at the power when gamma >= 1
+        w = FactoredArcWeight([PowerArcWeight(order, 1.0, pole), PowerArcWeight(2.0, 1.0, zero),
+                               PowerArcWeight(gamma, 1.3, power)], lambda t: 1.5 + np.sin(t - phi))
+        w = w.reciprocal() if reciprocal else w
+        length = 2.0**-k
+        starts = np.arange(2 ** (k + 1)) * length / 2  # the aligned and half-shifted starts
+        for ell, first in [(length, starts)] + [(1.0 - length, (starts + length) % 1.0)] * (k >= 2):
+            got = w.window_mass(first, ell)
+            walked = w._walk(w._pyramid[: k + 2], first, first + ell)
+            assert np.array_equal(np.isinf(got), np.isinf(walked))
+            finite = np.isfinite(walked)
+            np.testing.assert_allclose(got[finite], walked[finite], rtol=1e-15, atol=0)
+        if k >= 2:
+            # an arc holding every pole inside, away from its ends: its complement is finite
+            margin = 2e-12 / TWO_PI
+            offsets = (np.asarray(w.poles)[None, :] / TWO_PI - starts[:, None]) % 1.0
+            holds = np.all((offsets > margin) & (offsets < length - margin), axis=1)
+            assert np.all(np.isfinite(w.window_mass((starts[holds] + length) % 1.0, 1.0 - length)))
+
+    def test_each_arc_of_a_call_is_its_lone_call_bit_for_bit(self):
+        # the 2^-10 arc from 325/1024 alone and with a half-shifted start, on fresh weights
+        x, length = 0.3173828125, 2.0**-10
+        alone = PowerArcWeight(0.5, 1.0, 2.0).window_mass(np.array([x]), length)
+        mixed = PowerArcWeight(0.5, 1.0, 2.0).window_mass(np.array([x, x + length / 2]), length)
+        assert alone[0] == mixed[0]
+        # scan, lattice and off-lattice arcs together, then one by one on the same weight
+        w = FactoredArcWeight([PowerArcWeight(-0.5, 1.2, 1.0), PowerArcWeight(2.0, 1.0, 4.0)],
+                              lambda t: 1.5 + np.sin(t))
+        starts = np.array([x, x + length / 2, 0.123456789, 5 / 2**13, 0.99, 1 - 2.0**-16])
+        for ell in (length, 1.0 - length, 0.125, 0.3):
+            together = w.window_mass(starts, ell)
+            for s, value in zip(starts, together):
+                assert w.window_mass(np.array([s]), ell)[0] == value
+
     def test_off_lattice_arcs_reuse_the_finest_pyramid(self):
         w = PowerArcWeight(-0.5, 1.0, 1.0)
         w.cell_integrals(12)
@@ -435,7 +482,8 @@ def _mp_cell(density, level, k, singular=()):
 
 
 class TestCellRule:
-    """Cells of 2^-11 turn or wider take 48 Gauss-Legendre nodes, narrower ones 16."""
+    """Cells of 2^-11 turn or wider take 48 Gauss-Legendre nodes, narrower ones 16, and
+    uncut cells of 2^-15 turn or narrower 8; a piece cut toward a singularity keeps 16."""
 
     LEVELS = (11, 12, 15, 17)
 
@@ -519,7 +567,8 @@ class TestCellRule:
         errors = self._errors(make, density, 0.0, [])
         assert max(errors.values()) < 1e-11
 
-    @pytest.mark.parametrize("level, nodes", [(10, 48), (11, 48), (12, 16), (14, 16)])
+    @pytest.mark.parametrize("level, nodes", [(10, 48), (11, 48), (12, 16), (14, 16), (15, 8),
+                                              (17, 8)])
     def test_nodes_per_cell(self, level, nodes):
         # a zero factor and no pole: each cell is one segment, integrated by one rule
         evaluated = []
@@ -532,8 +581,75 @@ class TestCellRule:
         weight.cell_integrals(level)
         assert sum(evaluated) == nodes * 2**level
 
+    def test_cut_pieces_keep_16_nodes(self):
+        # a non-even exponent at angle 0.5 cuts the level-15 cells next to it: each of their
+        # pieces takes 16 nodes, every other cell 8
+        evaluated = []
+
+        def cofactor(t):
+            evaluated.append(np.size(t))
+            return np.ones(np.shape(t))
+
+        weight = FactoredArcWeight([PowerArcWeight(0.5, 1.0, 0.5)], cofactor)
+        weight.cell_integrals(15)
+        n = 2**15
+        cells = np.floor(weight._breaks * n)  # the cell holding each break
+        cut, breaks = np.unique(cells[weight._breaks * n != cells], return_counts=True)
+        assert cut.size > 10
+        assert sum(evaluated) == 8 * (n - cut.size) + 16 * (cut.size + breaks.sum())
+
+    def test_cells_where_exponents_cancel(self):
+        # reverse-canonical's nu: |a|^-2 and |a|^2 cancel at angle 0, where the cofactor
+        # 1 + |b| = 1 + (1 - |2 sin(t/2)|^(1/2) / sqrt(2))^(1/2) has a |t|^(1/2) branch, so
+        # the cells are cut toward angle 0 too
+        from hbspace.scenarios import build
+
+        sc = build("reverse-canonical")
+        density = lambda t: 1 + mpmath.sqrt(1 - abs(2 * mpmath.sin(t / 2)) ** 0.5 / mpmath.sqrt(2))
+        for level in (11, 12, 15):
+            cells = sc.measure.ac.weighted(sc.pair.gap2_weight).cell_integrals(level)
+            for k in (0, 1, 2**level - 2, 2**level - 1):
+                assert cells[k] == pytest.approx(float(_mp_cell(density, level, k)), rel=1e-14)
+
 
 class TestWeighting:
+    @pytest.mark.parametrize("make", [
+        lambda: PowerArcWeight(0.0),
+        lambda: PowerArcWeight(-0.5, 1.2, 1.0),
+        lambda: pythagorean_mate(SymbolB.rational([0.5, 0.5])).gap2_weight,
+        lambda: GridArcWeight(np.linspace(0.5, 2.0, 16)),
+        lambda: PiecewiseBoundaryWeight([(0.0, 1.0, 2.0, 0.5), (1.0, TWO_PI, 0.5, 2.0)]),
+    ], ids=["lebesgue", "power", "factored", "grid", "piecewise"])
+    def test_an_ac_measure_is_checked_without_integrating(self, make):
+        # finiteness and positive mass are read from the weight's form: no pyramid is built
+        w = make()
+        mu = DiskMeasure(ac=w)
+        assert mu.charges() and mu.carried_on_boundary()
+        if not isinstance(w, PiecewiseBoundaryWeight):
+            nu = mu.weighted(PairWeight(boundary=PowerArcWeight(2.0, 0.25, 3.0),
+                                        point=lambda z: np.abs(1 - z * np.exp(-3j)) ** 2 / 4))
+            assert nu.ac._pyramid is None
+        assert w._pyramid is None
+
+    def test_lebesgue_times_a_factored_weight_is_that_weight(self):
+        gap = pythagorean_mate(SymbolB.rational([0.5, 0.5])).gap2_weight
+        assert PowerArcWeight(0.0).weighted(gap) is gap
+        cells = gap.cell_integrals(12)
+        doubled = PowerArcWeight(0.0, 2.0, 1.0).weighted(gap)
+        assert doubled is not gap
+        np.testing.assert_allclose(doubled.cell_integrals(12), 2.0 * cells, rtol=1e-14, atol=0)
+
+    def test_finiteness_and_positivity_without_integrating(self):
+        pole = PowerArcWeight(-1.5, 1.0, 2.0)
+        with pytest.raises(DomainError):
+            DiskMeasure(ac=pole)
+        assert pole._pyramid is None
+        for empty in (PowerArcWeight(0.5, 0.0), GridArcWeight(np.zeros(8))):
+            mu = DiskMeasure(ac=empty)
+            assert not mu.charges() and not mu.carried_on_boundary()
+            assert mu.total_mass() == 0.0
+        assert DiskMeasure(ac=PowerArcWeight(0.5, 0.0), radial=[RadialPower()]).charges()
+
     def test_identity_weight(self):
         mu = DiskMeasure.radial_power(0.5).plus(DiskMeasure.point_mass(0.3j, 1.5))
         nu = mu.weighted(PairWeight.constant(1.0))
