@@ -48,6 +48,8 @@ from .space import (
     NONEXTREME,
     gap_reciprocal_ladder,
     hb_kernel_norm_squared,
+    l1_gap_test,
+    pythagorean_mate,
     rational_falpha_decompose,
 )
 
@@ -619,59 +621,45 @@ def symbol_reverse_feasibility(b, extremeness):
     """Whether the space of b can admit reverse Carleson measures at all.
 
     Non-extreme b: feasible iff (1 - |b|)^-1 is integrable, in which case
-    (1 - |b|)^-1 dm itself is a reverse Carleson measure.  Extreme non-inner
+    (1 - |b|)^-1 dm itself is a reverse Carleson measure; the mate's
+    `inverse_gap_weight` decides (`l1_gap_test`).  Extreme non-inner
     b: the same integral over {|b| < 1} is necessary; when it diverges, or
     when {|b| < 1} has full measure (which would force non-extremeness),
     no reverse Carleson measure exists.  The remaining extreme case is open
     and reported as such.
     """
-    t = grid_angles(2 ** 14, offset=True)
-    logs = b.gap_log(t)
+    if extremeness.verdict == NONEXTREME:
+        return l1_gap_test(pythagorean_mate(b, extremeness=extremeness))
+    if extremeness.verdict != EXTREME:
+        return {"feasible": UNDETERMINED, "certificate": "extremeness undetermined"}
+    logs = b.gap_log(grid_angles(2 ** 14, offset=True))
     # inner detection must tolerate rounding noise in |b| around 1; the
     # full-measure test for {|b| < 1} uses the exact (possibly declared) logs
-    inner_fraction = float(np.mean(logs > np.log(1e-9)))
-    zb_fraction = float(np.mean(logs > -np.inf))
-    if extremeness.verdict == NONEXTREME:
-        ladder = gap_reciprocal_ladder(b)
-        if ladder.divergent():
-            return {
-                "feasible": "no",
-                "certificate": "(1 - |b|)^-1 is not integrable",
-                "trace": ladder.values,
-            }
-        if ladder.stabilized():
-            return {
-                "feasible": "yes",
-                "certificate": "(1 - |b|)^-1 dm is itself a reverse Carleson measure",
-                "integral": ladder.value,
-            }
-        return {"feasible": UNDETERMINED, "trace": ladder.values}
-    if extremeness.verdict == EXTREME:
-        if inner_fraction < 0.005:
-            return {
-                "feasible": "out-of-scope",
-                "certificate": "b is inner to grid tolerance (model-space regime)",
-            }
-        ladder = gap_reciprocal_ladder(b, mask_zb=True)
-        if ladder.divergent():
-            return {
-                "feasible": "no",
-                "certificate": "necessary integral of (1 - |b|)^-1 over {|b| < 1} diverges",
-                "zb_measure": zb_fraction,
-                "trace": ladder.values,
-            }
-        if ladder.stabilized() and zb_fraction > 1.0 - 1e-6:
-            return {
-                "feasible": "no",
-                "certificate": "{|b| < 1} has full measure, which would force non-extremeness",
-                "zb_measure": zb_fraction,
-            }
+    if float(np.mean(logs > np.log(1e-9))) < 0.005:
         return {
-            "feasible": "open",
-            "certificate": "extreme, not inner, necessary integral finite: open question",
+            "feasible": "out-of-scope",
+            "certificate": "b is inner to grid tolerance (model-space regime)",
+        }
+    zb_fraction = float(np.mean(logs > -np.inf))
+    ladder = gap_reciprocal_ladder(b)
+    if ladder.divergent():
+        return {
+            "feasible": "no",
+            "certificate": "necessary integral of (1 - |b|)^-1 over {|b| < 1} diverges",
+            "zb_measure": zb_fraction,
+            "trace": ladder.values,
+        }
+    if ladder.stabilized() and zb_fraction > 1.0 - 1e-6:
+        return {
+            "feasible": "no",
+            "certificate": "{|b| < 1} has full measure, which would force non-extremeness",
             "zb_measure": zb_fraction,
         }
-    return {"feasible": UNDETERMINED, "certificate": "extremeness undetermined"}
+    return {
+        "feasible": "open",
+        "certificate": "extreme, not inner, necessary integral finite: open question",
+        "zb_measure": zb_fraction,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -693,20 +681,17 @@ def reverse_carleson_verdict(pair, measure, depth=DEFAULT_DEPTH, kernel_depth=12
         raise AdmissibilityError(
             "measure charges the boundary but b is not declared admissible for it"
         )
-    conditions = {}
-    diagnostics = {}
-
-    feasibility = symbol_reverse_feasibility(pair.b, pair.extremeness)
-    sarason = {"yes": PASS, "no": FAIL}.get(feasibility.get("feasible"), UNDETERMINED)
-    conditions["Sarason.L1gap"] = ConditionResult(
-        verdict=sarason, evidence=feasibility
-    )
-
     nu = measure.weighted(
         _gap_weight(pair, pair.b.fn, lambda z: 1.0 - np.abs(np.asarray(pair.b.fn(z))) ** 2))
     inf_scan = reverse_inf_scan(nu, depth=depth)
     # nu.ac is (1 - |b|^2) h, and its cells come from the pyramid the scan built
     ess = _ess_inf_scan(nu.ac, int(np.log2(size)) if size else depth)
+    kernels = kernel_ratio_scan(pair, measure, depth=kernel_depth, variant="hb")
+    # Sarason's test last: when mu's a.c. part is the pair's inverse gap weight, as
+    # for reverse-canonical, its total reads the pyramid the kernel scan built
+    feasibility = l1_gap_test(pair)
+    sarason = {"yes": PASS, "no": FAIL}.get(feasibility["feasible"], UNDETERMINED)
+    conditions = {"Sarason.L1gap": ConditionResult(verdict=sarason, evidence=feasibility)}
     v4 = ess.verdict()
     conditions["MainThm.4"] = _condition(v4, ess, per_level=ess.per_level)
     if v4 == FAIL:
@@ -714,11 +699,10 @@ def reverse_carleson_verdict(pair, measure, depth=DEFAULT_DEPTH, kernel_depth=12
         conditions["MainThm.4"].value = 0.0
     conditions["MainThm.3"] = _condition(inf_scan.verdict_positive_inf(), inf_scan,
                                          per_level=inf_scan.per_level)
-
-    kernels = kernel_ratio_scan(pair, measure, depth=kernel_depth, variant="hb")
     conditions["MainThm.2"] = _condition(kernels.verdict(), kernels,
                                          per_level_max=kernels.per_level)
 
+    diagnostics = {}
     # the three theorem conditions must agree whenever determinate
     determinate = {k: c.verdict for k, c in conditions.items()
                    if k.startswith("MainThm") and c.verdict != UNDETERMINED}

@@ -136,6 +136,13 @@ class AnalyticFunction:
     def boundary_modulus(self, t):
         return np.abs(self(np.exp(1j * np.asarray(t, dtype=float))))
 
+    def one_minus_modulus_squared(self, t):
+        """1 - |f|^2 on the circle, as a difference, which cancels where |f| nears 1.
+
+        A class with a closed form that keeps its relative accuracy there overrides it.
+        """
+        return 1.0 - self.boundary_modulus(t) ** 2
+
     def eval_on_circle(self, radius, n_angles):
         return self(radius * np.exp(1j * grid_angles(n_angles)))
 
@@ -296,6 +303,9 @@ class PowerOuter(AnalyticFunction):
             raise DomainError("power exponent must be positive")
         self.alpha = float(alpha)
         self.scale = float(scale) if scale is not None else 2.0 ** (-self.alpha)
+        # log |f(-1)|, the largest |f| on the circle: exactly 0 for the default scale,
+        # which 2.0 ** -alpha rounds
+        self._log_peak = 0.0 if scale is None else np.log(self.scale) + self.alpha * np.log(2.0)
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -320,6 +330,21 @@ class PowerOuter(AnalyticFunction):
 
     def boundary_modulus(self, t):
         return self.scale * np.abs(2.0 * np.sin(np.asarray(t, dtype=float) / 2.0)) ** self.alpha
+
+    def one_minus_modulus_squared(self, t):
+        """1 - |f|^2 = -expm1(2 log|f(-1)| + 2 alpha log|sin(t/2)|), accurate where |f| nears 1.
+
+        Within a quarter turn of t = pi, where sin(t/2) rounds toward 1, the
+        log is taken as log1p(-2 sin^2((t - pi)/4)), since sin(t/2) = cos((t - pi)/2).
+        """
+        t = np.asarray(t, dtype=float)
+        u = t % (2.0 * np.pi) - np.pi
+        near = np.abs(u) < np.pi / 2.0
+        log_sin = np.empty(t.shape)
+        log_sin[near] = np.log1p(-2.0 * np.sin(u[near] / 4.0) ** 2)
+        with np.errstate(divide="ignore"):
+            log_sin[~near] = np.log(np.abs(np.sin(t[~near] / 2.0)))
+        return -np.expm1(2.0 * (self._log_peak + self.alpha * log_sin))
 
 
 class GridOuter(AnalyticFunction):

@@ -216,7 +216,8 @@ class ArcWeight:
     a pole is +inf, and so is every arc holding that cell.  An arc off every
     lattice adds its two end segments to the nodes of its whole cells.
     A subclass with a rule of its own for `l2`, `weighted`, `scaled` or
-    `to_json` overrides it; the defaults raise.
+    `to_json` overrides it; the defaults raise.  One with a reciprocal gives
+    `_inverted`, which `reciprocal` calls once per weight.
     """
 
     poles = ()
@@ -225,6 +226,7 @@ class ArcWeight:
     _MIN_LEVEL = 10
     _CHUNK = 2 ** 10  # segments per segment_integrals call, bounding quadrature temporaries
     _pyramid = None  # node integrals against dm, one array per level, coarsest first
+    _inverse = None  # the reciprocal weight, once `reciprocal` has built it
     #: whether the weight vanishes almost everywhere, read from its form without integrating
     vanishes = False
 
@@ -285,6 +287,15 @@ class ArcWeight:
         if np.any(rest):
             out[rest] = self._walk(levels, x[rest], end[rest])
         return out if np.ndim(start) else float(out[0])
+
+    def reciprocal(self):
+        """The weight 1/w, built once and kept, so that all its readers share one pyramid.
+
+        The reciprocal holds no reference back to this weight, so no cycle forms.
+        """
+        if self._inverse is None:
+            self._inverse = self._inverted()
+        return self._inverse
 
     def l2(self, fn):
         """Integral of |fn|^2 against the weight, from fn's boundary values."""
@@ -378,7 +389,7 @@ class GridArcWeight(ArcWeight):
         return _piecewise_integrals(lo, hi, self._edges, self._prefix,
                                     lambda i, a, b: self.grid[i] * (b - a))
 
-    def reciprocal(self):
+    def _inverted(self):
         if np.any(self.grid <= 0):
             raise DomainError("weight vanishes on the grid; reciprocal undefined")
         return GridArcWeight(1.0 / self.grid)
@@ -533,7 +544,7 @@ class FactoredArcWeight(ArcWeight):
         factors, other = (boundary.factors, boundary.cofactor) if factored else ([], boundary)
         return FactoredArcWeight(self.factors + factors, _times(self.cofactor, other))
 
-    def reciprocal(self):
+    def _inverted(self):
         cofactor = self.cofactor
         inverse = None if cofactor is None else lambda t: 1.0 / np.asarray(cofactor(t), dtype=float)
         return FactoredArcWeight([f.reciprocal() for f in self.factors], inverse)
@@ -572,18 +583,13 @@ class PowerArcWeight(FactoredArcWeight):
         """The one factor, the weight itself, in a new list: the weight never holds itself."""
         return [self]
 
-    def reciprocal(self):
+    def _inverted(self):
         return PowerArcWeight(-self.gamma, 1.0 / self.scale, self.angle)
 
     def l2(self, fn):
         """Total of the weight times |fn|^2 on the circle, cut toward fn's focus angles too."""
         return FactoredArcWeight([self], lambda t: np.abs(fn.boundary_angles(t)) ** 2,
                                  fn.focus_angles).total()
-
-    def weighted(self, boundary):
-        if not self.integrable:
-            raise WeightingError("cannot weight a non-integrable boundary density")
-        return super().weighted(boundary)
 
     def scaled(self, t):
         return PowerArcWeight(self.gamma, self.scale * t, self.angle)
@@ -684,7 +690,7 @@ class PiecewiseBoundaryWeight(ArcWeight):
         return _piecewise_integrals(TWO_PI * lo, TWO_PI * hi, self._edges, self._prefix,
                                     self._piece_integrals) / TWO_PI
 
-    def reciprocal(self):
+    def _inverted(self):
         return PiecewiseBoundaryWeight(self.pieces, reciprocal=not self._reciprocal)
 
 

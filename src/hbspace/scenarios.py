@@ -23,7 +23,6 @@ from .functions import BlaschkeProduct, PowerOuter, ProductFn, outer_from_log_mo
 from .measures import (
     ArcWindow,
     DiskMeasure,
-    PairWeight,
     PiecewiseBoundaryWeight,
 )
 from .space import (
@@ -294,14 +293,8 @@ def _build_reverse_canonical(params):
     alpha = float(params.get("alpha", 0.25))
     sc = _build_alpha_power({"alpha": alpha})
     pair = sc.pair
-    # (1 - |b|)^-1 = (1 + |b|) (1 - |b|^2)^-1: the exact reciprocal gap weight times a
-    # bounded correction, so the singular cell masses stay finite and exact
-    base = DiskMeasure(ac=pair.gap2_weight.reciprocal(), label="reverse-canonical")
-    one_plus = PairWeight(
-        boundary=lambda t: 1.0 + pair.b.boundary_modulus(t),
-        point=lambda z: 1.0 + np.abs(np.asarray(pair.b.fn(z))),
-    )
-    measure = base.weighted(one_plus)
+    # (1 - |b|)^-1 dm, the pair's exact reciprocal gap weight times 1 + |b|
+    measure = DiskMeasure(ac=pair.inverse_gap_weight, label="reverse-canonical")
     return Scenario(
         name="reverse-canonical",
         params={"alpha": alpha},

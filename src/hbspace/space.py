@@ -20,6 +20,8 @@ import numpy as np
 from .circle import FourierSeries, analytic_mul, coanalytic_apply, grid_angles
 from .convergence import (
     DEFAULT_TRUNCATION,
+    FAIL,
+    PASS,
     RULES,
     TRUNCATION_CAP,
     UNDETERMINED,
@@ -398,6 +400,15 @@ class PythagoreanPair:
         return FactoredArcWeight([PowerArcWeight(2.0, 1.0, np.angle(z)) for z in zeros],
                                  lambda t: np.clip(a.boundary_modulus(t) ** 2, 0.0, None))
 
+    @cached_property
+    def inverse_gap_weight(self):
+        """(1 - |b|)^-1 = (1 + |b|) |a|^-2 on the circle: the reciprocal gap weight times 1 + |b|.
+
+        Its cofactor closes over b, not the pair.
+        """
+        b = self.b
+        return self.gap2_weight.reciprocal().weighted(lambda t: 1.0 + b.boundary_modulus(t))
+
     def b_boundary(self, n):
         return np.asarray(self.b.fn.boundary_values(n), dtype=complex)
 
@@ -476,7 +487,9 @@ def pair_from_outer_a(a, size=2 ** 14, admissible_for="all"):
     is a again.
     """
     w_b = lambda t: np.clip(1.0 - np.asarray(a.boundary_modulus(t), dtype=float) ** 2, 0.0, None)
-    mod_b = lambda t: np.sqrt(w_b(t))
+    # |b| keeps its accuracy where it vanishes; the outer's samples carry its own
+    # discretization error, far above the rounding of the difference
+    mod_b = lambda t: np.sqrt(np.clip(a.one_minus_modulus_squared(t), 0.0, None))
     fn = outer_from_log_modulus(w_b, size=size)
     b = SymbolB(fn, form="outer_modulus", modulus_fn=mod_b, admissible_for=admissible_for)
     extremeness = classify_extremeness(b)
@@ -651,7 +664,8 @@ def taylor_b_over_a(pair, degree, rtol=1e-9):
     coefficients are read off FFTs of b/a on radii 1 - 2^-k, accepted once
     two consecutive radii agree.  The H^2 membership verdict is computed two
     ways (partial sums of |c_j|^2, and the integrability of (1 - |b|)^-1)
-    and the two are required to be consistent when both are determinate.
+    and the two are required to be consistent when both are determinate;
+    the second is the verdict.
     """
     pair.require_nonextreme("Taylor data of b/a")
     m = _next_size(max(4 * (degree + 1), 512))
@@ -677,16 +691,15 @@ def taylor_b_over_a(pair, degree, rtol=1e-9):
         raise ConvergenceError("b/a coefficients did not stabilize over the radius ladder")
 
     partial = _partial_sum_verdict(chosen)
-    l1 = _l1_gap_verdict(pair)
+    l1 = l1_gap_test(pair)["feasible"]
     if partial != UNDETERMINED and l1 != UNDETERMINED and partial != l1:
         raise DiagnosticsError(
             "H^2 verdicts disagree between partial sums and the L^1 gap test",
             details={"partial_sums": partial, "l1": l1},
         )
-    in_h2 = l1 if l1 != UNDETERMINED else partial
     return BOverATaylor(
         coefficients=chosen,
-        in_h2={"yes": "yes", "no": "no", UNDETERMINED: UNDETERMINED}[in_h2],
+        in_h2=l1,
         partial_sum_verdict=partial,
         l1_verdict=l1,
         diagnostics={"radii": radii},
@@ -720,27 +733,40 @@ def _partial_sum_verdict(coeffs):
     return UNDETERMINED
 
 
-def _l1_gap_verdict(pair):
-    ladder = gap_reciprocal_ladder(pair.b)
-    if ladder.divergent():
-        return "no"
-    if ladder.stabilized():
-        return "yes"
-    return UNDETERMINED
+def l1_gap_test(pair):
+    """Whether (1 - |b|)^-1 is integrable, that is whether b/a lies in H^2 and whether
+    the space admits a reverse Carleson measure (Sarason).
 
-
-def gap_reciprocal_ladder(b, mask_zb=False):
-    """Means of (1 - |b|)^-1 on the offset grids 2^10..2^16, through `b.gap_log`.
-
-    With `mask_zb` the mean is taken over {|b| < 1} only.
+    As 1 <= 1 + |b| <= 2, the pair's `inverse_gap_weight` has a pole exactly
+    where |a|^-2 has one, which means "no"; else its total is the integral.
+    A zero of a that `gap2_weight` holds as no factor (no power or Fejer-Riesz
+    mate) is no pole, and a quadrature of 1/|a|^2 stays finite next to it, so
+    there `gap_reciprocal_ladder` decides on the offset sample grids.
     """
+    weight = pair.inverse_gap_weight
+    if not weight.integrable:
+        out = {"feasible": "no"}
+    elif isinstance(pair.a, PowerOuter) or "a_boundary_zeros" in pair.diagnostics:
+        total = weight.total()
+        out = {"feasible": "yes" if np.isfinite(total) else UNDETERMINED, "integral": total}
+    else:
+        ladder = gap_reciprocal_ladder(pair.b)
+        out = {"feasible": {FAIL: "no", PASS: "yes"}.get(ladder.verdict(), UNDETERMINED),
+               "integral": ladder.value, "trace": ladder.values}
+    if out["feasible"] == "no":
+        out["certificate"] = "(1 - |b|)^-1 is not integrable"
+    if out["feasible"] == "yes":
+        out["certificate"] = "(1 - |b|)^-1 dm is itself a reverse Carleson measure"
+    return out
+
+
+def gap_reciprocal_ladder(b):
+    """Means of (1 - |b|)^-1 over {|b| < 1} on the offset grids 2^10..2^16, through `b.gap_log`."""
     def evaluate(n):
         logs = b.gap_log(grid_angles(n, offset=True))
         with np.errstate(over="ignore"):
             vals = np.exp(-logs)
-        if mask_zb:
-            vals = np.where(logs > -np.inf, vals, 0.0)
-        return float(np.mean(vals))
+        return float(np.mean(np.where(logs > -np.inf, vals, 0.0)))
 
     return refine(evaluate, [2 ** k for k in range(10, 17)], RULES["gap-integral"])
 

@@ -33,13 +33,14 @@ from hbspace.measures import (
     ArcWindow,
     DiskAtoms,
     DiskMeasure,
+    FactoredArcWeight,
     GridArcWeight,
     PairWeight,
     PowerArcWeight,
     RadialPower,
     SingularAtoms,
 )
-from hbspace.space import SymbolB, pair_from_outer_a, pythagorean_mate
+from hbspace.space import SymbolB, classify_extremeness, pair_from_outer_a, pythagorean_mate
 from oracles import quadrature_depth_mass
 
 
@@ -51,6 +52,26 @@ def half_sum():
 @pytest.fixture(scope="module")
 def alpha_pair():
     return pair_from_outer_a(PowerOuter(0.25))
+
+
+@pytest.fixture
+def pyramid_builds(monkeypatch):
+    """(weight, finest level) of every cell pyramid built while the test runs, in order.
+
+    The list holds the weights, so their ids stay distinct.
+    """
+    builds = []
+    levels = ArcWeight._levels
+
+    def recording(self, level):
+        before = self._pyramid
+        out = levels(self, level)
+        if out is not before:
+            builds.append((self, len(out) - 1))
+        return out
+
+    monkeypatch.setattr(ArcWeight, "_levels", recording)
+    return builds
 
 
 @pytest.fixture(scope="module")
@@ -231,9 +252,18 @@ class TestWitnesses:
         scan = a2_check(weight, depth=depth)
         witness = scan.witness
         assert witness["value"] == scan.value
-        product = a2_product(weight, (witness["start"], witness["length"]))
-        assert product == pytest.approx(witness["value"], rel=1e-13, abs=0)
+        # the witness replays bit for bit: a2_product reads the weight's one reciprocal,
+        # whose pyramid the scan built
+        assert a2_product(weight, (witness["start"], witness["length"])) == witness["value"]
         return scan
+
+    def test_a2_witness_replays_at_a_depth_other_than_its_level(self):
+        # the witness arc is of level 10, and the scan's pyramids reach level 13
+        weight = PowerArcWeight(0.5, 1.0, 2.0)
+        scan = a2_check(weight, depth=12)
+        assert scan.witness["level"] == 10
+        assert scan.value == 1.4974923657769108
+        assert a2_product(weight, (scan.witness["start"], scan.witness["length"])) == scan.value
 
     @pytest.mark.parametrize("gamma", [1.5, 2.0, -1.5, 0.5])
     def test_a2_witness_of_a_power_weight(self, gamma):
@@ -267,7 +297,7 @@ class TestWitnesses:
         witness = scan.witness
         assert witness["value"] == scan.value
         ratio = mixed.window_mass((witness["start"], witness["length"])) / witness["length"]
-        assert ratio == pytest.approx(witness["value"], rel=1e-13, abs=0)
+        assert ratio == witness["value"]
 
     @pytest.mark.parametrize("name", ["half-sum", "blaschke-corona"])
     def test_corona_witness(self, name):
@@ -549,24 +579,19 @@ class TestReverseVerdict:
         assert rep.conditions["MainThm.4"].verdict == "fail"
         assert "equivalence_violation" not in rep.diagnostics
 
-    def test_essential_infimum_builds_no_pyramid(self, alpha_pair, inv_gap_measure, monkeypatch):
+    def test_essential_infimum_builds_no_pyramid(self, alpha_pair, inv_gap_measure,
+                                                 pyramid_builds, monkeypatch):
         # it reads the cells of (1 - |b|^2) h from the pyramid that the window
         # scan of the same weight has built
-        scans, built = [], []
-        levels, ess_scan = ArcWeight._levels, analyzers._ess_inf_scan
-
-        def counting(self, level):
-            if self._pyramid is None or len(self._pyramid) <= level:
-                built.append(level)
-            return levels(self, level)
+        scans = []
+        ess_scan = analyzers._ess_inf_scan
 
         def scan(ac, last):
-            before = len(built)
+            before = len(pyramid_builds)
             result = ess_scan(ac, last)
-            scans.append((last, built[before:]))
+            scans.append((last, pyramid_builds[before:]))
             return result
 
-        monkeypatch.setattr(ArcWeight, "_levels", counting)
         monkeypatch.setattr(analyzers, "_ess_inf_scan", scan)
         reverse_carleson_verdict(alpha_pair, inv_gap_measure, depth=10, kernel_depth=6)
         assert scans == [(10, [])]
@@ -575,27 +600,28 @@ class TestReverseVerdict:
         DiskMeasure.lebesgue,
         lambda: DiskMeasure.boundary_power(0.5, 1.3, 1.0).plus(DiskMeasure.point_mass(0.5j, 0.2)),
     ], ids=["lebesgue", "power-and-atom"])
-    def test_default_depth_verdict_builds_each_weight_once(self, make, monkeypatch):
+    def test_default_depth_verdict_builds_each_weight_once(self, make, pyramid_builds):
         # nu.ac for the window scans and the essential infimum, mu.ac for the kernel
         # spectra: no weight is built at a coarse level first and then again.  A fresh
         # pair, whose |a|^2 has no pyramid yet
         half_sum = pythagorean_mate(SymbolB.rational([0.5, 0.5]))
-        builds = []
-        levels = ArcWeight._levels
+        reverse_carleson_verdict(half_sum, make())
+        assert len(pyramid_builds) == len({id(w) for w, _ in pyramid_builds}) == 2
+        assert sorted(lv for _, lv in pyramid_builds) == [15, 17]
 
-        def recording(self, level):
-            before = self._pyramid
-            out = levels(self, level)
-            if out is not before:
-                builds.append((self, len(out) - 1))
-            return out
+    def test_reverse_canonical_builds_each_weight_once(self, pyramid_builds):
+        # mu.ac is the pair's inverse gap weight: the kernel spectra build its pyramid,
+        # and the Sarason total, reported first, reads level 0 of that pyramid
+        from hbspace.scenarios import build
 
-        measure = make()
-        monkeypatch.setattr(ArcWeight, "_levels", recording)
-        reverse_carleson_verdict(half_sum, measure)
-        # the weights are held in `builds`, so their ids are distinct
-        assert len(builds) == len({id(w) for w, _ in builds}) == 2
-        assert sorted(lv for _, lv in builds) == [15, 17]
+        sc = build("reverse-canonical")
+        rep = reverse_carleson_verdict(sc.pair, sc.measure)
+        weight = sc.pair.inverse_gap_weight
+        assert len(pyramid_builds) == len({id(w) for w, _ in pyramid_builds}) == 2
+        assert sorted(lv for _, lv in pyramid_builds) == [15, 17]
+        assert (weight, 17) in pyramid_builds
+        assert list(rep.conditions) == ["Sarason.L1gap", "MainThm.4", "MainThm.3", "MainThm.2"]
+        assert rep.conditions["Sarason.L1gap"].evidence["integral"] == weight.cell_integrals(0)[0]
 
     def test_scale_equivariance_of_verdict(self, alpha_pair, inv_gap_measure):
         rep1 = reverse_carleson_verdict(alpha_pair, inv_gap_measure, depth=8,
@@ -606,6 +632,52 @@ class TestReverseVerdict:
         assert rep2.constants["ess_inf"] == pytest.approx(
             3.7 * rep1.constants["ess_inf"], rel=1e-9
         )
+
+
+class TestSarasonL1Gap:
+    """Sarason's test reads the pair's (1 - |b|)^-1 weight: its poles, else its exact total."""
+
+    @staticmethod
+    def sarason(pair):
+        rep = reverse_carleson_verdict(pair, DiskMeasure.lebesgue(), depth=6, kernel_depth=4)
+        return rep.conditions["Sarason.L1gap"]
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0, 2.0, 2.5, 4.0])
+    def test_rotated_half_sum_fails_at_every_angle(self, theta):
+        # (1 - |b|)^-1 ~ (t - theta)^-2 is never integrable, wherever theta sits on a grid
+        pair = pythagorean_mate(SymbolB.rational([0.5, 0.5 * np.exp(-1j * theta)]))
+        condition = self.sarason(pair)
+        assert condition.verdict == "fail"
+        assert condition.evidence == {"feasible": "no",
+                                      "certificate": "(1 - |b|)^-1 is not integrable"}
+
+    def test_alpha_power_integral(self, alpha_pair):
+        # 40-digit mpmath of the integral of (1 - |b|)^-1 dm, |a|^2 = |sin(t/2)|^(1/2)
+        condition = self.sarason(alpha_pair)
+        assert condition.verdict == "pass"
+        assert condition.evidence["integral"] == pytest.approx(2.60831907175179699,
+                                                               rel=1e-13, abs=0)
+
+    def test_blaschke_corona_passes(self):
+        from hbspace.scenarios import build
+
+        condition = self.sarason(build("blaschke-corona").pair)
+        assert condition.verdict == "pass"
+        assert condition.evidence["integral"] == pytest.approx(6.51205269031590802,
+                                                               rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("num, den, integral", [
+        ([0.045], [1.0, -0.95], 1.15585241224663994),
+        ([0.5, 0.5], [1.0], None),
+    ], ids=["pole-near-the-circle", "half-sum"])
+    def test_bare_symbol_answers_as_its_pair(self, num, den, integral):
+        b = SymbolB.rational(num, den)
+        extremeness = classify_extremeness(b)
+        out = symbol_reverse_feasibility(b, extremeness)
+        assert out == self.sarason(pythagorean_mate(b, extremeness=extremeness)).evidence
+        if integral is not None:
+            assert out["feasible"] == "yes"
+            assert out["integral"] == pytest.approx(integral, rel=1e-13, abs=0)
 
 
 class TestDirectVerdict:
@@ -754,27 +826,17 @@ class TestNormEquivalence:
             assert all(w["level"] == depth and w["length"] == 2.0**-depth for w in witnesses)
             assert any((zero - w["start"]) % 1.0 <= w["length"] for w in witnesses)
 
-    def test_window_scans_build_each_nu_pyramid_once(self, monkeypatch):
+    def test_window_scans_build_each_nu_pyramid_once(self, pyramid_builds):
         # reverse_inf_scan and carleson_sup_scan read the same nu: the second scan
         # must find its cells already integrated.  A fresh pair, whose |a|^2 has no
         # pyramid yet
         half_sum = pythagorean_mate(SymbolB.rational([0.5, 0.5]))
-        builds = []
-        levels = ArcWeight._levels
-
-        def recording(self, level):
-            before = self._pyramid
-            out = levels(self, level)
-            if out is not before:
-                builds.append((type(self).__name__, len(out) - 1))
-            return out
-
-        monkeypatch.setattr(ArcWeight, "_levels", recording)
         depth = 11
         norm_equivalence_verdict(half_sum, DiskMeasure.lebesgue(), depth=depth)
         # |a|^2 and its reciprocal for the A2 scan, one build each; nu.ac is Lebesgue
         # measure times |a|^2, that is |a|^2 itself, so the window scans read its pyramid
-        assert [lv for name, lv in builds if name == "FactoredArcWeight"] == [depth + 1] * 2
+        assert [lv for w, lv in pyramid_builds
+                if type(w) is FactoredArcWeight] == [depth + 1] * 2
 
     def test_corona_failure_blocks(self):
         from hbspace.scenarios import build
@@ -839,8 +901,6 @@ class TestFeasibility:
             return np.where(upper, 1.0, 0.5)
 
         b = SymbolB.modulus_only(modulus)
-        from hbspace.space import classify_extremeness
-
         ext = classify_extremeness(b)
         assert ext.verdict == "extreme"
         out = symbol_reverse_feasibility(b, ext)
@@ -848,8 +908,6 @@ class TestFeasibility:
 
     def test_inner_is_out_of_scope(self):
         b = SymbolB.rational([0.0, 1.0])
-        from hbspace.space import classify_extremeness
-
         out = symbol_reverse_feasibility(b, classify_extremeness(b))
         assert out["feasible"] == "out-of-scope"
 

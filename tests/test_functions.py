@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.signal import lfilter
@@ -162,6 +163,31 @@ class TestFejerRiesz:
             mods = np.abs(np.polynomial.polynomial.polyroots(fact.q))
             assert np.min(mods) >= 1.0 - 1e-9
             assert fact.q[0].real > 0 and abs(fact.q[0].imag) < 1e-10
+
+
+class TestOneMinusModulusSquared:
+    # angles next to pi from either side, as a cell's nodes reach it (-pi + d included),
+    # next to the zero at 0, and elsewhere
+    ANGLES = [np.pi - 1e-9, np.pi + 3e-7, -np.pi + 2e-6, np.pi, 1e-9, -1e-4, 2.0, 5.5]
+
+    @pytest.mark.parametrize("scale", [None, 0.7], ids=["unit-peak", "scaled"])
+    def test_power_outer_against_mpmath(self, scale):
+        f = PowerOuter(0.25, scale)
+        got = f.one_minus_modulus_squared(np.array(self.ANGLES))
+        with mpmath.workdps(40):
+            c = mpmath.mpf(2) ** mpmath.mpf("-0.25") if scale is None else mpmath.mpf(scale)
+            for t, value in zip(self.ANGLES, got):
+                # an angle is read as a multiple of the float pi, whose own 1.2e-16 offset
+                # from pi would otherwise swamp 1 - |f|^2 ~ (t - pi)^2 next to pi
+                t = mpmath.mpf(t) * mpmath.pi / mpmath.mpf(np.pi)
+                exact = 1 - c**2 * abs(2 * mpmath.sin(t / 2)) ** mpmath.mpf("0.5")
+                # abs: the 40-digit reference's own rounding, where 1 - |f|^2 vanishes at pi
+                assert value == pytest.approx(float(exact), rel=1e-14, abs=1e-35)
+
+    def test_default_is_one_minus_the_modulus_squared(self):
+        f = RationalFn([0.3, 0.4j], [1.0, -0.2])
+        t = np.array(self.ANGLES)
+        assert np.array_equal(f.one_minus_modulus_squared(t), 1.0 - f.boundary_modulus(t) ** 2)
 
 
 class TestOuterFromLogModulus:

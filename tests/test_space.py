@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -110,6 +111,34 @@ class TestGapWeight:
         np.testing.assert_allclose(w.values(t[off]) * w.reciprocal().values(t[off]), 1.0,
                                    rtol=1e-12)
         assert abs(w.total() - np.mean(pair.gap2_grid(2 ** 16))) <= 1e-10
+
+
+class TestInverseGapWeight:
+    """pair.inverse_gap_weight is (1 - |b|)^-1 = (1 + |b|) |a|^-2 on the circle."""
+
+    def test_values_and_the_one_reciprocal(self, half_sum):
+        w = half_sum.inverse_gap_weight
+        t = grid_angles(997, offset=True)
+        expected = 1.0 / (1.0 - np.abs(half_sum.b(np.exp(1j * t))))
+        np.testing.assert_allclose(w.values(t), expected, rtol=1e-9)
+        # built from the gap weight's one reciprocal, which is kept
+        assert half_sum.gap2_weight.reciprocal() is half_sum.gap2_weight.reciprocal()
+        assert w.factors == half_sum.gap2_weight.reciprocal().factors
+
+    def test_cells_next_to_the_antipode_against_mpmath(self, alpha_pair):
+        # |a|^2 = |sin(t/2)|^(1/2) and 1 + |b| = 1 + sqrt(1 - |a|^2), which vanishes
+        # at t = pi: a difference 1 - |a|^2 taken there loses its relative accuracy
+        cells = alpha_pair.inverse_gap_weight.cell_integrals(17)
+        n = 2 ** 17
+
+        def density(t):
+            a2 = abs(mpmath.sin(t / 2)) ** mpmath.mpf("0.5")
+            return (1 + mpmath.sqrt(1 - a2)) / a2
+
+        with mpmath.workdps(40):
+            for k in range(n // 2 - 3, n // 2 + 3):
+                exact = mpmath.quad(density, [2 * mpmath.pi * k / n, 2 * mpmath.pi * (k + 1) / n])
+                assert cells[k] == pytest.approx(float(exact / (2 * mpmath.pi)), rel=1e-14, abs=0)
 
 
 class TestExtremeness:
@@ -262,6 +291,24 @@ class TestTaylorBOverA:
         assert data.coefficients[0] == pytest.approx(1.0, abs=1e-9)
         assert np.allclose(data.coefficients[1:], 2.0, atol=1e-9)
         assert data.in_h2 == "no"
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0, 2.0, 2.5, 4.0])
+    def test_rotated_half_sum_is_not_in_h2_at_any_angle(self, theta):
+        # a zero of a is a pole of the inverse gap weight, wherever it sits on a grid
+        pair = pythagorean_mate(SymbolB.rational([0.5, 0.5 * np.exp(-1j * theta)]))
+        data = taylor_b_over_a(pair, 16)
+        assert data.l1_verdict == data.in_h2 == "no"
+
+    @pytest.mark.parametrize("make", [
+        lambda: pythagorean_mate(SymbolB.from_outer_modulus(lambda t: np.abs(np.cos(t / 2.0)))),
+        lambda: pair_from_outer_a(RationalFn([0.5, -0.5])),
+    ], ids=["grid-outer-mate", "declared-rational-mate"])
+    def test_a_zero_the_gap_weight_does_not_hold_is_not_in_h2(self, make):
+        # b = (1 + z)/2 given by its modulus, or by its mate (1 - z)/2 handed to
+        # pair_from_outer_a: no zero of a is recorded, and a quadrature of 1/|a|^2
+        # would read a finite total
+        data = taylor_b_over_a(make(), 16)
+        assert data.l1_verdict == data.partial_sum_verdict == data.in_h2 == "no"
 
     def test_alpha_pair_in_h2(self, alpha_pair):
         data = alpha_pair.b_over_a_cache(64)
