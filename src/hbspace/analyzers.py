@@ -802,9 +802,7 @@ def norm_equivalence_verdict(pair, measure, depth=DEFAULT_DEPTH):
     pair.require_nonextreme("the norm-equivalence analysis")
     conditions = {}
 
-    a_admissible = pair.a.continuous_on_closure or pair.diagnostics.get(
-        "a_admissible", False
-    )
+    a_admissible = pair.a.continuous_on_closure
     b_admissible = pair.b.admissible_with(measure)
     adm = PASS if (a_admissible and b_admissible) else FAIL
     conditions["EquivNorm.admissible"] = ConditionResult(

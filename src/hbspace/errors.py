@@ -74,14 +74,6 @@ class AlphaResonanceError(HbError):
     """No admissible unimodular alpha found: 1 - conj(alpha)*b nearly vanishes."""
 
 
-class SnappingError(HbError):
-    """Root classification near the unit circle is ambiguous."""
-
-    def __init__(self, message, moduli=None):
-        super().__init__(message)
-        self.moduli = list(moduli) if moduli is not None else []
-
-
 class DegenerateMeasureError(HbError):
     """The measure gives zero mass to every object the analysis needs."""
 

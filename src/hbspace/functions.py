@@ -213,11 +213,6 @@ class RationalFn(AnalyticFunction):
         w = np.exp(1j * np.asarray(t, dtype=float))
         return np.abs(self(w))
 
-    def zeros(self):
-        if self.num.size <= 1:
-            return np.array([], dtype=complex)
-        return np.polynomial.polynomial.polyroots(self.num)
-
     @property
     def degree(self):
         return max(self.num.size - 1, self.den.size - 1)

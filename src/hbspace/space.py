@@ -35,7 +35,6 @@ from .errors import (
     DomainError,
     ExtremeDegenerateError,
     LogIntegrabilityError,
-    SnappingError,
     UnsupportedError,
 )
 from .functions import (
@@ -310,13 +309,22 @@ def classify_extremeness(b, start_exponent=10, cap_exponent=16,
 
 
 class PythagoreanPair:
-    """(a, b) with |a|^2 + |b|^2 = 1 on the circle, a outer with a(0) > 0."""
+    """(a, b) with |a|^2 + |b|^2 = 1 on the circle, a outer with a(0) > 0.
 
-    def __init__(self, b, a, extremeness, diagnostics=None):
+    For a rational a, `a_boundary_zeros` lists the zeros of a on the circle with
+    multiplicity, as the Fejer-Riesz rule finds them: handed over by the
+    factorization that built a, or else found by factoring |a.num|^2.  The gap
+    weight and the F_alpha split read this one list.
+    """
+
+    def __init__(self, b, a, extremeness, diagnostics=None, a_boundary_zeros=None):
         self.b = b
         self.a = a
         self.extremeness = extremeness
         self.diagnostics = dict(diagnostics or {})
+        if a_boundary_zeros is None and isinstance(a, RationalFn):
+            a_boundary_zeros = fejer_riesz(modulus_squared_coeffs(a.num)).boundary_zeros
+        self.a_boundary_zeros = list(a_boundary_zeros or ())
         self._b_taylor = np.zeros(0, dtype=complex)
         self._a_taylor = np.zeros(0, dtype=complex)
         self._inv_a_taylor = np.zeros(0, dtype=complex)
@@ -385,20 +393,28 @@ class PythagoreanPair:
         """(1 - |b|^2) = |a|^2 on the circle as an arc weight, the one that every scan reads.
 
         A `PowerOuter` mate gives its power.  A rational mate gives one exact
-        |1 - e^(i(t - t_j))|^2 factor per boundary zero e^(i t_j) that the
-        Fejer-Riesz step recorded, so that the reciprocal is infinite on every
-        arc touching a zero, times |a|^2 with those roots divided out; any other
+        |1 - e^(i(t - t_j))|^2 factor per boundary zero e^(i t_j) in
+        `a_boundary_zeros`, so that the reciprocal is infinite on every arc
+        touching a zero, times |a|^2 with those roots divided out; any other
         mate gives the clipped |a|^2 alone.  The cofactor closes over a, not the
         pair, so that the pair holds no reference cycle.
         """
         a = self.a
         if isinstance(a, PowerOuter):
             return PowerArcWeight(2.0 * a.alpha, a.scale**2, 0.0)
-        zeros = self.diagnostics.get("a_boundary_zeros") or []
-        for zeta in zeros:
-            a = RationalFn(np.polynomial.polynomial.polydiv(a.num, [-zeta, 1.0])[0], a.den)
+        zeros = self.a_boundary_zeros
+        if zeros:
+            a = RationalFn(self.a_cofactor, a.den)
         return FactoredArcWeight([PowerArcWeight(2.0, 1.0, np.angle(z)) for z in zeros],
                                  lambda t: np.clip(a.boundary_modulus(t) ** 2, 0.0, None))
+
+    @cached_property
+    def a_cofactor(self):
+        """a.num with one factor z - zeta divided out per zeta in `a_boundary_zeros`."""
+        num = self.a.num
+        for zeta in self.a_boundary_zeros:
+            num = np.polynomial.polynomial.polydiv(num, [-zeta, 1.0])[0]
+        return num
 
     @cached_property
     def inverse_gap_weight(self):
@@ -459,12 +475,9 @@ def pythagorean_mate(b, size=2 ** 14, extremeness=None):
         if np.max(np.abs(tau)) < 1e-14 * max(1.0, float(np.max(np.abs(rsq)))):
             raise ExtremeDegenerateError("|b| = 1 a.e. on the circle (b is inner)")
         fact = fejer_riesz(tau)
-        a = RationalFn(fact.q, r)
-        diag = {
-            "a_boundary_zeros": fact.boundary_zeros,
-            "factorization_residual": fact.residual,
-        }
-        return PythagoreanPair(b, a, extremeness, diag)
+        return PythagoreanPair(b, RationalFn(fact.q, r), extremeness,
+                               {"factorization_residual": fact.residual},
+                               a_boundary_zeros=fact.boundary_zeros)
     # outer route: a is the outer function with |a|^2 = 1 - |b|^2
     gap2 = lambda t: np.clip(1.0 - b.boundary_modulus(t) ** 2, 0.0, None)
     try:
@@ -739,14 +752,14 @@ def l1_gap_test(pair):
 
     As 1 <= 1 + |b| <= 2, the pair's `inverse_gap_weight` has a pole exactly
     where |a|^-2 has one, which means "no"; else its total is the integral.
-    A zero of a that `gap2_weight` holds as no factor (no power or Fejer-Riesz
-    mate) is no pole, and a quadrature of 1/|a|^2 stays finite next to it, so
+    `gap2_weight` holds the zeros of a power or rational a; a zero of a grid
+    outer is no pole, and a quadrature of 1/|a|^2 stays finite next to it, so
     there `gap_reciprocal_ladder` decides on the offset sample grids.
     """
     weight = pair.inverse_gap_weight
     if not weight.integrable:
         out = {"feasible": "no"}
-    elif isinstance(pair.a, PowerOuter) or "a_boundary_zeros" in pair.diagnostics:
+    elif isinstance(pair.a, (PowerOuter, RationalFn)):
         total = weight.total()
         out = {"feasible": "yes" if np.isfinite(total) else UNDETERMINED, "integral": total}
     else:
@@ -857,7 +870,7 @@ def _unimodular_alpha(pair, seed, size, margin=1e-6, tries=64, excluded=()):
 
 @dataclass
 class FAlphaDecomposition:
-    """F_alpha = p * f with p collecting the boundary zeros of a and |f|^2 in A2."""
+    """F_alpha = p * f with p collecting the pair's `a_boundary_zeros` and |f|^2 in A2."""
 
     alpha: complex
     p: np.ndarray
@@ -893,16 +906,16 @@ class _FAlphaF:
 def rational_falpha_decompose(pair, alpha=None, seed=0, size=2 ** 12):
     """Split F_alpha = a/(1 - conj(alpha) b) as p * f for rational non-extreme b.
 
-    p is the monic polynomial collecting the boundary zeros of a (after the
-    snapping rule), and f = q2/(r (1 - conj(alpha) b)) together with 1/f is
-    continuous on the closed disk, so |f|^2 satisfies the A2 condition.
+    p is the monic polynomial collecting the boundary zeros of a that the
+    Fejer-Riesz rule found (`pair.a_boundary_zeros`), q2 = a.num / p is the
+    pair's `a_cofactor`, and f = q2/(r (1 - conj(alpha) b)) together with 1/f
+    is continuous on the closed disk, so |f|^2 satisfies the A2 condition.
     """
     pair.require_nonextreme("the F_alpha decomposition")
     if not isinstance(pair.a, RationalFn) or not pair.b.is_rational:
         raise UnsupportedError("F_alpha decomposition implemented for rational symbols only")
     a = pair.a
-    roots = a.zeros()
-    boundary, outside = _classify_circle_roots(roots)
+    boundary = pair.a_boundary_zeros
 
     bvals_at_bz = (
         np.asarray(pair.b.fn(np.array(boundary))) if boundary else np.array([])
@@ -918,12 +931,8 @@ def rational_falpha_decompose(pair, alpha=None, seed=0, size=2 ** 12):
     p = np.array([1.0 + 0j])
     for zeta in boundary:
         p = np.polynomial.polynomial.polymul(p, [-zeta, 1.0])
-    lead = a.num[-1]
-    q2 = np.array([lead], dtype=complex)
-    for rho in outside:
-        q2 = np.polynomial.polynomial.polymul(q2, [-rho, 1.0])
 
-    f = _FAlphaF(q2, a.den, alpha, pair.b.fn)
+    f = _FAlphaF(pair.a_cofactor, a.den, alpha, pair.b.fn)
     zgrid = _closed_disk_grid(size)
     pv = np.polynomial.polynomial.polyval
     guard = np.abs(pv(zgrid, a.den) * (1.0 - np.conj(alpha) * pair.b.fn(zgrid)))
@@ -945,24 +954,6 @@ def rational_falpha_decompose(pair, alpha=None, seed=0, size=2 ** 12):
         min_r_one_minus_ab=min_guard,
         a2_verdict=verdict,
     )
-
-
-def _classify_circle_roots(roots, snap_tol=1e-9, band=1e-6):
-    boundary, outside = [], []
-    ambiguous = []
-    for rho in roots:
-        gap = abs(abs(rho) - 1.0)
-        if gap <= snap_tol:
-            boundary.append(rho / abs(rho))
-        elif gap <= band:
-            ambiguous.append(abs(rho))
-        else:
-            outside.append(rho)
-    if ambiguous:
-        raise SnappingError(
-            "root moduli too close to the circle to classify", moduli=ambiguous
-        )
-    return boundary, outside
 
 
 def _closed_disk_grid(size):

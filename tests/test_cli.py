@@ -168,6 +168,26 @@ class TestRemainingVerbs:
         assert doc["hb_norm"] ** 2 == pytest.approx(1999000500.25, rel=1e-12)
         assert doc["closed_form"] ** 2 == pytest.approx(1999000500.25, rel=1e-12)
 
+    def test_analyze_direct_on_a_rotated_double_zero(self, tmp_path, capsys):
+        # the mate (1 - e^(-i pi/2) z)^2/4 has a double zero at angle pi/2, which
+        # splits into roots about 1e-8 off the circle before it is snapped back
+        from hbspace.functions import fejer_riesz, modulus_squared_coeffs
+
+        tau = -modulus_squared_coeffs(np.array([0.25, -0.5, 0.25]))
+        tau[0] += 1.0
+        q = fejer_riesz(tau).q * np.exp(-0.5j * np.pi) ** np.arange(3)
+        b = tmp_path / "b.json"
+        b.write_text(json.dumps({"form": "rational",
+                                 "numerator": [[v.real, v.imag] for v in q],
+                                 "denominator": [[1.0, 0.0]]}))
+        m = tmp_path / "m.json"
+        m.write_text(json.dumps(LEBESGUE))
+        assert main(["analyze-direct", "--b", str(b), "--mu", str(m), "--depth", "8"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        assert doc["diagnostics"]["falpha_certificate"]["boundary_root_count"] == 2
+
     def test_analyze_equivalence(self, files, capsys):
         code = main(["analyze-equivalence", "--b", files["b"], "--mu", files["m"],
                      "--depth", "8"])

@@ -22,6 +22,7 @@ from hbspace.space import (
     hb_norm_squared,
     kernel_eval,
     kernel_norm_closed_form,
+    l1_gap_test,
     monomial_norm,
     pair_from_outer_a,
     pythagorean_mate,
@@ -29,6 +30,16 @@ from hbspace.space import (
     rational_falpha_decompose,
     taylor_b_over_a,
 )
+
+
+def double_zero_symbol(turn=0.0):
+    """The rational b whose mate is a = (1 - e^(-2 pi i turn) z)^2/4, zero twice at 2 pi turn."""
+    from hbspace.functions import fejer_riesz, modulus_squared_coeffs
+
+    tau = -modulus_squared_coeffs(np.array([0.25, -0.5, 0.25]))
+    tau[0] += 1.0
+    q = fejer_riesz(tau).q
+    return SymbolB.rational(q * np.exp(-2j * np.pi * turn) ** np.arange(q.size))
 
 
 @pytest.fixture(scope="module")
@@ -96,11 +107,15 @@ class TestGapWeight:
         [0.5, 0.5], [np.sqrt((1.5 + np.sqrt(2)) / 2), -np.sqrt((1.5 - np.sqrt(2)) / 2)]))
 
     @settings(max_examples=25, deadline=None)
-    @given(order=st.sampled_from([0, 1, 2]), turn=st.floats(0.0, 1.0, exclude_max=True))
-    def test_gap_weight_is_one_minus_b_squared(self, order, turn):
+    @given(order=st.sampled_from([0, 1, 2]), turn=st.floats(0.0, 1.0, exclude_max=True),
+           route=st.sampled_from(["mate", "outer-a"]))
+    def test_gap_weight_is_one_minus_b_squared(self, order, turn, route):
         coeffs = np.asarray(self.SYMBOLS[order])
         b = SymbolB.rational(coeffs * np.exp(-2j * np.pi * turn) ** np.arange(coeffs.size))
         pair = pythagorean_mate(b)
+        if route == "outer-a":
+            # the mate handed over alone: the pair finds its zeros by the same rule
+            pair = pair_from_outer_a(pair.a)
         w = pair.gap2_weight
         # a zero of a is a pole of the reciprocal, wherever it sits
         assert len(w.reciprocal().poles) == min(order, 1)
@@ -111,6 +126,19 @@ class TestGapWeight:
         np.testing.assert_allclose(w.values(t[off]) * w.reciprocal().values(t[off]), 1.0,
                                    rtol=1e-12)
         assert abs(w.total() - np.mean(pair.gap2_grid(2 ** 16))) <= 1e-10
+
+    def test_a_rational_a_handed_to_pair_from_outer_a_is_held(self):
+        # (1 - z)/2, the mate of (1 + z)/2, handed over alone: the A2 scan of its gap
+        # weight fails on the same three arcs as the Fejer-Riesz mate's
+        from hbspace.analyzers import a2_check
+
+        pair = pair_from_outer_a(RationalFn([0.5, -0.5]))
+        assert pair.a_boundary_zeros == pytest.approx([1.0])
+        got = a2_check(pair.gap2_weight, depth=10)
+        want = a2_check(pythagorean_mate(SymbolB.rational([0.5, 0.5])).gap2_weight, depth=10)
+        assert got.verdict_bounded() == "fail"
+        assert len(got.infinite_witnesses) == 3
+        assert got.infinite_witnesses == want.infinite_witnesses
 
 
 class TestInverseGapWeight:
@@ -301,13 +329,20 @@ class TestTaylorBOverA:
 
     @pytest.mark.parametrize("make", [
         lambda: pythagorean_mate(SymbolB.from_outer_modulus(lambda t: np.abs(np.cos(t / 2.0)))),
-        lambda: pair_from_outer_a(RationalFn([0.5, -0.5])),
-    ], ids=["grid-outer-mate", "declared-rational-mate"])
+    ], ids=["grid-outer-mate"])
     def test_a_zero_the_gap_weight_does_not_hold_is_not_in_h2(self, make):
-        # b = (1 + z)/2 given by its modulus, or by its mate (1 - z)/2 handed to
-        # pair_from_outer_a: no zero of a is recorded, and a quadrature of 1/|a|^2
-        # would read a finite total
+        # b = (1 + z)/2 given by its modulus: no zero of a is recorded, and a
+        # quadrature of 1/|a|^2 would read a finite total
         data = taylor_b_over_a(make(), 16)
+        assert data.l1_verdict == data.partial_sum_verdict == data.in_h2 == "no"
+
+    def test_a_rational_a_handed_to_pair_from_outer_a_is_a_pole(self):
+        # b = (1 + z)/2 given by its mate (1 - z)/2: the pair finds the zero of a, so
+        # (1 - |b|)^-1 has a pole there and no grid is sampled
+        pair = pair_from_outer_a(RationalFn([0.5, -0.5]))
+        assert l1_gap_test(pair) == {"feasible": "no",
+                                     "certificate": "(1 - |b|)^-1 is not integrable"}
+        data = taylor_b_over_a(pair, 16)
         assert data.l1_verdict == data.partial_sum_verdict == data.in_h2 == "no"
 
     def test_alpha_pair_in_h2(self, alpha_pair):
@@ -394,17 +429,23 @@ class TestFAlphaDecomposition:
         # construct-then-recover: pick a = (1 - z)^2/4 (double boundary root),
         # factor 1 - |a|^2 to get a rational b, and check the decomposition
         # finds the double root back
-        from hbspace.functions import fejer_riesz, modulus_squared_coeffs
-
-        a_target = np.array([0.25, -0.5, 0.25])
-        tau = -modulus_squared_coeffs(a_target)
-        tau[0] += 1.0
-        b = SymbolB.rational(fejer_riesz(tau).q)
-        pair = pythagorean_mate(b)
-        assert np.allclose(pair.a.num, a_target, atol=1e-7)
+        pair = pythagorean_mate(double_zero_symbol())
+        assert np.allclose(pair.a.num, [0.25, -0.5, 0.25], atol=1e-7)
         fa = rational_falpha_decompose(pair, seed=0)
         assert fa.codimension == 2
         assert np.allclose([abs(z) for z in fa.boundary_zeros], 1.0)
+
+    @pytest.mark.parametrize("turn", [0.0, 0.1, 0.25, 0.37, 0.5, 0.75])
+    def test_rotated_double_boundary_root_recovered(self, turn):
+        # the double zero splits into roots about 1e-8 off the circle; p collects the
+        # zeros that the Fejer-Riesz rule snapped back, at every angle
+        pair = pythagorean_mate(double_zero_symbol(turn))
+        fa = rational_falpha_decompose(pair, seed=0)
+        assert fa.codimension == 2
+        np.testing.assert_allclose(fa.boundary_zeros, np.exp(2j * np.pi * turn), atol=1e-7)
+        np.testing.assert_allclose(np.polynomial.polynomial.polymul(fa.p, fa.f.q2),
+                                   pair.a.num, atol=1e-12)
+        assert fa.a2_verdict == "pass"
 
     def test_excluded_alpha_rejected(self, half_sum):
         # b(1) = 1 sits in the excluded set
