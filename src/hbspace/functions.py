@@ -27,7 +27,7 @@ from .errors import (
     NumericalFactorizationError,
     ResolutionError,
 )
-from .circle import CircleGrid, grid_angles
+from .circle import CircleGrid, analytic_mul, grid_angles
 
 _TAIL_TOL = 1e-18
 
@@ -256,24 +256,29 @@ class BlaschkeProduct(AnalyticFunction):
                 out = out * (abs(lam) / lam) * (lam - z) / (1.0 - np.conj(lam) * z)
         return out
 
-    def as_rational(self):
-        num = np.array([1.0 + 0j])
-        den = np.array([1.0 + 0j])
-        for lam in self.zeros:
-            if lam == 0:
-                num = np.polynomial.polynomial.polymul(num, [0.0, 1.0])
-            else:
-                num = np.polynomial.polynomial.polymul(
-                    num, [(abs(lam) / lam) * lam, -(abs(lam) / lam)]
-                )
-                den = np.polynomial.polynomial.polymul(den, [1.0, -np.conj(lam)])
-        return num, den
-
     def taylor(self, n):
-        return series_quotient(*self.as_rational(), n)
+        """Cauchy product of the factors' one-pole series; z for a zero at 0."""
+        factors = (([0.0, 1.0], [1.0]) if lam == 0 else
+                   ([abs(lam), -abs(lam) / lam], [1.0, -np.conj(lam)]) for lam in self.zeros)
+        return _series_product((series_quotient(num, den, n) for num, den in factors), n)
 
     def boundary_modulus(self, t):
         return np.ones_like(np.asarray(t, dtype=float))
+
+
+def _series_product(series, n):
+    """First n Taylor coefficients of a product, as Cauchy products of its factors' series.
+
+    Each factor keeps its own exact series, so a product of clustered
+    Blaschke factors is not run through one ill-conditioned recurrence.
+    """
+    out = None
+    for c in series:
+        out = c if out is None else analytic_mul(out, c, n)
+    if out is None:
+        out = np.zeros(n, dtype=complex)
+        out[:1] = 1.0
+    return out
 
 
 def blaschke_eval(product, z):
@@ -510,11 +515,7 @@ class ProductFn(AnalyticFunction):
         return out
 
     def taylor(self, n):
-        out = np.zeros(n, dtype=complex)
-        out[0] = 1.0
-        for f in self.factors:
-            out = np.convolve(out, f.taylor(n))[:n]
-        return out
+        return _series_product((f.taylor(n) for f in self.factors), n)
 
     def boundary_values(self, m):
         out = None

@@ -317,11 +317,10 @@ class PythagoreanPair:
     weight and the F_alpha split read this one list.
     """
 
-    def __init__(self, b, a, extremeness, diagnostics=None, a_boundary_zeros=None):
+    def __init__(self, b, a, extremeness, a_boundary_zeros=None):
         self.b = b
         self.a = a
         self.extremeness = extremeness
-        self.diagnostics = dict(diagnostics or {})
         if a_boundary_zeros is None and isinstance(a, RationalFn):
             a_boundary_zeros = fejer_riesz(modulus_squared_coeffs(a.num)).boundary_zeros
         self.a_boundary_zeros = list(a_boundary_zeros or ())
@@ -333,7 +332,7 @@ class PythagoreanPair:
         self._boundary_interp = None  # b on the 2^16 grid, closed, for interpolation
         self._kernel_spectra = None  # (weakref to weight, variant, h, b, FFTs) of the last scan
         residual = self.mate_residual()
-        self.diagnostics.setdefault("mate_residual", residual)
+        self.diagnostics = {"mate_residual": residual}
         if residual > 1e-7:
             raise DiagnosticsError(
                 f"|a|^2 + |b|^2 - 1 reaches {residual:.3e} on the boundary grid",
@@ -476,7 +475,6 @@ def pythagorean_mate(b, size=2 ** 14, extremeness=None):
             raise ExtremeDegenerateError("|b| = 1 a.e. on the circle (b is inner)")
         fact = fejer_riesz(tau)
         return PythagoreanPair(b, RationalFn(fact.q, r), extremeness,
-                               {"factorization_residual": fact.residual},
                                a_boundary_zeros=fact.boundary_zeros)
     # outer route: a is the outer function with |a|^2 = 1 - |b|^2
     gap2 = lambda t: np.clip(1.0 - b.boundary_modulus(t) ** 2, 0.0, None)
@@ -670,40 +668,19 @@ class BOverATaylor:
     diagnostics: dict = field(default_factory=dict)
 
 
-def taylor_b_over_a(pair, degree, rtol=1e-9):
-    """Taylor coefficients of b/a extracted on shrinking circles.
+def taylor_b_over_a(pair, degree):
+    """Taylor coefficients of b/a through z^degree.
 
-    b/a is analytic in the disk even when a has boundary zeros, so the
-    coefficients are read off FFTs of b/a on radii 1 - 2^-k, accepted once
-    two consecutive radii agree.  The H^2 membership verdict is computed two
-    ways (partial sums of |c_j|^2, and the integrability of (1 - |b|)^-1)
-    and the two are required to be consistent when both are determinate;
-    the second is the verdict.
+    a is outer, so 1/a has a Taylor series even when a has boundary zeros,
+    and the truncated Cauchy product of the b and 1/a series is exact.  The
+    H^2 membership verdict is computed two ways (partial sums of |c_j|^2,
+    and the integrability of (1 - |b|)^-1) and the two are required to be
+    consistent when both are determinate; the second is the verdict.
     """
     pair.require_nonextreme("Taylor data of b/a")
-    m = _next_size(max(4 * (degree + 1), 512))
-    previous = None
-    chosen = None
-    radii = []
-    for k in range(3, 13):
-        r = 1.0 - 2.0 ** (-k)
-        vals_b = pair.b.fn.eval_on_circle(r, m)
-        vals_a = pair.a.eval_on_circle(r, m)
-        ratio = vals_b / vals_a
-        coeffs = np.fft.fft(ratio) / m
-        c = coeffs[: degree + 1] / (r ** np.arange(degree + 1))
-        radii.append(r)
-        if previous is not None:
-            diff = float(np.max(np.abs(c - previous)))
-            scale = max(1.0, float(np.max(np.abs(c))))
-            if diff <= rtol * scale:
-                chosen = c
-                break
-        previous = c
-    if chosen is None:
-        raise ConvergenceError("b/a coefficients did not stabilize over the radius ladder")
-
-    partial = _partial_sum_verdict(chosen)
+    n = degree + 1
+    coeffs = analytic_mul(pair.b_taylor(n), pair.inv_a_taylor(n), n)
+    partial = _partial_sum_verdict(coeffs)
     l1 = l1_gap_test(pair)["feasible"]
     if partial != UNDETERMINED and l1 != UNDETERMINED and partial != l1:
         raise DiagnosticsError(
@@ -711,11 +688,10 @@ def taylor_b_over_a(pair, degree, rtol=1e-9):
             details={"partial_sums": partial, "l1": l1},
         )
     return BOverATaylor(
-        coefficients=chosen,
+        coefficients=coeffs,
         in_h2=l1,
         partial_sum_verdict=partial,
         l1_verdict=l1,
-        diagnostics={"radii": radii},
     )
 
 

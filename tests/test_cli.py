@@ -158,6 +158,19 @@ class TestRemainingVerbs:
         expect = np.sqrt(1.0 + np.sum(np.abs(c.coefficients[:4]) ** 2))
         assert json.loads(captured.out)["hb_norm"] == pytest.approx(expect, rel=1e-9)
 
+    def test_norms_kernel_with_clustered_blaschke_zeros(self, tmp_path, capsys):
+        # b = B 0.7 with the zeros 1 - 2^-n, n = 1..12: the series of B is the
+        # product of its factors' series, and the norm stabilizes
+        b = tmp_path / "b.json"
+        b.write_text(json.dumps({"form": "inner_times_outer",
+                                 "blaschke_zeros": [[1.0 - 2.0 ** -n, 0.0] for n in range(1, 13)],
+                                 "modulus_samples": [0.7] * 1024}))
+        assert main(["norms", "--b", str(b), "--kernel", "0.9,0"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        assert doc["hb_norm"] == pytest.approx(doc["closed_form"], rel=0.0, abs=1e-9)
+
     def test_norms_kernel_near_the_circle(self, files, capsys):
         # the kernel's Taylor series fills most of the truncation cap
         assert main(["norms", "--b", files["b"], "--kernel", "0.999,0"]) == 0

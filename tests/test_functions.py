@@ -72,8 +72,14 @@ class TestSeriesQuotient:
         got = series_quotient([1.0], den, 2 ** 16)
         assert np.array_equal(got, 4.0 * (np.arange(2 ** 16) + 1))
 
-    def test_blaschke_coefficients_against_evaluation(self):
-        B = BlaschkeProduct([0.95, -0.3 + 0.9j, 0.0, 0.5j])
+    @pytest.mark.parametrize("zeros", [
+        [0.95, -0.3 + 0.9j, 0.0, 0.5j],
+        # zeros crowding the point 1, where one recurrence over the expanded
+        # quotient of all the factors is unstable
+        [1.0 - 2.0 ** -n for n in range(1, 13)],
+    ], ids=["scattered", "clustered"])
+    def test_blaschke_coefficients_against_evaluation(self, zeros):
+        B = BlaschkeProduct(zeros)
         r, m = 0.999, 64
         values = eval_taylor_on_circle(B.taylor(2 ** 15), r, m)
         expect = B(r * np.exp(1j * grid_angles(m)))

@@ -11,6 +11,7 @@ from hbspace.errors import (
     UnsupportedError,
 )
 from hbspace.functions import PowerOuter, RationalFn, polyval_ascending
+from hbspace.scenarios import build
 from hbspace.space import (
     SymbolB,
     cauchy_kernel_taylor,
@@ -315,10 +316,21 @@ class TestTaylorBOverA:
         assert data.in_h2 == "yes"
 
     def test_halfsum_geometric_coefficients(self, half_sum):
-        data = taylor_b_over_a(half_sum, 16)
-        assert data.coefficients[0] == pytest.approx(1.0, abs=1e-9)
-        assert np.allclose(data.coefficients[1:], 2.0, atol=1e-9)
+        # b/a = (1 + z)/(1 - z) = 1 + 2 z + 2 z^2 + ...
+        data = taylor_b_over_a(half_sum, 64)
+        np.testing.assert_allclose(data.coefficients, np.r_[1.0, np.full(64, 2.0)],
+                                   rtol=0.0, atol=1e-14)
         assert data.in_h2 == "no"
+
+    def test_clustered_blaschke_zeros_match_the_circle_fft(self):
+        # b = B u with the 12 zeros 1 - 2^-n of B crowding the point 1; on the circle
+        # of radius 0.9 an FFT of the values of b/a reads its coefficients to rounding
+        pair = build("blaschke-corona").pair
+        r, m = 0.9, 4096
+        z = r * np.exp(1j * grid_angles(m))
+        expect = np.fft.fft(pair.b.fn(z) / pair.a(z))[:65] / m / r ** np.arange(65)
+        data = taylor_b_over_a(pair, 64)
+        assert np.max(np.abs(data.coefficients - expect)) < 1e-12
 
     @pytest.mark.parametrize("theta", [0.0, 1.0, 2.0, 2.5, 4.0])
     def test_rotated_half_sum_is_not_in_h2_at_any_angle(self, theta):
