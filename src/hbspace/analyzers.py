@@ -38,7 +38,6 @@ from .functions import GridOuter, RationalFn
 from .measures import (
     DiskAtoms,
     DiskMeasure,
-    FunctionOnDisk,
     PairWeight,
     as_arc_weight,
     window_span,
@@ -182,6 +181,27 @@ class ScanResult(LevelScan):
         """pass = stabilized positive infimum, fail = zero/decaying, else undetermined."""
         return self.verdict()
 
+    def add_family(self, level, starts, lengths, vals):
+        """Add one level's scan arcs, their starts and lengths, with their values."""
+        if self.table is not None:
+            centers = (starts + lengths / 2.0) % 1.0 * TWO_PI
+            self.table.extend((level, c, ell, v) for c, ell, v
+                              in zip(centers.tolist(), lengths.tolist(), vals.tolist()))
+        if self.mode == "sup":
+            hit = vals == np.inf
+            if np.any(hit):
+                ell = float(lengths[hit].min())
+                shortest = min((w["length"] for w in self.infinite_witnesses), default=np.inf)
+                if ell < shortest:
+                    self.infinite_witnesses = []
+                if ell <= shortest:
+                    self.infinite_witnesses += [{"level": level, "start": float(x), "length": ell}
+                                                for x in starts[hit & (lengths == ell)]]
+            keep = np.isfinite(vals)
+            starts, lengths, vals = starts[keep], lengths[keep], vals[keep]
+        self.add_level(2 ** level, vals, lambda i, v: {
+            "level": level, "start": float(starts[i]), "length": float(lengths[i]), "value": v})
+
     def table_csv(self):
         if self.table is None:
             raise DomainError("scan was run without table collection")
@@ -217,22 +237,13 @@ def _scan_families(level, complements=True):
     return fams
 
 
-def arc_scan(value_fn, depth, mode="sup", complements=True, collect_table=False):
-    """Run value_fn(starts, length) over the dyadic scan family up to `depth`.
+def _valued_families(value_fn, depth, complements=True):
+    """(level, starts, lengths, values) of the dyadic scan family for levels 1..depth.
 
-    mode 'sup' tracks maxima of the finite values (infinities reported
-    separately), mode 'inf' tracks minima.  Level k has size 2^k.  The
-    cumulative series is what verdict rules read, by the 'scan' rule, and
-    the witness is the arc of the cumulative extreme.
-    The infinite witnesses are the infinite arcs of the shortest scanned
-    length that has one; they locate every singularity that makes a longer
-    arc infinite.
+    Each arc is valued once, by value_fn(starts, length), and the finest
+    family first, so that an arc weight integrates its cells once, on the
+    finest lattice the scan reads.
     """
-    scan = ScanResult(rule=RULES["scan"], mode=mode, depth=depth,
-                      table=[] if collect_table else None)
-    shortest = np.inf
-    # the finest family is valued first, so that an arc weight integrates its
-    # cells once, on the finest lattice the scan reads
     deepest = _scan_families(depth, complements)
     first = np.asarray(value_fn(*deepest[-1]), dtype=float)
     for level in range(1, depth + 1):
@@ -242,24 +253,31 @@ def arc_scan(value_fn, depth, mode="sup", complements=True, collect_table=False)
         vals = np.concatenate([first if s is deepest[-1][0]
                                else np.asarray(value_fn(s, ell), dtype=float)
                                for s, ell in families])
-        if collect_table:
-            centers = (starts + lengths / 2.0) % 1.0 * TWO_PI
-            scan.table.extend((level, c, ell, v) for c, ell, v
-                              in zip(centers.tolist(), lengths.tolist(), vals.tolist()))
-        if mode == "sup":
-            hit = vals == np.inf
-            if np.any(hit):
-                ell = float(lengths[hit].min())
-                if ell < shortest:
-                    scan.infinite_witnesses, shortest = [], ell
-                if ell == shortest:
-                    scan.infinite_witnesses += [{"level": level, "start": float(x), "length": ell}
-                                                for x in starts[hit & (lengths == ell)]]
-            keep = np.isfinite(vals)
-            starts, lengths, vals = starts[keep], lengths[keep], vals[keep]
-        scan.add_level(2 ** level, vals, lambda i, v: {
-            "level": level, "start": float(starts[i]), "length": float(lengths[i]), "value": v})
-    return scan
+        yield level, starts, lengths, vals
+
+
+def arc_scans(value_fn, depth, modes, complements=True, collect_table=False):
+    """One ScanResult per mode from one valuation of the dyadic scan family up to `depth`.
+
+    mode 'sup' tracks maxima of the finite values (infinities reported
+    separately), mode 'inf' tracks minima.  Level k has size 2^k.  The
+    cumulative series is what verdict rules read, by the 'scan' rule, and
+    the witness is the arc of the cumulative extreme.
+    The infinite witnesses are the infinite arcs of the shortest scanned
+    length that has one; they locate every singularity that makes a longer
+    arc infinite.
+    """
+    scans = [ScanResult(rule=RULES["scan"], mode=mode, depth=depth,
+                        table=[] if collect_table else None) for mode in modes]
+    for level, starts, lengths, vals in _valued_families(value_fn, depth, complements):
+        for scan in scans:
+            scan.add_family(level, starts, lengths, vals)
+    return scans
+
+
+def arc_scan(value_fn, depth, mode="sup", complements=True, collect_table=False):
+    """The one ScanResult of `arc_scans` in the given mode."""
+    return arc_scans(value_fn, depth, (mode,), complements, collect_table)[0]
 
 
 def _mass_ratios(measure):
@@ -275,6 +293,11 @@ def reverse_inf_scan(measure, depth=DEFAULT_DEPTH, collect_table=False):
 def carleson_sup_scan(measure, depth=DEFAULT_DEPTH, collect_table=False):
     """sup over scan arcs of nu(S(I))/m(I), growth-exponent fit included."""
     return arc_scan(_mass_ratios(measure), depth, mode="sup", collect_table=collect_table)
+
+
+def window_scans(measure, depth=DEFAULT_DEPTH):
+    """`reverse_inf_scan` and `carleson_sup_scan` of one measure, valuing each scan arc once."""
+    return arc_scans(_mass_ratios(measure), depth, ("inf", "sup"))
 
 
 # ---------------------------------------------------------------------------
@@ -449,51 +472,58 @@ def _gap_weight(pair, fn, interior):
     return PairWeight(pair.gap2_weight, _up_to_circle(fn, interior, pair.gap2_weight))
 
 
-def _kernel_adapter(pair, lam, bl, variant):
-    """k_lam as a FunctionOnDisk, given bl = b(lam)."""
-    lam = complex(lam)
-    if variant == "hb":
-        b_at = _up_to_circle(pair.b.fn, pair.b.fn, pair.b_at_angles)
-
-        def interior(z):
-            return (1.0 - np.conj(bl) * b_at(z)) / (
-                1.0 - np.conj(lam) * np.asarray(z, dtype=complex)
-            )
-
-        def boundary(t):
-            zb = pair.b_at_angles(np.asarray(t, dtype=float))
-            return (1.0 - np.conj(bl) * zb) / (1.0 - np.conj(lam) * np.exp(1j * np.asarray(t)))
-
-    else:
-
-        def interior(z):
-            return 1.0 / (1.0 - np.conj(lam) * np.asarray(z, dtype=complex))
-
-        def boundary(t):
-            return 1.0 / (1.0 - np.conj(lam) * np.exp(1j * np.asarray(t, dtype=float)))
-
-    return FunctionOnDisk(interior, boundary_angles=boundary,
-                          focus_angles=(float(np.angle(lam)),))
-
-
 def _kernel_mu_norms_squared(pair, measure, lams, variant, beta=None):
     """||k_lam||^2 in L2(mu) for every lam of one probe level.
 
-    `beta` holds b at the lams; without it, b is evaluated there.  The
-    boundary a.c. part takes the grid sum of its density through FFT
-    convolutions; atoms and radial parts take their own l2 rule at each lam.
+    `beta` holds b at the lams; without it, b is evaluated there.
     """
     lams = np.asarray(lams, dtype=complex)
     if beta is None:
         beta = np.asarray(pair.b.fn(lams), dtype=complex)
-    out = np.zeros(lams.size)
-    if measure.ac is not None:
-        out += _grid_kernel_norms_squared(pair, measure.ac, lams, beta, variant)
-    for comp in measure.components():
-        if comp is not measure.ac and comp.mass() > 0:
-            for i, lam in enumerate(lams):
-                out[i] += comp.l2(_kernel_adapter(pair, lam, beta[i], variant))
-    return out
+    return _KernelNorms(pair, measure, variant)(lams, beta)
+
+
+_BATCH = 2 ** 15  # complex entries of one batched kernel temporary: 512 kB
+
+
+class _KernelNorms:
+    """lams, b(lams) -> ||k_lam||^2 in L2(mu), for the probe levels of one kernel scan.
+
+    The kernel is k_lam(z) = (1 - conj(b(lam)) b(z)) / (1 - conj(lam) z) for
+    'hb' and 1 / (1 - conj(lam) z) for 'cauchy'.  What the levels share is
+    taken once per scan: the spectra of the boundary a.c. part, which take
+    the grid sum of its density (`_grid_kernel_norms_squared`), one sine
+    table per sub-grid offset, and for every other component the nodes of
+    its own l2 rule (`l2_by_nodes`) with b read there.  A level's probes are
+    summed at those nodes in batches of at most _BATCH entries.
+    """
+
+    def __init__(self, pair, measure, variant):
+        self.pair, self.variant, self.ac = pair, variant, measure.ac
+        self.tables = {}  # sub-grid offset -> its sine table
+        b_at = _up_to_circle(pair.b.fn, pair.b.fn, pair.b_at_angles)
+        self.components = []
+        for comp in measure.components():
+            if comp is not measure.ac and comp.mass() > 0:
+                nodes, boundary, integral = comp.l2_nodes()
+                bz = None
+                if variant == "hb":
+                    bz = pair.b_at_angles(nodes) if boundary else b_at(nodes)
+                self.components.append((np.exp(1j * nodes) if boundary else nodes, bz, integral))
+
+    def __call__(self, lams, beta):
+        out = np.zeros(lams.size)
+        if self.ac is not None:
+            out += _grid_kernel_norms_squared(self.pair, self.ac, lams, beta, self.variant,
+                                              self.tables)
+        for z, bz, integral in self.components:
+            step = max(1, _BATCH // z.size)
+            for s in range(0, lams.size, step):
+                part = slice(s, s + step)
+                lam = lams[part].reshape((-1,) + (1,) * z.ndim)
+                numer = 1.0 if bz is None else 1.0 - np.conj(beta[part]).reshape(lam.shape) * bz
+                out[part] += integral(np.abs(numer / (1.0 - np.conj(lam) * z)) ** 2)
+        return out
 
 
 _NEAR_POINTS = 64  # grid points on either side of a probe angle that are summed directly
@@ -504,9 +534,10 @@ def _kernel_spectra(pair, weight, variant):
 
     For 'hb' these are the FFTs of h, h b and h |b|^2; for 'cauchy' the FFT
     of h alone, with b zero.  The pair keeps those of its last weight and
-    variant, so that a kernel scan takes them once for all its levels.  It
-    holds the weight by a weak reference: a weight built from the pair would
-    otherwise form a cycle that only a full garbage collection frees.
+    variant, so that the levels of a kernel scan, and repeated calls, take
+    them once.  It holds the weight by a weak reference: a weight built from
+    the pair would otherwise form a cycle that only a full garbage
+    collection frees.
     """
     cached = pair._kernel_spectra
     if cached is None or cached[0]() is not weight or cached[1] != variant:
@@ -521,14 +552,21 @@ def _kernel_spectra(pair, weight, variant):
     return cached[2:]
 
 
-def _grid_kernel_norms_squared(pair, weight, lams, beta, variant):
+def _sine_table(n, delta):
+    """sin((t_j + delta)/2)^2 on the n-point grid t_j: the part of a kernel the radius leaves."""
+    return np.sin((grid_angles(n) + delta) / 2.0) ** 2
+
+
+def _grid_kernel_norms_squared(pair, weight, lams, beta, variant, tables):
     """The grid sums mean_j h_j |k_lam(e^(i t_j))|^2 over the weight's grid density h.
 
     `beta` holds b at the lams.  With lam = r e^(i(t_q + delta)) and
-    K(s) = 1/|1 - r e^(is)|^2, the grid sum of g K(t_j - t_q - delta) is the
-    circular convolution of g with K sampled at t_j + delta, read at q: one
-    kernel FFT and one inverse FFT for each radius and sub-grid offset.  The
-    hb numerator |1 - conj(b(lam)) b|^2 expands over g = h, h b and h |b|^2.
+    K(s) = 1/|1 - r e^(is)|^2 = 1/((1 - r)^2 + 4 r sin^2(s/2)), the grid sum
+    of g K(t_j - t_q - delta) is the circular convolution of g with K
+    sampled at t_j + delta, read at q: one real kernel FFT and one inverse
+    FFT for each radius and sub-grid offset.  `tables` keeps the sine table
+    of each offset, so that the levels of a scan take it once.  The hb
+    numerator |1 - conj(b(lam)) b|^2 expands over g = h, h b and h |b|^2.
     That expansion cancels where the numerator vanishes under the peak of K,
     next to a boundary zero of a, so the points nearest each probe angle
     are summed directly and only the rest of K goes through the FFT.
@@ -553,17 +591,20 @@ def _grid_kernel_norms_squared(pair, weight, lams, beta, variant):
         groups.setdefault(key, []).append(i)
     w = min(_NEAR_POINTS, (n - 1) // 2)
     near = np.arange(-w, w + 1) % n
-    t = grid_angles(n)
     out = np.empty(lams.size)
-    for idx in groups.values():
+    for (_, offset), idx in groups.items():
         r = radius[idx[0]]
-        kernel = 1.0 / ((1.0 - r) ** 2 + 4.0 * r * np.sin((t + delta[idx[0]]) / 2.0) ** 2)
+        if offset not in tables:
+            tables[offset] = _sine_table(n, delta[idx[0]])
+        kernel = 1.0 / ((1.0 - r) ** 2 + 4.0 * r * tables[offset])
         j = (q[idx, None] - near) % n
         numer = np.abs(1.0 - np.conj(beta[idx, None]) * b[j]) ** 2
         out[idx] = (h[j] * numer) @ kernel[near] / n
         kernel[near] = 0.0
+        half = np.fft.rfft(kernel)
+        spectrum = np.concatenate([half, np.conj(half[(n - 1) // 2 : 0 : -1])])
         stride = int(np.gcd.reduce(np.append(q[idx], n)))
-        folded = (spectra * np.fft.fft(kernel)).reshape(len(spectra), stride, n // stride)
+        folded = (spectra * spectrum).reshape(len(spectra), stride, n // stride)
         sums = np.fft.ifft(folded.sum(axis=1), axis=-1)[:, q[idx] // stride] / (n * stride)
         out[idx] += np.sum(coefficients[: len(spectra), idx] * sums, axis=0).real
     return out
@@ -593,10 +634,11 @@ def kernel_ratio_scan(pair, measure, depth=12, variant="hb", angle_cap=64):
     if not measure.charges():
         raise DegenerateMeasureError("measure has zero total mass")
     scan = KernelRatioResult(rule=RULES["kernel"], variant=variant)
+    norms = _KernelNorms(pair, measure, variant)
     for j, lams in log_radial_points(depth, angle_cap):
         radius = 1.0 - 2.0 ** (-j)
         bvals = np.asarray(pair.b.fn.eval_on_circle(radius, lams.size), dtype=complex)
-        mu_sq = _kernel_mu_norms_squared(pair, measure, lams, variant, bvals)
+        mu_sq = norms(lams, bvals)
         if np.any(mu_sq <= 0):
             raise DegenerateMeasureError(
                 "a kernel has zero L2(mu) norm; the measure misses the relevant carrier"
@@ -687,8 +729,9 @@ def reverse_carleson_verdict(pair, measure, depth=DEFAULT_DEPTH, kernel_depth=12
     # nu.ac is (1 - |b|^2) h, and its cells come from the pyramid the scan built
     ess = _ess_inf_scan(nu.ac, int(np.log2(size)) if size else depth)
     kernels = kernel_ratio_scan(pair, measure, depth=kernel_depth, variant="hb")
-    # Sarason's test last: when mu's a.c. part is the pair's inverse gap weight, as
-    # for reverse-canonical, its total reads the pyramid the kernel scan built
+    # the kernel spectra integrate mu's cells directly, so when mu's a.c. part is the
+    # pair's inverse gap weight, as for reverse-canonical, Sarason's total is read
+    # from a level-10 pyramid of that weight's own
     feasibility = l1_gap_test(pair)
     sarason = {"yes": PASS, "no": FAIL}.get(feasibility["feasible"], UNDETERMINED)
     conditions = {"Sarason.L1gap": ConditionResult(verdict=sarason, evidence=feasibility)}
@@ -819,8 +862,7 @@ def norm_equivalence_verdict(pair, measure, depth=DEFAULT_DEPTH):
                                             infinite_witnesses=a2.infinite_witnesses)
 
     nu = measure.weighted(_gap_weight(pair, pair.a, lambda z: np.abs(np.asarray(pair.a(z))) ** 2))
-    lo = reverse_inf_scan(nu, depth=depth)
-    hi = carleson_sup_scan(nu, depth=depth)
+    lo, hi = window_scans(nu, depth=depth)
     conditions["EquivNorm.window_inf"] = _condition(lo.verdict_positive_inf(), lo)
     conditions["EquivNorm.window_sup"] = _condition(hi.verdict_bounded(), hi,
                                                     exponent=hi.exponent)

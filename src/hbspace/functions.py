@@ -31,6 +31,8 @@ from .circle import CircleGrid, analytic_mul, grid_angles
 
 _TAIL_TOL = 1e-18
 
+#: log of the least normal double, below which a row power of eval_taylor_on_circle is dropped
+_LOG_TINY = float(np.log(np.finfo(float).tiny))
 #: terms per step of the homogeneous tail in series_quotient
 _SERIES_BLOCK = 256
 
@@ -102,20 +104,28 @@ def series_quotient(num, den, n):
     return y
 
 
-def _fold_coefficients(coeffs, n):
-    """Fold c_k onto k mod n; gives exact partial sums on the n-point circle grid."""
-    c = np.asarray(coeffs, dtype=complex)
-    rows = np.zeros(-(-c.size // n) * n, dtype=complex)
-    rows[: c.size] = c
-    return rows.reshape(-1, n).sum(axis=0)
-
-
 def eval_taylor_on_circle(coeffs, radius, n_angles):
-    """Exact partial sum of c_k (r e^(it))^k on the uniform n-point angle grid."""
+    """Exact partial sum of c_k (r e^(it))^k on the uniform n-point angle grid.
+
+    With k = i n + j, r^k = r^(i n) r^j: the coefficients, laid out in rows of
+    n, are summed down their columns against the row powers r^(i n), each
+    column sum is scaled by r^j, and an n-point inverse FFT takes the folded
+    sums to the grid.  Only rows + n powers are taken, not one per coefficient,
+    and the rows whose power falls below the normal range, where it adds less
+    than 2^-1022 |c_k|, are left out.
+    """
     c = np.asarray(coeffs, dtype=complex)
-    scaled = c * (float(radius) ** np.arange(c.size))
-    folded = _fold_coefficients(scaled, n_angles)
-    return np.fft.ifft(folded) * n_angles
+    n = int(n_angles)
+    rows = -(-c.size // n)
+    if c.size != rows * n:
+        c = np.concatenate([c, np.zeros(rows * n - c.size, dtype=complex)])
+    r = float(radius)
+    live = rows
+    if r < 1.0:
+        with np.errstate(divide="ignore"):
+            live = min(rows, 1 + int(_LOG_TINY / (n * np.log(r))))
+    folded = r ** (n * np.arange(live)) @ c.reshape(rows, n)[:live] * r ** np.arange(n)
+    return np.fft.ifft(folded) * n
 
 
 class AnalyticFunction:
@@ -385,9 +395,9 @@ class GridOuter(AnalyticFunction):
         """
         if callable(w):
             n = size or 2 ** 14
-            cls._check_log_integrable(w, n)
-            lam_n = cls._log_series_from_callable(w, n)
-            lam_2n = cls._log_series_from_callable(w, 2 * n)
+            on_n, on_2n = cls._check_log_integrable(w, n)
+            lam_n = cls._log_series_from_samples(on_n)
+            lam_2n = cls._log_series_from_samples(on_2n)
             half = lam_n.size
             lam = lam_2n.copy()
             lam[:half] = 2.0 * lam_2n[:half] - lam_n
@@ -405,9 +415,9 @@ class GridOuter(AnalyticFunction):
         return cls(np.fft.fft(np.log(values))[: n // 2] / n)
 
     @staticmethod
-    def _log_series_from_callable(w, n):
-        t = grid_angles(n, offset=True)
-        vals = np.asarray(w(t), dtype=float)
+    def _log_series_from_samples(vals):
+        """The log series from samples of w on the half-offset grid of their size."""
+        n = vals.size
         if np.any(vals <= 0) or not np.all(np.isfinite(vals)):
             raise DomainError("log-modulus callable must be strictly positive on sample grids")
         spec = np.fft.fft(np.log(vals)) / n
@@ -416,10 +426,12 @@ class GridOuter(AnalyticFunction):
 
     @staticmethod
     def _check_log_integrable(w, n):
+        """Refuse w if mean |log w| grows on the offset grids n/4..4n; give the n and 2n samples."""
         ladder = Ladder(rule=RULES["log-integrable"])
+        samples = {}
         for m in (n // 4, n // 2, n, 2 * n, 4 * n):
             t = grid_angles(m, offset=True)
-            vals = np.asarray(w(t), dtype=float)
+            vals = samples[m] = np.asarray(w(t), dtype=float)
             if np.any(vals <= 0):
                 raise DomainError("log-modulus callable must be strictly positive on sample grids")
             ladder.add(m, np.mean(np.abs(np.log(vals))))
@@ -427,6 +439,7 @@ class GridOuter(AnalyticFunction):
             raise LogIntegrabilityError(
                 f"log integral keeps growing under refinement: {ladder.values}"
             )
+        return samples[n], samples[2 * n]
 
     # -- evaluation --------------------------------------------------------
 

@@ -257,13 +257,17 @@ class ArcWeight:
     def grid_density(self, n=2 ** 16):
         """The density on the grid t_k = 2 pi k / n (n a power of two), as kernel sums take it.
 
-        Each value is the mass of the cell centred on its grid point, cells
-        2k - 1 and 2k of the 2n lattice, times n, so that pairing it with
-        pointwise kernel values is midpoint quadrature with an exactly
-        integrated weight; a weight singularity costs nothing.
+        Each value is the mass of the cell [k - 1/2, k + 1/2] / n (turns)
+        centred on its grid point, times n, so that pairing it with pointwise
+        kernel values is midpoint quadrature with an exactly integrated
+        weight; a weight singularity costs nothing.  The cells are integrated
+        directly, not read from a pyramid; the one around angle 0 wraps, and
+        is integrated in its two halves.
         """
-        halves = self.cell_integrals(n.bit_length())
-        return np.roll(halves, 1).reshape(n, 2).sum(axis=1) * n
+        ends = np.concatenate([[0.0], (np.arange(n) + 0.5) / n, [1.0]])
+        cells = self._integrals(ends[:-1], ends[1:])
+        cells[0] += cells[-1]
+        return cells[:-1] * n
 
     def arc_integral(self, start, length):
         """Integral against dm over the arc of normalized length `length` from angle `start`."""
@@ -729,10 +733,12 @@ class DiskAtoms:
     def arc_mass(self, start, length):
         return np.zeros(np.shape(start)) if np.shape(start) else 0.0
 
+    def l2_nodes(self):
+        """The atoms as interior nodes, and their weighted sum (see `l2_by_nodes`)."""
+        return self.points, False, lambda v: np.sum(self.weights * v, axis=-1)
+
     def l2(self, fn):
-        if self.points.size == 0:
-            return 0.0
-        return float(np.sum(self.weights * np.abs(fn.interior(self.points)) ** 2))
+        return l2_by_nodes(self, fn)
 
     def weighted(self, weight):
         w = weight.point(self.points) if self.points.size else np.array([])
@@ -769,11 +775,12 @@ class SingularAtoms:
 
     arc_mass = window_mass
 
+    def l2_nodes(self):
+        """The atoms as boundary angles, and their weighted sum (see `l2_by_nodes`)."""
+        return self.angles, True, lambda v: np.sum(self.weights * v, axis=-1)
+
     def l2(self, fn):
-        if self.angles.size == 0:
-            return 0.0
-        vals = fn.boundary_angles(self.angles)
-        return float(np.sum(self.weights * np.abs(vals) ** 2))
+        return l2_by_nodes(self, fn)
 
     def weighted(self, weight):
         w = np.asarray(weight.boundary(self.angles), dtype=float) if self.angles.size else np.array([])
@@ -838,38 +845,42 @@ class RadialPower:
     def arc_mass(self, start, length):
         return np.zeros(np.shape(start)) if np.shape(start) else 0.0
 
-    def l2(self, fn):
-        """Integral of |f|^2 over the ray, by dyadic shells in s = 1 - t.
+    def l2_nodes(self):
+        """Nodes along the ray, and the integral of |f|^2 by dyadic shells in s = 1 - t.
 
         On each shell [d 2^(-k-1), d 2^(-k)] the integrand s^-beta |f|^2 has
         bounded variation, so fixed Gauss-Legendre is accurate; shells whose
         contributions stop decaying expose a divergent integral, returned as
-        +inf, and a decaying tail is closed by geometric extrapolation.
+        +inf, and a decaying tail is closed by geometric extrapolation.  See
+        `l2_by_nodes`.
         """
-        direction = np.exp(1j * self.angle)
-        corr = self.correction
-        beta = self.beta
+        edges = (1.0 - self.r0) * 0.5 ** np.arange(0, 45)
+        mid, rad = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[:-1] - edges[1:])
+        s = mid[:, None] + rad[:, None] * _GL[48][0]
+        t = 1.0 - s
+        s_power = s ** (-self.beta)
+        corr = None if self.correction is None else np.asarray(self.correction(t), dtype=float)
 
-        def h(s):
-            t = 1.0 - s
-            vals = np.abs(fn.interior(t * direction)) ** 2 * s ** (-beta)
+        def integral(v):
+            vals = v * s_power
             if corr is not None:
-                vals = vals * np.asarray(corr(t), dtype=float)
-            return vals
+                vals = vals * corr
+            shells = np.sum(vals * _GL[48][1], axis=-1) * rad
+            tail = shells[..., -6:]
+            last, prev = shells[..., -1], shells[..., -2]
+            with np.errstate(invalid="ignore", over="ignore"):
+                stalled = np.all(tail[..., 1:] >= 0.9 * tail[..., :-1], axis=-1)
+                infinite = np.any(~np.isfinite(shells), axis=-1) | (tail[..., -1] > 0) & stalled
+                geometric = (last > 0) & (prev > last)
+                ratio = last / np.where(geometric, prev, 1.0)
+                total = np.sum(shells, axis=-1) + np.where(
+                    geometric, last * ratio / np.maximum(1.0 - ratio, 1e-3), 0.0)
+            return np.where(infinite, np.inf, self.scale * total)
 
-        d0 = 1.0 - self.r0
-        edges = d0 * 0.5 ** np.arange(0, 45)
-        shells = _gl_integrate(h, edges[1:], edges[:-1])
-        if np.any(~np.isfinite(shells)):
-            return np.inf
-        tail = shells[-6:]
-        if tail[-1] > 0 and np.all(tail[1:] >= 0.9 * tail[:-1]):
-            return np.inf
-        total = float(np.sum(shells))
-        if shells[-1] > 0 and shells[-2] > shells[-1]:
-            ratio = shells[-1] / shells[-2]
-            total += shells[-1] * ratio / max(1.0 - ratio, 1e-3)
-        return self.scale * total
+        return t * np.exp(1j * self.angle), False, integral
+
+    def l2(self, fn):
+        return l2_by_nodes(self, fn)
 
     def weighted(self, weight):
         direction = np.exp(1j * self.angle)
@@ -889,6 +900,20 @@ class RadialPower:
         if self.correction is not None:
             raise ConfigurationError("cannot serialize a runtime-weighted radial density")
         return {"angle": self.angle, "power_beta": self.beta, "scale": self.scale}
+
+
+def l2_by_nodes(component, fn):
+    """Integral of |fn|^2 against a component, by its `l2_nodes`: (nodes, boundary, integral).
+
+    fn is read at the nodes, as boundary angles or as interior points, and
+    `integral` maps |fn|^2 there, with any leading axes, to the integrals;
+    a kernel scan reads many functions at the same nodes that way.
+    """
+    nodes, boundary, integral = component.l2_nodes()
+    if nodes.size == 0:
+        return 0.0
+    return float(integral(np.abs(fn.boundary_angles(nodes) if boundary
+                                 else fn.interior(nodes)) ** 2))
 
 
 def _check_weight_values(w):

@@ -282,6 +282,13 @@ def classify_extremeness(b, start_exponent=10, cap_exponent=16,
     extreme, anything else is reported as undetermined with the evidence.
     The ladder holds the integral of log 1/(1 - |b|) >= 0, whose growth the
     'extremeness' rule reads; the verdict reports the integral of log(1 - |b|).
+    A rational b is classified by its form: 1 - |b|^2 is a nonnegative
+    trigonometric rational function, whose log is integrable unless it
+    vanishes identically, that is unless b is inner.  So a rational b that is
+    not inner is non-extreme, whatever the grids read: a grid point where
+    1 - |b| rounds to 0, next to a zero of high order, reads -inf.  Unless its
+    ladder stabilizes, it gets no log integral, and its finite rungs are kept
+    as the trace alone.
     """
     def evaluate(n):
         t = grid_angles(n, offset=True)
@@ -290,6 +297,12 @@ def classify_extremeness(b, start_exponent=10, cap_exponent=16,
     ladder = refine(evaluate, [2 ** k for k in range(start_exponent, cap_exponent + 1)],
                     replace(RULES["extremeness"], rtol=rtol))
     sizes, values = tuple(ladder.sizes), tuple(-v for v in ladder.values)
+    rational = isinstance(b, SymbolB) and b.is_rational and _gap_numerator(b.fn) is not None
+    if rational and not ladder.stabilized():
+        return ExtremenessVerdict(
+            NONEXTREME, None, tuple(n for n, v in zip(sizes, values) if np.isfinite(v)),
+            tuple(v for v in values if np.isfinite(v)),
+            note="rational and not inner: log(1 - |b|^2) is integrable")
     if not np.isfinite(values[-1]):
         return ExtremenessVerdict(EXTREME, None, sizes, values,
                                   note="log(1 - |b|) = -inf at grid points")
@@ -301,6 +314,21 @@ def classify_extremeness(b, start_exponent=10, cap_exponent=16,
         UNDETERMINED, values[-1], sizes, values,
         note="neither stabilization nor divergence by the grid cap",
     )
+
+
+def _gap_numerator(fn):
+    """|r|^2 - |p|^2 for the rational p / r, as trigonometric coefficients; None if it vanishes.
+
+    It is the numerator of 1 - |b|^2 over |r|^2, identically 0 exactly when b is inner.
+    """
+    rsq = modulus_squared_coeffs(fn.den)
+    psq = modulus_squared_coeffs(fn.num)
+    tau = np.zeros(max(rsq.size, psq.size), dtype=complex)
+    tau[: rsq.size] = rsq
+    tau[: psq.size] -= psq
+    if np.max(np.abs(tau)) < 1e-14 * max(1.0, float(np.max(np.abs(rsq)))):
+        return None
+    return tau
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +356,6 @@ class PythagoreanPair:
         self._a_taylor = np.zeros(0, dtype=complex)
         self._inv_a_taylor = np.zeros(0, dtype=complex)
         self._b_over_a = None
-        self._min_a_boundary = None
         self._boundary_interp = None  # b on the 2^16 grid, closed, for interpolation
         self._kernel_spectra = None  # (weakref to weight, variant, h, b, FFTs) of the last scan
         residual = self.mate_residual()
@@ -394,8 +421,10 @@ class PythagoreanPair:
         A `PowerOuter` mate gives its power.  A rational mate gives one exact
         |1 - e^(i(t - t_j))|^2 factor per boundary zero e^(i t_j) in
         `a_boundary_zeros`, so that the reciprocal is infinite on every arc
-        touching a zero, times |a|^2 with those roots divided out; any other
-        mate gives the clipped |a|^2 alone.  The cofactor closes over a, not the
+        touching a zero, times |a|^2 with those roots divided out; when that
+        quotient is a constant c, as for the half-sum family, the weight is the
+        power product with the scale |c|^2 and no cofactor.  Any other mate
+        gives the clipped |a|^2 alone.  The cofactor closes over a, not the
         pair, so that the pair holds no reference cycle.
         """
         a = self.a
@@ -404,8 +433,10 @@ class PythagoreanPair:
         zeros = self.a_boundary_zeros
         if zeros:
             a = RationalFn(self.a_cofactor, a.den)
-        return FactoredArcWeight([PowerArcWeight(2.0, 1.0, np.angle(z)) for z in zeros],
-                                 lambda t: np.clip(a.boundary_modulus(t) ** 2, 0.0, None))
+        factors = [PowerArcWeight(2.0, 1.0, np.angle(z)) for z in zeros]
+        if isinstance(a, RationalFn) and a.degree == 0:
+            return FactoredArcWeight(factors + [PowerArcWeight(0.0, abs(a.num[0] / a.den[0]) ** 2)])
+        return FactoredArcWeight(factors, lambda t: np.clip(a.boundary_modulus(t) ** 2, 0.0, None))
 
     @cached_property
     def a_cofactor(self):
@@ -440,10 +471,18 @@ class PythagoreanPair:
         frac = pos - idx
         return self._boundary_interp[idx] * (1 - frac) + self._boundary_interp[idx + 1] * frac
 
-    def min_a_boundary(self, n=2 ** 12):
-        if self._min_a_boundary is None:
-            self._min_a_boundary = float(np.min(self.a.boundary_modulus(grid_angles(n))))
-        return self._min_a_boundary
+    @cached_property
+    def a_vanishes_on_circle(self):
+        """Whether a vanishes somewhere on the circle, read from the zeros it is known to have.
+
+        A rational a has its listed zeros, a power its zero at 1; a grid outer
+        lists none, and |a| <= 1e-6 on 4096 samples reads one.
+        """
+        if isinstance(self.a, RationalFn):
+            return bool(self.a_boundary_zeros)
+        if isinstance(self.a, PowerOuter):
+            return True
+        return float(np.min(self.a.boundary_modulus(grid_angles(2 ** 12)))) <= 1e-6
 
     def b_over_a_cache(self, degree):
         if self._b_over_a is None or self._b_over_a.coefficients.size < degree + 1:
@@ -465,16 +504,11 @@ def pythagorean_mate(b, size=2 ** 14, extremeness=None):
     if extremeness is None:
         extremeness = classify_extremeness(b)
     if b.is_rational:
-        p, r = b.fn.num, b.fn.den
-        rsq = modulus_squared_coeffs(r)
-        psq = modulus_squared_coeffs(p)
-        tau = np.zeros(max(rsq.size, psq.size), dtype=complex)
-        tau[: rsq.size] = rsq
-        tau[: psq.size] -= psq
-        if np.max(np.abs(tau)) < 1e-14 * max(1.0, float(np.max(np.abs(rsq)))):
+        tau = _gap_numerator(b.fn)
+        if tau is None:
             raise ExtremeDegenerateError("|b| = 1 a.e. on the circle (b is inner)")
         fact = fejer_riesz(tau)
-        return PythagoreanPair(b, RationalFn(fact.q, r), extremeness,
+        return PythagoreanPair(b, RationalFn(fact.q, b.fn.den), extremeness,
                                a_boundary_zeros=fact.boundary_zeros)
     # outer route: a is the outer function with |a|^2 = 1 - |b|^2
     gap2 = lambda t: np.clip(1.0 - b.boundary_modulus(t) ** 2, 0.0, None)
@@ -544,7 +578,7 @@ def hb_norm_squared(f, pair, rtol=RULES["hb-norm"].rtol, start=DEFAULT_TRUNCATIO
         raise ConvergenceError(f"H(b) norm did not stabilize by truncation {cap}",
                                last_values=(None, *ladder.values)[-2:])
     value, m = ladder.value, ladder.sizes[-1]
-    if cross_check and pair.min_a_boundary() > 1e-6:
+    if cross_check and not pair.a_vanishes_on_circle:
         c = analytic_mul(pair.b_taylor(m + 1), pair.inv_a_taylor(m + 1), m + 1)
         f_pad = np.zeros(m + 1, dtype=complex)
         f_pad[: f.size] = f

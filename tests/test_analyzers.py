@@ -1,3 +1,5 @@
+import json
+
 import mpmath
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hbspace import analyzers
 from hbspace.analyzers import (
     _gap_weight,
     _kernel_mu_norms_squared,
+    _KernelNorms,
     a2_check,
     a2_product,
     carleson_sup_scan,
@@ -23,6 +26,7 @@ from hbspace.analyzers import (
     sampling_refutation,
     symbol_reverse_feasibility,
     two_weight_necessary,
+    window_scans,
 )
 from hbspace.circle import grid_angles
 from hbspace.cli import _report_exit
@@ -34,6 +38,7 @@ from hbspace.measures import (
     DiskAtoms,
     DiskMeasure,
     FactoredArcWeight,
+    FunctionOnDisk,
     GridArcWeight,
     PairWeight,
     PowerArcWeight,
@@ -441,6 +446,66 @@ class TestKernelRatios:
                 lambda u: abs(2 * mpmath.sin(mpmath.pi * (u - t0))) ** -0.5 if u != t0 else 0, pts)
             assert h[k] == pytest.approx(float(exact), rel=1e-11)
 
+    @pytest.mark.parametrize("turn", [0.0, 100.5 / 2 ** 16])
+    def test_centred_cells_at_the_singular_angle_against_mpmath(self, turn):
+        # the singularity at the centre of the cell around angle 0, which wraps and is
+        # integrated in two halves, and on the edge between cells 100 and 101; the
+        # weight snaps its angle to that lattice point
+        n = 2 ** 16
+        h = PowerArcWeight(-0.5, 1.2, 2 * np.pi * turn).grid_density(n)
+        mpmath.mp.dps = 30
+        t0 = mpmath.mpf(turn)
+        for k in (0, 1, n - 1, 100, 101, 102, n // 2):
+            lo, hi = (mpmath.mpf(k) - 0.5) / n, (mpmath.mpf(k) + 0.5) / n
+            c = t0 - mpmath.floor(t0 - lo)  # the image of t0 at or above lo
+            pts = [lo, c, hi] if lo <= c <= hi else [lo, hi]
+            exact = 1.2 * n * mpmath.quad(
+                lambda u: abs(2 * mpmath.sin(mpmath.pi * (u - t0))) ** -0.5 if u != c else 0, pts)
+            assert h[k] == pytest.approx(float(exact), rel=1e-11)
+
+    @pytest.mark.parametrize("variant", ["hb", "cauchy"])
+    def test_batched_component_norms_equal_the_per_lambda_rule(self, half_sum, variant):
+        # atoms, a singular atom and a ray, with b read once at their nodes and the 64
+        # level-12 probes summed in batches, against each component's l2 of each kernel:
+        # the same operations on the same values, so the same bits
+        doc = {k: v for k, v in self.MIXED.items() if k != "ac_density"}
+        mu = DiskMeasure.from_json(doc)
+        lams = log_radial_points(12)[-1][1]
+        beta = half_sum.b.fn(lams)
+        got = _KernelNorms(half_sum, mu, variant)(lams, beta)
+        for lam, bl, norm in zip(lams, beta, got):
+            if variant == "hb":
+                interior = lambda z: ((1.0 - np.conj(bl) * half_sum.b.fn(z))
+                                      / (1.0 - np.conj(lam) * z))
+                boundary = lambda t: ((1.0 - np.conj(bl) * half_sum.b_at_angles(t))
+                                      / (1.0 - np.conj(lam) * np.exp(1j * t)))
+            else:
+                interior = lambda z: 1.0 / (1.0 - np.conj(lam) * z)
+                boundary = lambda t: 1.0 / (1.0 - np.conj(lam) * np.exp(1j * t))
+            k = FunctionOnDisk(interior, boundary_angles=boundary)
+            expect = 0.0
+            for comp in mu.components():
+                if comp is not mu.ac:
+                    expect += comp.l2(k)
+            assert norm == expect
+
+    @pytest.mark.parametrize("density", ["mixed-power", "grid-1000"])
+    def test_scan_takes_one_sine_table_per_offset_and_no_pyramid_of_mu(
+            self, density, pyramid_builds, monkeypatch):
+        # on the 2^16 grid every probe angle is a grid point; between the points of a
+        # 1000-point grid the probes fall at 8 sub-grid offsets
+        if density == "mixed-power":
+            weight = DiskMeasure.from_json(self.MIXED).ac
+        else:
+            weight = GridArcWeight(np.random.default_rng(1000).uniform(0.1, 2.0, 1000))
+        tables = []
+        sine_table = analyzers._sine_table
+        monkeypatch.setattr(analyzers, "_sine_table",
+                            lambda n, delta: tables.append(delta) or sine_table(n, delta))
+        pair = pythagorean_mate(SymbolB.rational([0.5, 0.5]))
+        kernel_ratio_scan(pair, DiskMeasure(ac=weight), depth=12)
+        assert len(tables) == (1 if density == "mixed-power" else 8)
+        assert pyramid_builds == []
 
     @pytest.mark.parametrize("variant", ["hb", "cauchy"])
     @pytest.mark.parametrize("density", ["mixed-power", "grid-1000"])
@@ -601,25 +666,26 @@ class TestReverseVerdict:
         lambda: DiskMeasure.boundary_power(0.5, 1.3, 1.0).plus(DiskMeasure.point_mass(0.5j, 0.2)),
     ], ids=["lebesgue", "power-and-atom"])
     def test_default_depth_verdict_builds_each_weight_once(self, make, pyramid_builds):
-        # nu.ac for the window scans and the essential infimum, mu.ac for the kernel
-        # spectra: no weight is built at a coarse level first and then again.  A fresh
-        # pair, whose |a|^2 has no pyramid yet
+        # nu.ac for the window scans and the essential infimum; the kernel spectra
+        # integrate the centred cells of mu.ac directly and build no pyramid.  No weight
+        # is built at a coarse level first and then again.  A fresh pair, whose |a|^2
+        # has no pyramid yet
         half_sum = pythagorean_mate(SymbolB.rational([0.5, 0.5]))
         reverse_carleson_verdict(half_sum, make())
-        assert len(pyramid_builds) == len({id(w) for w, _ in pyramid_builds}) == 2
-        assert sorted(lv for _, lv in pyramid_builds) == [15, 17]
+        assert len(pyramid_builds) == len({id(w) for w, _ in pyramid_builds}) == 1
+        assert sorted(lv for _, lv in pyramid_builds) == [15]
 
     def test_reverse_canonical_builds_each_weight_once(self, pyramid_builds):
-        # mu.ac is the pair's inverse gap weight: the kernel spectra build its pyramid,
-        # and the Sarason total, reported first, reads level 0 of that pyramid
+        # mu.ac is the pair's inverse gap weight: the kernel spectra build no pyramid of
+        # it, and the Sarason total, reported first, reads level 0 of a level-10 pyramid
         from hbspace.scenarios import build
 
         sc = build("reverse-canonical")
         rep = reverse_carleson_verdict(sc.pair, sc.measure)
         weight = sc.pair.inverse_gap_weight
         assert len(pyramid_builds) == len({id(w) for w, _ in pyramid_builds}) == 2
-        assert sorted(lv for _, lv in pyramid_builds) == [15, 17]
-        assert (weight, 17) in pyramid_builds
+        assert sorted(lv for _, lv in pyramid_builds) == [10, 15]
+        assert (weight, 10) in pyramid_builds
         assert list(rep.conditions) == ["Sarason.L1gap", "MainThm.4", "MainThm.3", "MainThm.2"]
         assert rep.conditions["Sarason.L1gap"].evidence["integral"] == weight.cell_integrals(0)[0]
 
@@ -837,6 +903,22 @@ class TestNormEquivalence:
         # measure times |a|^2, that is |a|^2 itself, so the window scans read its pyramid
         assert [lv for w, lv in pyramid_builds
                 if type(w) is FactoredArcWeight] == [depth + 1] * 2
+
+    def test_window_scans_value_each_arc_once(self, half_sum, monkeypatch):
+        # one valuation feeds both extremes, with the values and witnesses of the two
+        # scans run apart
+        mu = DiskMeasure.boundary_power(0.5, 1.3, 1.0).plus(DiskMeasure.point_mass(0.5j, 0.2))
+        nu = mu.weighted(_gap_weight(half_sum, half_sum.a,
+                                     lambda z: np.abs(np.asarray(half_sum.a(z))) ** 2))
+        calls = []
+        batch = DiskMeasure.batch_window_masses
+        monkeypatch.setattr(DiskMeasure, "batch_window_masses",
+                            lambda self, *args: calls.append(1) or batch(self, *args))
+        lo, hi = window_scans(nu, depth=8)
+        both = len(calls)
+        assert json.dumps(lo.to_json()) == json.dumps(reverse_inf_scan(nu, depth=8).to_json())
+        assert len(calls) == 2 * both
+        assert json.dumps(hi.to_json()) == json.dumps(carleson_sup_scan(nu, depth=8).to_json())
 
     def test_corona_failure_blocks(self):
         from hbspace.scenarios import build

@@ -259,6 +259,17 @@ class TestOuterFromLogModulus:
         v = complex(g(np.array([0.0]))[0])
         assert v.real > 0 and abs(v.imag) < 1e-12
 
+    def test_callable_is_sampled_once_per_grid(self):
+        # the integrability rungs n/4..4n; the log series reuse the n and 2n samples
+        sizes = []
+
+        def w(t):
+            sizes.append(np.size(t))
+            return 1.5 + np.cos(t)
+
+        outer_from_log_modulus(w, size=2 ** 10)
+        assert sorted(sizes) == [2 ** 8, 2 ** 9, 2 ** 10, 2 ** 11, 2 ** 12]
+
 
 class TestEvalOnCircle:
     def test_folding_matches_direct_sum(self):
@@ -269,3 +280,20 @@ class TestEvalOnCircle:
         z = r * np.exp(1j * grid_angles(m))
         direct = polyval_ascending(coeffs, z)
         assert np.max(np.abs(got - direct)) < 1e-11
+
+    @pytest.mark.parametrize("r", [0.5, 15 / 16, 1.0 - 2.0 ** -14])
+    @pytest.mark.parametrize("size, m", [(1000, 64), (777, 8), (2 ** 12, 1)])
+    def test_folded_power_sums_match_horner(self, r, size, m):
+        # row powers r^(i m) times column powers r^j against Horner in extended
+        # precision at every grid point, to 1e-14 of the sum of the terms' moduli;
+        # a coefficient count off every multiple of m pads its last row
+        rng = np.random.default_rng(size + m)
+        coeffs = (rng.normal(size=size) + 1j * rng.normal(size=size)) / (1.0 + np.arange(size))
+        z = (r * np.exp(1j * grid_angles(m).astype(np.longdouble))).astype(np.clongdouble)
+        direct = np.zeros(m, dtype=np.clongdouble)
+        for c in coeffs[::-1].astype(np.clongdouble):
+            direct = direct * z + c
+        got = eval_taylor_on_circle(coeffs, r, m)
+        scale = np.sum(np.abs(coeffs) * r ** np.arange(size))
+        assert float(np.max(np.abs(got - direct))) <= 1e-14 * scale
+

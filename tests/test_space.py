@@ -11,6 +11,7 @@ from hbspace.errors import (
     UnsupportedError,
 )
 from hbspace.functions import PowerOuter, RationalFn, polyval_ascending
+from hbspace.measures import FactoredArcWeight, PowerArcWeight
 from hbspace.scenarios import build
 from hbspace.space import (
     SymbolB,
@@ -141,6 +142,24 @@ class TestGapWeight:
         assert len(got.infinite_witnesses) == 3
         assert got.infinite_witnesses == want.infinite_witnesses
 
+    @pytest.mark.parametrize("theta", [0.0, 1.0, 4.0])
+    def test_a_constant_cofactor_is_a_scale(self, theta):
+        # the rotated half-sum: |a|^2 = |1 - e^(i(t - theta))|^2 / 4, a power product with
+        # the scale 1/4 and no cofactor; its cells, and those of its reciprocal, match
+        # the cofactor form within a few ulp
+        pair = pythagorean_mate(SymbolB.rational([0.5, 0.5 * np.exp(-1j * theta)]))
+        weight = pair.gap2_weight
+        assert weight.cofactor is None
+        quotient = RationalFn(pair.a_cofactor, pair.a.den)
+        form = FactoredArcWeight(
+            [PowerArcWeight(2.0, 1.0, np.angle(z)) for z in pair.a_boundary_zeros],
+            lambda t: np.clip(quotient.boundary_modulus(t) ** 2, 0.0, None))
+        ulps = 4 * np.finfo(float).eps
+        np.testing.assert_allclose(weight.cell_integrals(15), form.cell_integrals(15),
+                                   rtol=ulps, atol=0.0)
+        np.testing.assert_allclose(weight.reciprocal().cell_integrals(12),
+                                   form.reciprocal().cell_integrals(12), rtol=ulps, atol=0.0)
+
 
 class TestInverseGapWeight:
     """pair.inverse_gap_weight is (1 - |b|)^-1 = (1 + |b|) |a|^-2 on the circle."""
@@ -191,6 +210,24 @@ class TestExtremeness:
 
     def test_inner_z_is_extreme(self):
         assert classify_extremeness(SymbolB.rational([0.0, 1.0])).verdict == "extreme"
+
+    @pytest.mark.parametrize("turn", [k / n for n in (2048, 4096) for k in (1, 3, 5, 7, 9)])
+    def test_a_zero_of_a_on_an_offset_grid_point_is_no_extremeness(self, turn):
+        # the rotated half-sum's a vanishes at 2 pi turn, a point of the offset 2048-point
+        # grid, which reads log(1 - |b|) = -inf there; b is rational and not inner
+        b = SymbolB.rational([0.5, 0.5 * np.exp(-2j * np.pi * turn)])
+        got = classify_extremeness(b)
+        assert got.verdict == "non-extreme"
+        assert np.all(np.isfinite(got.trace_values))
+        assert len(got.trace_sizes) == len(got.trace_values)
+        assert pythagorean_mate(b).is_nonextreme
+
+    def test_rational_symbols_at_seeded_turns_are_non_extreme(self):
+        # simple and double zeros of a; near a double zero 1 - |b| ~ t^4 / 32 rounds to 0
+        for turn in np.random.default_rng(0).uniform(0, 1, 40):
+            simple = SymbolB.rational([0.5, 0.5 * np.exp(-2j * np.pi * turn)])
+            for b in (simple, double_zero_symbol(turn)):
+                assert classify_extremeness(b).verdict == "non-extreme"
 
 
 class TestHbNorm:
@@ -265,6 +302,21 @@ class TestHbNorm:
         rungs.clear()
         hb_norm_squared(cauchy_kernel_taylor(0.5), half_sum)
         assert rungs[:2] == [2048, 4096]
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0])
+    def test_cross_check_reads_the_known_zeros_of_a(self, theta, monkeypatch):
+        # a of the rotated half-sum vanishes at theta: 4096 samples of |a| read 0 at
+        # angle 0 but 7.8e-5 at angle 1, and the check skips both; a zero-free a runs it
+        from hbspace import space
+
+        calls = []
+        mul = space.analytic_mul
+        monkeypatch.setattr(space, "analytic_mul", lambda *args: calls.append(1) or mul(*args))
+        for coeffs, runs in (([0.5, 0.5 * np.exp(-1j * theta)], []), ([0.0, 0.5], [1])):
+            pair = pythagorean_mate(SymbolB.rational(coeffs))
+            calls.clear()
+            hb_norm_squared(cauchy_kernel_taylor(0.5), pair)
+            assert calls == runs
 
     def test_cross_check_route_agrees_when_bounded(self):
         # b = z/2 has mate sqrt(3)/2, so conj(b/a) f is grid-bounded and the
