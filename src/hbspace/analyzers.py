@@ -24,7 +24,6 @@ from .convergence import (
     RULES,
     UNDETERMINED,
     Ladder,
-    dyadic_arcs,
     growth_exponent,
 )
 from .errors import (
@@ -39,6 +38,7 @@ from .measures import (
     DiskAtoms,
     DiskMeasure,
     PairWeight,
+    ScanFamily,
     as_arc_weight,
     window_span,
 )
@@ -181,26 +181,32 @@ class ScanResult(LevelScan):
         """pass = stabilized positive infimum, fail = zero/decaying, else undetermined."""
         return self.verdict()
 
-    def add_family(self, level, starts, lengths, vals):
-        """Add one level's scan arcs, their starts and lengths, with their values."""
+    def add_family(self, level, families, vals):
+        """Add one level's scan families (`ScanFamily`), with the values of their arcs in order."""
+        n = 2 ** level
         if self.table is not None:
-            centers = (starts + lengths / 2.0) % 1.0 * TWO_PI
-            self.table.extend((level, c, ell, v) for c, ell, v
-                              in zip(centers.tolist(), lengths.tolist(), vals.tolist()))
+            for fam, fam_vals in zip(families, np.split(vals, len(families))):
+                centers = (fam.starts + fam.length / 2.0) % 1.0 * TWO_PI
+                self.table.extend((level, c, fam.length, v)
+                                  for c, v in zip(centers.tolist(), fam_vals.tolist()))
         if self.mode == "sup":
-            hit = vals == np.inf
-            if np.any(hit):
-                ell = float(lengths[hit].min())
+            finite = np.isfinite(vals)
+            if not finite.all():
+                hits = [(fam, np.nonzero(hit)[0]) for fam, hit
+                        in zip(families, np.split(vals == np.inf, len(families))) if hit.any()]
+                ell = min((fam.length for fam, _ in hits), default=np.inf)
                 shortest = min((w["length"] for w in self.infinite_witnesses), default=np.inf)
                 if ell < shortest:
                     self.infinite_witnesses = []
                 if ell <= shortest:
-                    self.infinite_witnesses += [{"level": level, "start": float(x), "length": ell}
-                                                for x in starts[hit & (lengths == ell)]]
-            keep = np.isfinite(vals)
-            starts, lengths, vals = starts[keep], lengths[keep], vals[keep]
-        self.add_level(2 ** level, vals, lambda i, v: {
-            "level": level, "start": float(starts[i]), "length": float(lengths[i]), "value": v})
+                    self.infinite_witnesses += [
+                        {"level": level, "start": float(x), "length": ell}
+                        for fam, idx in hits if fam.length == ell for x in fam.start(idx)]
+                # the finite values alone take part in the extremes
+                vals = np.where(finite, vals, -np.inf)
+        self.add_level(n, vals, lambda i, v: {
+            "level": level, "start": float(families[i // n].start(i % n)),
+            "length": families[i // n].length, "value": v})
 
     def table_csv(self):
         if self.table is None:
@@ -228,32 +234,30 @@ class ScanResult(LevelScan):
 
 
 def _scan_families(level, complements=True):
-    aligned, shifted = dyadic_arcs(level)
-    length = 2.0 ** (-level)
-    fams = [(aligned, length), (shifted, length)]
-    if complements and level >= 1 and length < 0.5:
-        fams.append((((aligned + length) % 1.0), 1.0 - length))
-        fams.append((((shifted + length) % 1.0), 1.0 - length))
-    return fams
+    """The (family, length) pairs of one level: aligned, shifted, from level 2 their complements."""
+    families = [ScanFamily(level), ScanFamily(level, shifted=True)]
+    if complements and level >= 2:
+        families += [ScanFamily(level, complement=True),
+                     ScanFamily(level, shifted=True, complement=True)]
+    return [(fam, fam.length) for fam in families]
 
 
 def _valued_families(value_fn, depth, complements=True):
-    """(level, starts, lengths, values) of the dyadic scan family for levels 1..depth.
+    """(level, families, values) of the dyadic scan families for levels 1..depth.
 
-    Each arc is valued once, by value_fn(starts, length), and the finest
-    family first, so that an arc weight integrates its cells once, on the
-    finest lattice the scan reads.
+    Each family is valued once, by value_fn(family, length), and the finest
+    first, so that an arc weight integrates its cells once, on the finest
+    lattice the scan reads.  A `ScanFamily` is read by lattice index by the
+    measures; as an array it is the family's normalized starts.
     """
     deepest = _scan_families(depth, complements)
     first = np.asarray(value_fn(*deepest[-1]), dtype=float)
     for level in range(1, depth + 1):
         families = deepest if level == depth else _scan_families(level, complements)
-        starts = np.concatenate([s for s, _ in families])
-        lengths = np.concatenate([np.full(s.size, ell) for s, ell in families])
-        vals = np.concatenate([first if s is deepest[-1][0]
-                               else np.asarray(value_fn(s, ell), dtype=float)
-                               for s, ell in families])
-        yield level, starts, lengths, vals
+        vals = np.concatenate([first if fam is deepest[-1][0]
+                               else np.asarray(value_fn(fam, ell), dtype=float)
+                               for fam, ell in families])
+        yield level, [fam for fam, _ in families], vals
 
 
 def arc_scans(value_fn, depth, modes, complements=True, collect_table=False):
@@ -269,9 +273,9 @@ def arc_scans(value_fn, depth, modes, complements=True, collect_table=False):
     """
     scans = [ScanResult(rule=RULES["scan"], mode=mode, depth=depth,
                         table=[] if collect_table else None) for mode in modes]
-    for level, starts, lengths, vals in _valued_families(value_fn, depth, complements):
+    for level, families, vals in _valued_families(value_fn, depth, complements):
         for scan in scans:
-            scan.add_family(level, starts, lengths, vals)
+            scan.add_family(level, families, vals)
     return scans
 
 
@@ -306,8 +310,11 @@ def window_scans(measure, depth=DEFAULT_DEPTH):
 
 
 def _paired_averages(u, v, starts, length):
-    """(avg of u)(avg of v) on the arcs of normalized length `length` from the normalized starts."""
-    s = np.asarray(starts, dtype=float) * TWO_PI
+    """(avg of u)(avg of v) on the arcs of normalized length `length` from the normalized starts.
+
+    The starts may be a `ScanFamily`, which the weights read by lattice index.
+    """
+    s = starts if isinstance(starts, ScanFamily) else np.asarray(starts, dtype=float) * TWO_PI
     with np.errstate(invalid="ignore"):
         return (np.asarray(u.arc_integral(s, length), dtype=float)
                 * np.asarray(v.arc_integral(s, length), dtype=float) / length**2)
@@ -723,12 +730,14 @@ def reverse_carleson_verdict(pair, measure, depth=DEFAULT_DEPTH, kernel_depth=12
         raise AdmissibilityError(
             "measure charges the boundary but b is not declared admissible for it"
         )
+    # the kernel scan, the verdict's largest allocation, runs before nu exists, so
+    # that nu's pyramid and its pair complements are not held through it
+    kernels = kernel_ratio_scan(pair, measure, depth=kernel_depth, variant="hb")
     nu = measure.weighted(
         _gap_weight(pair, pair.b.fn, lambda z: 1.0 - np.abs(np.asarray(pair.b.fn(z))) ** 2))
     inf_scan = reverse_inf_scan(nu, depth=depth)
     # nu.ac is (1 - |b|^2) h, and its cells come from the pyramid the scan built
     ess = _ess_inf_scan(nu.ac, int(np.log2(size)) if size else depth)
-    kernels = kernel_ratio_scan(pair, measure, depth=kernel_depth, variant="hb")
     # the kernel spectra integrate mu's cells directly, so when mu's a.c. part is the
     # pair's inverse gap weight, as for reverse-canonical, Sarason's total is read
     # from a level-10 pyramid of that weight's own

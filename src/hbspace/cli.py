@@ -357,9 +357,14 @@ def build_parser():
     return parser
 
 
+_parser = None  # built by the first `main` call of the process
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except HbError as exc:

@@ -160,13 +160,3 @@ def growth_exponent(lengths, values):
     slope = np.polyfit(np.log(x[mask]), np.log(y[mask]), 1)[0]
     return float(slope)
 
-
-def dyadic_arcs(level):
-    """Normalized start positions of the dyadic and half-shifted arcs at `level`.
-
-    Arcs have normalized length 2**-level; the returned pair is
-    (starts of the aligned family, starts of the half-shifted family).
-    """
-    count = 2 ** level
-    starts = np.arange(count, dtype=float) / count
-    return starts, (starts + 0.5 / count) % 1.0

@@ -50,6 +50,11 @@ def _gl_integrate(fn, lo, hi, rule=_GL[48]):
     return np.sum(vals * rule[1], axis=-1) * rad
 
 
+def _rule_nodes(width):
+    """Gauss-Legendre nodes for a segment of this width (turns): 48, 16 to 2^-12, 8 to 2^-15."""
+    return np.where(width <= 2.0 ** -15, 8, np.where(width <= 2.0 ** -12, 16, 48))
+
+
 def _distinct(x):
     """The sorted distinct values of x, like np.unique but without importing numpy.ma."""
     x = np.sort(np.ravel(x))
@@ -72,9 +77,14 @@ def _pieces(lo, hi, breaks):
 
 
 def _offset(x, c):
-    """Signed offset in turns from c to x, in [-1/2, 1/2]; exact when x is near c or a turn away."""
-    d = x - c
-    return d - np.rint(d)
+    """Signed offset in turns from c to x, in [-1/2, 1/2], for x and c in [0, 1] or c = 0.
+
+    One rounding only: a whole turn comes off whichever of x and c is the
+    larger, where the subtraction is exact, and not off x - c, which rounds
+    in the last bit of 1 when the two lie on either side of angle 0.
+    """
+    k = np.rint(x - c)
+    return np.where(k > 0, (x - k) - c, x - (c + k))
 
 
 def _piecewise_integrals(lo, hi, edges, prefix, piece):
@@ -97,6 +107,32 @@ def _piecewise_integrals(lo, hi, edges, prefix, piece):
 def _on_arc(x, start, length):
     """Whether the point x lies on the arc [start, start + length) of the circle; all in turns."""
     return (x - start) % 1.0 < length
+
+
+def _point_masses(x, weights, start, length):
+    """Sums of the weights of the points x (turns) on each arc [start, start + length).
+
+    `start` holds normalized starts, or is a `ScanFamily`, read by lattice
+    index: a point lies on one arc of an aligned or shifted family, and on
+    every complement but the one that leaves that arc out.  Each arc sums
+    its points in their order, so a family arc equals its lone call.
+    """
+    if isinstance(start, ScanFamily):
+        n = start.size
+        if not x.size:
+            return np.zeros(n)
+        idx = np.floor(x * n - 0.5 * start.shifted).astype(np.int64) % n
+        if not start.complement:
+            return np.bincount(idx, weights=weights, minlength=n)
+        out = np.full(n, np.bincount(np.zeros_like(idx), weights=weights)[0])
+        left_out = _distinct(idx)
+        rows, cols = np.nonzero(idx[None, :] != left_out[:, None])
+        out[left_out] = np.bincount(rows, weights=weights[cols], minlength=left_out.size)
+        return out
+    starts = np.atleast_1d(np.asarray(start, dtype=float))
+    rows, cols = np.nonzero(_on_arc(x[None, :], starts[:, None], length))
+    out = np.bincount(rows, weights=weights[cols], minlength=starts.size)
+    return out if np.ndim(start) else float(out[0])
 
 
 def _lattice_levels(x):
@@ -133,23 +169,26 @@ def _family(x, length):
 
 
 def _pair_complements(levels, m):
-    """Integrals over the complements of the pairs of adjacent level-m nodes (j, j + 1), m >= 1.
+    """Integrals over the complements of the pairs of adjacent level-l nodes (j, j + 1), l = 1..m.
 
-    A pair from an even j is one level-(m - 1) node, whose complement is one
-    sibling per ancestor level; one from an odd j has two flanking nodes, and
-    its parents form the pair from (j - 1) / 2 a level up.  The nodes are
-    summed level by level and no difference is taken, so a complement is
-    infinite only when it holds an infinite node.
+    Returns {l: array indexed by j}.  A pair from an even j is one
+    level-(l - 1) node, whose complement is one sibling per ancestor level;
+    one from an odd j has two flanking nodes, and its parents form the pair
+    from (j - 1) / 2 a level up.  The nodes are summed level by level and no
+    difference is taken, so a complement is infinite only when it holds an
+    infinite node.
     """
     single, pair = levels[1][::-1].copy(), np.zeros(2)  # at level 1 a pair is the whole circle
-    for nodes in levels[2 : m + 1]:
+    pairs = {1: pair}
+    for level, nodes in enumerate(levels[2 : m + 1], start=2):
         left, right = nodes[0::2], nodes[1::2]
         up_single, up_pair = single, pair
         single, pair = np.empty(nodes.size), np.empty(nodes.size)
         single[0::2], single[1::2] = right + up_single, left + up_single
         pair[0::2] = up_single
         pair[1::2] = left + np.append(right[1:], right[0]) + up_pair  # nodes j - 1, j + 2, parents
-    return pair
+        pairs[level] = pair
+    return pairs
 
 
 def _turn(angle):
@@ -178,6 +217,42 @@ def _tree_sums(levels, lo, hi):
     return out
 
 
+@dataclass(frozen=True)
+class ScanFamily:
+    """The 2^level arcs of one scan family, read by lattice index.
+
+    Arc i takes 2^-level turn from the level-(level + 1) lattice point
+    j = 2i, or j = 2i + 1 when `shifted`; with `complement` it is the rest
+    of the circle, 1 - 2^-level turn from where that arc ends.  Components
+    value a family by index, without its starts; any other reader takes the
+    normalized starts, as an array too.
+    """
+
+    level: int
+    shifted: bool = False
+    complement: bool = False
+
+    @property
+    def length(self):
+        return 1.0 - 2.0 ** -self.level if self.complement else 2.0 ** -self.level
+
+    @property
+    def size(self):
+        return 2 ** self.level
+
+    def start(self, i):
+        """The normalized start of arc i, or of the arcs of an index array: lattice points."""
+        n = 2 ** (self.level + 1)
+        return (2 * i + self.shifted + 2 * self.complement) % n / n
+
+    @property
+    def starts(self):
+        return self.start(np.arange(self.size))
+
+    def __array__(self, dtype=None, copy=None):
+        return self.starts.astype(dtype or float)
+
+
 # ---------------------------------------------------------------------------
 # the cell pyramid behind every arc integral
 # ---------------------------------------------------------------------------
@@ -190,8 +265,9 @@ class ArcWeight:
     over segments [lo, hi] of turns, 0 <= lo <= hi <= 1, that stay farther
     than `_EPS` radians from its poles, and `poles`, the angles where it is
     not integrable.  The 2^m cells of the lattice k / 2^m are integrated
-    once, when first needed, and summed pairwise into a pyramid; `_pyramid`
-    holds the finest one built.
+    once, when first needed, as one run of equal cells (`_run`, which a
+    subclass may override with a rule for whole runs), and summed pairwise
+    into a pyramid; `_pyramid` holds the finest one built.
     Every segment that reaches `segment_integrals` lies inside one cell of a
     pyramid, so a Gauss-Legendre rule is sized from each segment: 48 nodes
     above 2^-12 turn, 16 up to that and 8 up to 2^-15 turn.  For an
@@ -206,8 +282,10 @@ class ArcWeight:
     A scan-family arc is read by whole-array slices: an arc of 2^-k turn from
     the level-(k + 1) lattice is a pair of adjacent level-(k + 1) nodes, one
     level-k node when aligned, and its complement is the sum, level by level,
-    of the nodes flanking it (see `_pair_complements`); such an arc reads a
-    pyramid of level k + 1 or finer.  Any other arc with both ends on a
+    of the nodes flanking it (see `_pair_complements`, summed once per
+    pyramid and kept with it); such an arc reads a pyramid of level k + 1 or
+    finer.  A `ScanFamily` is read so as a whole, and a lone arc of one the
+    same way, node by node.  Any other arc with both ends on a
     lattice is a walk down a pyramid at least as fine as that lattice,
     taking at most two nodes per level, and a wrapping arc is two walks.  No
     difference is taken on either path, so a small arc keeps its relative
@@ -226,6 +304,7 @@ class ArcWeight:
     _MIN_LEVEL = 10
     _CHUNK = 2 ** 10  # segments per segment_integrals call, bounding quadrature temporaries
     _pyramid = None  # node integrals against dm, one array per level, coarsest first
+    _pairs = None  # the pyramid's pair complements by level, once a complement is read
     _inverse = None  # the reciprocal weight, once `reciprocal` has built it
     #: whether the weight vanishes almost everywhere, read from its form without integrating
     vanishes = False
@@ -250,7 +329,10 @@ class ArcWeight:
     mass = total
 
     def window_mass(self, start, length):
-        return self.arc_integral(np.asarray(start) * TWO_PI, length)
+        """Integrals over the arcs of normalized length `length` from the normalized starts."""
+        if isinstance(start, ScanFamily):
+            return self._family_integrals(start)
+        return self._arcs(start, length)
 
     arc_mass = window_mass
 
@@ -264,14 +346,19 @@ class ArcWeight:
         directly, not read from a pyramid; the one around angle 0 wraps, and
         is integrated in its two halves.
         """
-        ends = np.concatenate([[0.0], (np.arange(n) + 0.5) / n, [1.0]])
-        cells = self._integrals(ends[:-1], ends[1:])
-        cells[0] += cells[-1]
-        return cells[:-1] * n
+        half = 0.5 / n
+        ends = self._integrals(np.array([0.0, 1.0 - half]), np.array([half, 1.0]))
+        return np.concatenate([[ends[0] + ends[1]], self._run(half, 1.0 / n, n - 1)]) * n
 
     def arc_integral(self, start, length):
         """Integral against dm over the arc of normalized length `length` from angle `start`."""
-        x = np.atleast_1d(np.asarray(start, dtype=float) / TWO_PI % 1.0)
+        if isinstance(start, ScanFamily):
+            return self._family_integrals(start)
+        return self._arcs(np.asarray(start, dtype=float) / TWO_PI, length)
+
+    def _arcs(self, start, length):
+        """Integrals over the arcs of normalized length `length` from the normalized starts."""
+        x = np.atleast_1d(np.asarray(start, dtype=float) % 1.0)
         length = min(float(length), 1.0)
         end = x + length
         k, complement, j = _family(x, length) or (0, False, np.full(x.size, -1))
@@ -284,13 +371,38 @@ class ArcWeight:
         out = np.empty(x.size)
         if np.any(scan):
             if complement:
-                out[scan] = _pair_complements(levels, k + 1)[j[scan]]
+                out[scan] = self._complements(k + 1)[j[scan]]
             else:
                 nodes = levels[k + 1]
                 out[scan] = nodes[j[scan]] + nodes[(j[scan] + 1) % nodes.size]
         if np.any(rest):
             out[rest] = self._walk(levels, x[rest], end[rest])
         return out if np.ndim(start) else float(out[0])
+
+    def _family_integrals(self, family):
+        """The integrals over the arcs of a `ScanFamily`, by whole-array slices of the pyramid.
+
+        An aligned arc is one level-k node, a shifted one a pair of adjacent
+        level-(k + 1) nodes, and a complement that of such a pair: the same
+        nodes, summed in the same order, as the lone arc reads.
+        """
+        k = family.level
+        levels = self._levels(k + 1)
+        if family.complement:
+            return self._complements(k + 1)[int(family.shifted)::2].copy()
+        if not family.shifted:
+            return levels[k].copy()
+        nodes = levels[k + 1]
+        return nodes[1::2] + np.roll(nodes[0::2], -1)
+
+    def _complements(self, m):
+        """The level-m pair complements (see `_pair_complements`), summed once per pyramid.
+
+        They are kept with the pyramid and dropped with it.
+        """
+        if self._pairs is None or m not in self._pairs:
+            self._pairs = _pair_complements(self._pyramid, m)
+        return self._pairs[m]
 
     def reciprocal(self):
         """The weight 1/w, built once and kept, so that all its readers share one pyramid.
@@ -320,12 +432,16 @@ class ArcWeight:
         """The pyramid, built first when the slot holds none reaching `level`."""
         if self._pyramid is None or len(self._pyramid) <= level:
             m = max(level, self._MIN_LEVEL)
-            edges = np.arange(2 ** m + 1) / 2 ** m
-            levels = [self._integrals(edges[:-1], edges[1:])]
+            levels = [self._run(0.0, 2.0 ** -m, 2 ** m)]
             while levels[-1].size > 1:
                 levels.append(levels[-1][0::2] + levels[-1][1::2])
-            self._pyramid = levels[::-1]
+            self._pyramid, self._pairs = levels[::-1], None
         return self._pyramid
+
+    def _run(self, start, width, count):
+        """Integrals over the `count` segments of `width` turns laid end to end from `start`."""
+        lo = start + width * np.arange(count)
+        return self._integrals(lo, lo + width)
 
     def _walk(self, levels, x, end):
         """Integrals over the arcs [x, end], 0 <= x < 1 and x <= end <= x + 1, from `levels`."""
@@ -431,18 +547,28 @@ class FactoredArcWeight(ArcWeight):
     of an angle whose exponent is a non-even gamma > -1 runs in v =
     u^(1 + gamma), u the distance from that angle, which absorbs the power;
     every other piece sits at least its own length from any branch point
-    (see ArcWeight) and takes plain Gauss-Legendre.
+    (see ArcWeight) and takes plain Gauss-Legendre.  In a run of equal cells
+    (a pyramid base, the centred cells of `grid_density`), a cell with no
+    cut that lies two widths or more from every factor and focus angle is
+    one such piece, and takes its nodes' factor values by angle addition
+    (see `_run`).  The cuts are sorted on the first integral, not when the
+    weight is built.
     """
 
     #: offsets (turns) of the cuts toward a cut angle, from the pole closure tolerance to the antipode
     _CUTS = np.geomspace(ArcWeight._EPS / TWO_PI, 0.5, 100)
+    _breaks = None  # the sorted cuts (turns), set by `_cut` on the first integral
 
     def __init__(self, factors, cofactor=None, focus=()):
         self.factors = list(factors)
         self._factorize(cofactor, focus)
 
     def _factorize(self, cofactor, focus):
-        """Set the cofactor, and the powers, poles and cuts that `self.factors` give."""
+        """Set the cofactor, and the powers and poles that `self.factors` give.
+
+        The cuts wait for the first integral (see `_cut`): a weight that only
+        serves as a factor, or is only asked for its poles, never sorts them.
+        """
         self.cofactor = cofactor
         factors = self.factors
         turns = np.array([_turn(f.angle) for f in factors])
@@ -461,15 +587,20 @@ class FactoredArcWeight(ArcWeight):
                          float(np.prod([f.scale for f in fs]))) for fs in groups.values()]
         self._angles, self._gammas = angles[gammas != 0], gammas[gammas != 0]
         self.poles = TWO_PI * self._angles[self._gammas <= -1.0]
-        even = self._gammas % 2 == 0
-        focus = [_turn(t) for t in focus]
+        self._focus = [_turn(t) for t in focus]
         if cofactor is not None:
-            focus += list(angles[live & (gammas == 0)])
+            self._focus += list(angles[live & (gammas == 0)])
+
+    def _cut(self):
+        """Set the breaks, the reference angles and their absorbed exponents, once."""
+        if self._breaks is not None:
+            return
+        even = self._gammas % 2 == 0
         # a focus within the innermost cut of a factor is that factor's angle
-        focus = [u for u in focus if np.all(np.abs(_offset(u, self._angles)) > self._CUTS[0])]
+        focus = [u for u in self._focus
+                 if np.all(np.abs(_offset(u, self._angles)) > self._CUTS[0])]
         cut = _distinct(np.append(self._angles[~even | (self._gammas <= -1.0)], focus))
         steps = np.concatenate([-self._CUTS, [0.0], self._CUTS])
-        self._breaks = _distinct((cut[:, None] + steps) % 1.0)
         # the angles pieces take offsets from (angle 0 when there is none), and the
         # exponent each one's substitution absorbs (0: none)
         refs = _distinct(np.append(self._angles, focus))
@@ -477,6 +608,7 @@ class FactoredArcWeight(ArcWeight):
         self._absorbed = np.zeros(self._refs.size)
         self._absorbed[np.searchsorted(self._refs, self._angles)] = np.where(
             ~even & (self._gammas > -1.0), self._gammas, 0.0)
+        self._breaks = _distinct((cut[:, None] + steps) % 1.0)
 
     def values(self, t):
         t = np.asarray(t, dtype=float)
@@ -493,10 +625,10 @@ class FactoredArcWeight(ArcWeight):
     def segment_integrals(self, lo, hi):
         if self.cofactor is None and not self._angles.size:
             return self._scale * (hi - lo)
+        self._cut()
         a, b, owner = _pieces(lo, hi, self._breaks)
         # the rule of each segment's width (see ArcWeight); a cut piece keeps 16 nodes
-        width = (hi - lo)[owner]
-        nodes = np.where(width <= 2.0 ** -15, 8, np.where(width <= 2.0 ** -12, 16, 48))
+        nodes = _rule_nodes((hi - lo)[owner])
         cut = (a != lo[owner]) | (b != hi[owner])
         nodes[cut] = np.maximum(nodes[cut], 16)
         parts = np.empty(a.size)
@@ -504,6 +636,63 @@ class FactoredArcWeight(ArcWeight):
             pick = nodes == n
             parts[pick] = self._piece_integrals(a[pick], b[pick], _GL[n])
         return self._scale * np.bincount(owner, weights=parts, minlength=lo.size)
+
+    def _run(self, start, width, count):
+        """Cells of a run: whole ones by angle addition, cut and near ones piece by piece.
+
+        A cell that holds no break and lies two widths or more from every
+        reference angle has no substituted piece, and its node offsets from
+        each factor angle are its start's offset d plus the rule's fixed
+        offsets o: sin(pi (d + o)) = sin(pi d) cos(pi o) + cos(pi d) sin(pi o)
+        takes one sine and one cosine per cell and factor.  The sum stays
+        clear of cancellation there, since |d + o| > |o|.
+        """
+        if self.cofactor is None and not self._angles.size:
+            return np.full(count, self._scale * width)
+        self._cut()
+        lo = start + width * np.arange(count)
+        near = np.zeros(count, dtype=bool)
+        # the cells holding a break strictly inside: lo[c] < b < lo[c] + width
+        c = np.searchsorted(lo, self._breaks) - 1
+        ok = c >= 0
+        c, b = c[ok], self._breaks[ok]
+        near[c[b < lo[c] + width]] = True
+        # the cells within two widths of a reference angle, on either side of a whole turn
+        k = np.floor((self._refs[:, None] + [-1.0, 0.0, 1.0] - start) / width).astype(np.int64)
+        c = (k[..., None] + np.arange(-2, 3)).ravel()
+        near[c[(c >= 0) & (c < count)]] = True
+        out = np.empty(count)
+        part = np.nonzero(near)[0]
+        out[part] = self._integrals(lo[part], lo[part] + width)
+        whole = np.nonzero(~near)[0]
+        rule = _GL[int(_rule_nodes(width))]
+        step = self._CHUNK * 48 // rule[0].size
+        for s in range(0, whole.size, step):
+            part = whole[s : s + step]
+            out[part] = self._whole_cells(lo[part], width, rule)
+        return out
+
+    def _whole_cells(self, lo, width, rule):
+        """Integrals over whole far cells [lo, lo + width] (see `_run`), with the scale.
+
+        Node values are laid out one row per node, and the rows are summed in
+        order, so a cell's integral does not depend on the other cells.
+        """
+        offsets = (0.5 * width * (1.0 + rule[0]))[:, None]
+        vals = None
+        if self.cofactor is not None:
+            x = offsets + lo
+            vals = np.asarray(self.cofactor(TWO_PI * (x - np.rint(x))), dtype=float)
+        cos_o, sin_o = 2.0 * np.cos(np.pi * offsets), 2.0 * np.sin(np.pi * offsets)
+        for angle, gamma in zip(self._angles, self._gammas):
+            d = np.pi * _offset(lo, angle)
+            base = np.abs(np.sin(d) * cos_o + np.cos(d) * sin_o)
+            base **= gamma
+            vals = base if vals is None else np.multiply(vals, base, out=base)
+        out = vals[0] * rule[1][0]
+        for row, weight in zip(vals[1:], rule[1][1:]):
+            out += row * weight
+        return self._scale * (out * 0.5 * width)
 
     def _piece_integrals(self, a, b, rule):
         """Integrals against dm over pieces [a, b] (turns) holding no break, without the scale."""
@@ -530,11 +719,13 @@ class FactoredArcWeight(ArcWeight):
             x = c[:, None] + s
             vals = np.asarray(self.cofactor(TWO_PI * (x - np.rint(x))), dtype=float)
         for angle, gamma in zip(self._angles, self._gammas):
-            base = np.abs(2.0 * np.sin(np.pi * _offset(c[:, None] - angle + s, 0.0)))
+            base = np.abs(2.0 * np.sin(np.pi * _offset(_offset(c, angle)[:, None] + s, 0.0)))
             absorbed = (c == angle) & (p != 0)
             base[absorbed] = TWO_PI * np.sinc(u[absorbed])
             vals = vals * base ** gamma
-        return (vals @ rule[1]) * 0.5 * dv / q
+        # summed row by row, so that a piece's integral does not depend on its batch (a
+        # BLAS matrix-vector product sums the rows past a multiple of four in another order)
+        return np.sum(vals * rule[1], axis=-1) * 0.5 * dv / q
 
     def weighted(self, boundary):
         """The weight times boundary(t); a factored boundary, a power one too, joins its factors.
@@ -722,13 +913,9 @@ class DiskAtoms:
         return float(np.sum(self.weights))
 
     def window_mass(self, start, length):
-        if self.points.size == 0:
-            return np.zeros(np.shape(start))
-        x = (np.angle(self.points) / TWO_PI) % 1.0
-        deep_enough = (1.0 - np.abs(self.points)) <= length / 2.0 + 1e-15
-        inside = _on_arc(x[None, :], np.atleast_1d(start)[:, None], length) & deep_enough[None, :]
-        out = inside @ self.weights
-        return out if np.shape(start) else float(out[0])
+        deep = (1.0 - np.abs(self.points)) <= length / 2.0 + 1e-15
+        x = (np.angle(self.points[deep]) / TWO_PI) % 1.0
+        return _point_masses(x, self.weights[deep], start, length)
 
     def arc_mass(self, start, length):
         return np.zeros(np.shape(start)) if np.shape(start) else 0.0
@@ -766,12 +953,7 @@ class SingularAtoms:
         return float(np.sum(self.weights))
 
     def window_mass(self, start, length):
-        if self.angles.size == 0:
-            return np.zeros(np.shape(start))
-        x = self.angles / TWO_PI
-        inside = _on_arc(x[None, :], np.atleast_1d(start)[:, None], length)
-        out = inside @ self.weights
-        return out if np.shape(start) else float(out[0])
+        return _point_masses(self.angles / TWO_PI, self.weights, start, length)
 
     arc_mass = window_mass
 
@@ -837,10 +1019,8 @@ class RadialPower:
         return float(self._depth_mass(1.0 - self.r0))
 
     def window_mass(self, start, length):
-        x = (self.angle / TWO_PI) % 1.0
-        inside = _on_arc(x, np.asarray(start, dtype=float), length)
-        m = self._depth_mass(length / 2.0)
-        return np.where(inside, m, 0.0) if np.shape(start) else (float(m) if inside else 0.0)
+        x = np.array([(self.angle / TWO_PI) % 1.0])
+        return _point_masses(x, np.array([float(self._depth_mass(length / 2.0))]), start, length)
 
     def arc_mass(self, start, length):
         return np.zeros(np.shape(start)) if np.shape(start) else 0.0
@@ -1052,8 +1232,13 @@ class DiskMeasure:
         return float(sum(np.asarray(c.window_mass(start, length)) for c in self.components()))
 
     def batch_window_masses(self, starts, length):
-        starts = np.asarray(starts, dtype=float)
-        out = np.zeros(starts.shape)
+        """Window masses over the arcs of one length from the normalized starts.
+
+        The starts may be a `ScanFamily`, which every component reads by lattice index.
+        """
+        if not isinstance(starts, ScanFamily):
+            starts = np.asarray(starts, dtype=float)
+        out = 0.0
         for c in self.components():
             out = out + np.asarray(c.window_mass(starts, length))
         return out

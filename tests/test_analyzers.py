@@ -1,11 +1,12 @@
 import json
+import weakref
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hbspace import analyzers
+from hbspace import analyzers, measures
 from hbspace.analyzers import (
     _gap_weight,
     _kernel_mu_norms_squared,
@@ -43,6 +44,7 @@ from hbspace.measures import (
     PairWeight,
     PowerArcWeight,
     RadialPower,
+    ScanFamily,
     SingularAtoms,
 )
 from hbspace.space import SymbolB, classify_extremeness, pair_from_outer_a, pythagorean_mate
@@ -314,6 +316,66 @@ class TestWitnesses:
         assert res.witness["value"] == res.infimum
         at = abs(complex(pair.a(z))) + abs(complex(pair.b.fn(z)))
         assert at == pytest.approx(res.witness["value"], rel=1e-12, abs=1e-12)
+
+
+class TestFamilyReads:
+    """A scan reads each component by lattice index, as the lone arcs would read it."""
+
+    @staticmethod
+    def edge_measure():
+        # disk atoms at turns 0, 1/4 and 1/2 and a singular atom at 1/4, all lattice ends; the
+        # atom at depth 0.49 is too shallow for the complements of levels 2 to 5; a ray at 1/2
+        return DiskMeasure(
+            disk_atoms=DiskAtoms([0.99, 0.999j, -0.995, 0.51 * np.exp(2j)], [0.7, 0.4, 0.2, 0.9]),
+            ac=PowerArcWeight(-0.5, 1.2, 1.0),
+            singular_atoms=SingularAtoms([np.pi / 2], [0.3]),
+            radial=[RadialPower(np.pi, 0.5, 0.4)],
+        )
+
+    def test_atoms_on_lattice_ends_lie_on_half_open_arcs(self):
+        atom = DiskMeasure(disk_atoms=DiskAtoms([0.9j], [1.0]))
+        assert np.angle(0.9j) / (2 * np.pi) == 0.25
+        assert list(atom.batch_window_masses(ScanFamily(2), 0.25)) == [0.0, 1.0, 0.0, 0.0]
+        assert list(atom.batch_window_masses(ScanFamily(2, complement=True), 0.75)) == [
+            1.0, 0.0, 1.0, 1.0]
+
+    def test_each_scan_value_is_its_lone_arc(self):
+        mu = self.edge_measure()
+        shallow = 0
+        for level, families, vals in analyzers._valued_families(mu.batch_window_masses, 10):
+            for fam, fam_vals in zip(families, np.split(vals, len(families))):
+                lone = [mu.batch_window_masses(np.array([fam.start(i)]), fam.length)[0]
+                        for i in range(fam.size)]
+                assert list(fam_vals) == lone
+                shallow += fam.complement and fam.length / 2 < 0.49
+        assert shallow == 8  # the complements of levels 2 to 5, aligned and shifted
+
+    def test_complements_are_summed_once_per_pyramid(self, monkeypatch):
+        calls = []
+        pair_complements = measures._pair_complements
+        monkeypatch.setattr(measures, "_pair_complements",
+                            lambda levels, m: calls.append(m) or pair_complements(levels, m))
+        mu = self.edge_measure()
+        reverse_inf_scan(mu, depth=10)
+        assert calls == [11]
+        carleson_sup_scan(mu, depth=10)  # the same pyramid keeps its complements
+        assert calls == [11]
+        a2_check(PowerArcWeight(0.5, 1.0, 2.0), depth=10)  # the weight and its reciprocal
+        assert calls == [11, 11, 11]
+
+    def test_complements_do_not_outlive_their_weight(self, half_sum, monkeypatch):
+        refs = []
+        complements = ArcWeight._complements
+
+        def recording(self, m):
+            refs.append(weakref.ref(self))
+            return complements(self, m)
+
+        monkeypatch.setattr(ArcWeight, "_complements", recording)
+        mu = self.edge_measure()
+        direct_carleson_verdict(half_sum, mu, depth=10)
+        # mu.ac lives with mu; nu.ac, |a|^2 times it, was built by the verdict and is gone
+        assert {r() for r in refs} == {mu.ac, None}
 
 
 class TestKernelRatios:

@@ -134,6 +134,31 @@ class TestDeterminism:
         assert out.exists() and not leftovers
 
 
+class TestOneParser:
+    def test_two_verbs_in_one_process_share_one_parser(self, files, capsys, monkeypatch):
+        from hbspace import cli
+
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        assert main(["corona", "--b", files["b"], "--depth", "10"]) == 0
+        corona = json.loads(capsys.readouterr().out)
+        assert main(["norms", "--b", files["b"], "--kernel", "0.5,0"]) == 0
+        norms = json.loads(capsys.readouterr().out)
+        assert builds == [1]
+        assert corona["verdict"] == "pass" and corona["infimum"] == pytest.approx(1.0)
+        assert norms["hb_norm"] == pytest.approx(np.sqrt(40.0 / 3.0), rel=1e-6)
+        # a usage error reads the same on every call
+        errors = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["norms", "--b", files["b"]])
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and "one of the arguments" in errors[0]
+
+
 class TestRemainingVerbs:
     def test_norms_monomial_and_coeffs(self, files, tmp_path, capsys):
         assert main(["norms", "--b", files["b"], "--monomial", "0"]) == 0

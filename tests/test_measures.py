@@ -180,6 +180,17 @@ class TestPowerArcWeight:
             gc.enable()
 
 
+    def test_a_fresh_weight_has_computed_no_breaks(self):
+        # poles, exponents and scale are read at once; the cuts wait for the first integral
+        w = PowerArcWeight(-1.5, 2.0, 1.0)
+        product = FactoredArcWeight([w, PowerArcWeight(0.5, 1.0, 2.0)], lambda t: 2.0 + np.cos(t))
+        assert w._breaks is None and product._breaks is None
+        assert not w.integrable and not w.vanishes and len(product.poles) == 1
+        assert DiskMeasure(ac=PowerArcWeight(0.5)).charges()
+        product.cell_integrals(10)
+        assert product._breaks is not None and w._breaks is None
+
+
 class TestLebesgueCells:
     def test_grid_density_is_exactly_one(self):
         weight = DiskMeasure.lebesgue().ac
@@ -473,6 +484,31 @@ class TestCellPyramid:
         assert w._pyramid is pyramid and len(pyramid) == 13
 
 
+@st.composite
+def cut_weights(draw):
+    """A function building fresh copies of one factored weight.
+
+    A lone power, or a product of a pole, an even zero and a non-even power,
+    any of them left out, with a cofactor peaking at its focus angle; a
+    product may be taken as its reciprocal.
+    """
+    if draw(st.booleans()):
+        gamma = draw(st.sampled_from([-2.5, -1.5, -1.0, -0.5, 0.7, 1.5, 2.0]))
+        scale, angle = draw(st.floats(0.5, 2.0)), draw(angles())
+        return lambda: PowerArcWeight(gamma, scale, angle)
+    orders = [draw(st.sampled_from([-1.0, -1.5, -2.0])), 2.0,
+              draw(st.sampled_from([-0.5, 0.5, 1.5]))]
+    where = [draw(angles()) for _ in orders]
+    keep = draw(st.lists(st.booleans(), min_size=3, max_size=3))
+    phi, reciprocal = draw(angles()), draw(st.booleans())
+
+    def make():
+        factors = [PowerArcWeight(g, 1.3, t) for g, t, k in zip(orders, where, keep) if k]
+        w = FactoredArcWeight(factors, lambda t: 1.5 + np.sin(t - phi), focus=(phi + np.pi / 2,))
+        return w.reciprocal() if reciprocal else w
+    return make
+
+
 def _mp_cell(density, level, k, singular=()):
     """40-digit integral against dm of the cell [k, k + 1] / 2^level, split at singular angles."""
     mpmath.mp.dps = 40
@@ -597,6 +633,48 @@ class TestCellRule:
         cut, breaks = np.unique(cells[weight._breaks * n != cells], return_counts=True)
         assert cut.size > 10
         assert sum(evaluated) == 8 * (n - cut.size) + 16 * (cut.size + breaks.sum())
+
+    @settings(max_examples=40, deadline=None)
+    @given(make=cut_weights(), level=st.sampled_from([10, 11, 12, 13, 14, 15, None]))
+    # factor angles at and just above angle 0: offsets from cells just below 2 pi cross it
+    @example(make=lambda: FactoredArcWeight(
+        [PowerArcWeight(2.0, 1.3, 0.015625), PowerArcWeight(-0.5, 1.3, 0.0)],
+        lambda t: 1.5 + np.sin(t), focus=(np.pi / 2,)), level=10)
+    @example(make=lambda: FactoredArcWeight(
+        [PowerArcWeight(-1.0, 1.3, 0.015625), PowerArcWeight(-0.5, 1.3, 0.0625)],
+        lambda t: 1.5 + np.sin(t), focus=(np.pi / 2,)), level=10)
+    @example(make=lambda: FactoredArcWeight(  # and on either side of it
+        [PowerArcWeight(-2.0, 1.3, TWO_PI * 0.99723), PowerArcWeight(2.0, 1.3, TWO_PI * 0.00363)],
+        lambda t: 1.5 + np.sin(t), focus=(np.pi / 2,)), level=12)
+    def test_whole_cells_by_angle_addition_match_the_piece_rule(self, make, level):
+        # a pyramid base (level) or the 2^16 centred cells of grid_density (None): a cell
+        # holding a break or within two widths of a reference angle takes the piece rule
+        # bit for bit, any other the whole-cell rule, within 1e-14 of it
+        w = make()
+        shift = 0.5 if level is None else 0.0  # cell k starts at (k - shift) / n
+        if level is None:
+            n = 2**16
+            got = w.grid_density(n) / n
+            ends = np.concatenate([[0.0], (np.arange(n) + 0.5) / n, [1.0]])
+            pieces = make()._integrals(ends[:-1], ends[1:])
+            pieces[0] += pieces[-1]
+            pieces = pieces[:-1]
+        else:
+            n = 2**level
+            got = w.cell_integrals(level)
+            pieces = make()._integrals(np.arange(n) / n, np.arange(1, n + 1) / n)
+        assert np.array_equal(np.isinf(got), np.isinf(pieces))
+        finite = np.isfinite(pieces)
+        np.testing.assert_allclose(got[finite], pieces[finite], rtol=1e-14, atol=0)
+        pos = w._breaks * n + shift  # in cells; a break strictly inside cell floor(pos)
+        cut = np.zeros(n, dtype=bool)
+        cut[np.floor(pos[pos != np.floor(pos)]).astype(int) % n] = True
+        lo = (np.arange(n) - shift) / n
+        offset = (w._refs[:, None] - lo) % 1.0  # from each cell's start to each reference angle
+        gap = np.where(offset <= 1.0 / n, 0.0, np.minimum(offset - 1.0 / n, 1.0 - offset))
+        near = cut | (np.min(gap, axis=0) < 2.0 / n * (1 - 1e-9))
+        near[0] |= level is None  # the centred cell around angle 0 is two half cells
+        assert np.array_equal(got[near], pieces[near])
 
     def test_cells_where_exponents_cancel(self):
         # reverse-canonical's nu: |a|^-2 and |a|^2 cancel at angle 0, where the cofactor
