@@ -10,7 +10,6 @@ The cumulative extremes are monotone in depth by construction.
 
 import csv
 import io
-import weakref
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -479,18 +478,8 @@ def _gap_weight(pair, fn, interior):
     return PairWeight(pair.gap2_weight, _up_to_circle(fn, interior, pair.gap2_weight))
 
 
-def _kernel_mu_norms_squared(pair, measure, lams, variant, beta=None):
-    """||k_lam||^2 in L2(mu) for every lam of one probe level.
-
-    `beta` holds b at the lams; without it, b is evaluated there.
-    """
-    lams = np.asarray(lams, dtype=complex)
-    if beta is None:
-        beta = np.asarray(pair.b.fn(lams), dtype=complex)
-    return _KernelNorms(pair, measure, variant)(lams, beta)
-
-
-_BATCH = 2 ** 15  # complex entries of one batched kernel temporary: 512 kB
+_BATCH = 2 ** 14  # complex entries of one batched kernel temporary: 256 kB
+_NEAR_POINTS = 64  # grid points on either side of a probe angle that are summed directly
 
 
 class _KernelNorms:
@@ -498,16 +487,22 @@ class _KernelNorms:
 
     The kernel is k_lam(z) = (1 - conj(b(lam)) b(z)) / (1 - conj(lam) z) for
     'hb' and 1 / (1 - conj(lam) z) for 'cauchy'.  What the levels share is
-    taken once per scan: the spectra of the boundary a.c. part, which take
-    the grid sum of its density (`_grid_kernel_norms_squared`), one sine
-    table per sub-grid offset, and for every other component the nodes of
-    its own l2 rule (`l2_by_nodes`) with b read there.  A level's probes are
-    summed at those nodes in batches of at most _BATCH entries.
+    taken once per scan and dropped with it: for the boundary a.c. part its
+    grid density h, b on that grid and the real spectra of the rows the
+    grid sums convolve (`_grid_sums`), and one sine table per sub-grid
+    offset; for every other component the nodes of its own l2 rule
+    (`l2_by_nodes`) with b read there.  A level's probes are summed at those
+    nodes in batches of at most _BATCH entries.
     """
 
     def __init__(self, pair, measure, variant):
-        self.pair, self.variant, self.ac = pair, variant, measure.ac
+        self.ac, self.b = measure.ac, None
         self.tables = {}  # sub-grid offset -> its sine table
+        if self.ac is not None:
+            self.h = self.ac.grid_density()
+            if variant == "hb":
+                self.b = pair.b_boundary(self.h.size)
+            self.spectra = self._row_spectra(self.h, self.b)
         b_at = _up_to_circle(pair.b.fn, pair.b.fn, pair.b_at_angles)
         self.components = []
         for comp in measure.components():
@@ -518,11 +513,25 @@ class _KernelNorms:
                     bz = pair.b_at_angles(nodes) if boundary else b_at(nodes)
                 self.components.append((np.exp(1j * nodes) if boundary else nodes, bz, integral))
 
+    @staticmethod
+    def _row_spectra(h, b):
+        """The rfft half spectra of the real rows h, Re(h b), Im(h b), h |b|^2 (h alone without b).
+
+        Each row is formed in one buffer and transformed into its row of
+        the spectra, so that the four real rows are never held at once.
+        """
+        spectra = np.empty((1 if b is None else 4, h.size // 2 + 1), dtype=complex)
+        np.fft.rfft(h, out=spectra[0])
+        if b is not None:
+            row = np.empty(h.size)
+            for spectrum, factor in zip(spectra[1:], (b.real, b.imag, np.abs(b) ** 2)):
+                np.fft.rfft(np.multiply(h, factor, out=row), out=spectrum)
+        return spectra
+
     def __call__(self, lams, beta):
         out = np.zeros(lams.size)
         if self.ac is not None:
-            out += _grid_kernel_norms_squared(self.pair, self.ac, lams, beta, self.variant,
-                                              self.tables)
+            out += self._grid_sums(lams, beta)
         for z, bz, integral in self.components:
             step = max(1, _BATCH // z.size)
             for s in range(0, lams.size, step):
@@ -532,89 +541,74 @@ class _KernelNorms:
                 out[part] += integral(np.abs(numer / (1.0 - np.conj(lam) * z)) ** 2)
         return out
 
+    def _grid_sums(self, lams, beta):
+        """The grid sums mean_j h_j |k_lam(e^(i t_j))|^2 over the grid density h.
 
-_NEAR_POINTS = 64  # grid points on either side of a probe angle that are summed directly
-
-
-def _kernel_spectra(pair, weight, variant):
-    """The weight's grid density h, b on its grid, and the FFTs the kernel sums convolve.
-
-    For 'hb' these are the FFTs of h, h b and h |b|^2; for 'cauchy' the FFT
-    of h alone, with b zero.  The pair keeps those of its last weight and
-    variant, so that the levels of a kernel scan, and repeated calls, take
-    them once.  It holds the weight by a weak reference: a weight built from
-    the pair would otherwise form a cycle that only a full garbage
-    collection frees.
-    """
-    cached = pair._kernel_spectra
-    if cached is None or cached[0]() is not weight or cached[1] != variant:
-        h = weight.grid_density()
-        parts = [h]
-        b = np.zeros(h.size)
-        if variant == "hb":
-            b = pair.b_boundary(h.size)
-            parts += [h * b, h * np.abs(b) ** 2]
-        cached = pair._kernel_spectra = (weakref.ref(weight), variant, h, b,
-                                         np.fft.fft(parts))
-    return cached[2:]
+        `beta` holds b at the lams.  With lam = r e^(i(t_q + delta)) and
+        K(s) = 1/|1 - r e^(is)|^2 = 1/((1 - r)^2 + 4 r sin^2(s/2)), the grid
+        sum of g K(t_j - t_q - delta) is the circular convolution of g with K
+        sampled at t_j + delta, read at q: one real kernel FFT and one short
+        inverse FFT per row for each radius and sub-grid offset.  The hb
+        numerator |1 - conj(b(lam)) b|^2 expands over the real rows
+        g = h, Re(h b), Im(h b) and h |b|^2.  That expansion cancels where
+        the numerator vanishes under the peak of K, next to a boundary zero
+        of a, so the points nearest each probe angle are summed directly and
+        only the rest of K goes through the FFT.  Only the outputs at the
+        probe indices q are read, and they are real: with the product P of
+        two rfft half spectra, output q is Re sum_k c_k P_k e^(2 pi i k q / n)
+        / n, c_k = 2 but for the bins k = 0 and n/2 that have no mirror.  With
+        s the largest stride dividing n and every q of a group, the phases
+        repeat every n/s bins, so one row's weighted half spectrum is folded
+        onto n/s bins (bin k takes the terms k + i n/s) and takes an
+        (n/s)-point inverse FFT, scaled by 1/s: one level's m probe angles on
+        an n-point grid take an m-point inverse FFT per row.
+        """
+        h, b, spectra = self.h, self.b, self.spectra
+        n = h.size
+        coefficients = np.stack([np.ones(lams.size), -2.0 * beta.real, -2.0 * beta.imag,
+                                 np.abs(beta) ** 2])
+        pos = np.angle(lams) / TWO_PI * n % n
+        q = np.floor(pos + 1e-9)
+        delta = (pos - q) * (TWO_PI / n)
+        q = q.astype(int) % n
+        radius = np.abs(lams)
+        # the probe points of one level share their radius, and many their offset,
+        # up to rounding; each such group takes one kernel
+        groups = {}
+        for i, key in enumerate(zip(np.round(radius, 13), np.round(delta, 13))):
+            groups.setdefault(key, []).append(i)
+        w = min(_NEAR_POINTS, (n - 1) // 2)
+        near = np.arange(-w, w + 1) % n
+        out = np.empty(lams.size)
+        for (_, offset), idx in groups.items():
+            r = radius[idx[0]]
+            if offset not in self.tables:
+                self.tables[offset] = _sine_table(n, delta[idx[0]])
+            kernel = 1.0 / ((1.0 - r) ** 2 + 4.0 * r * self.tables[offset])
+            j = (q[idx, None] - near) % n
+            numer = 1.0 if b is None else np.abs(1.0 - np.conj(beta[idx, None]) * b[j]) ** 2
+            out[idx] = (h[j] * numer) @ kernel[near] / n
+            kernel[near] = 0.0
+            half = np.fft.rfft(kernel)
+            del kernel
+            half[1 : (n + 1) // 2] *= 2.0
+            product = np.empty_like(half)
+            stride = int(np.gcd.reduce(np.append(q[idx], n)))
+            bins = n // stride
+            whole = half.size - half.size % bins
+            far = np.zeros(len(idx))
+            for row, coefficient in zip(spectra, coefficients[:, idx]):
+                np.multiply(row, half, out=product)
+                folded = product[:whole].reshape(-1, bins).sum(axis=0)
+                folded[: half.size - whole] += product[whole:]
+                far += coefficient * np.fft.ifft(folded)[q[idx] // stride].real
+            out[idx] += far / (n * stride)
+        return out
 
 
 def _sine_table(n, delta):
     """sin((t_j + delta)/2)^2 on the n-point grid t_j: the part of a kernel the radius leaves."""
     return np.sin((grid_angles(n) + delta) / 2.0) ** 2
-
-
-def _grid_kernel_norms_squared(pair, weight, lams, beta, variant, tables):
-    """The grid sums mean_j h_j |k_lam(e^(i t_j))|^2 over the weight's grid density h.
-
-    `beta` holds b at the lams.  With lam = r e^(i(t_q + delta)) and
-    K(s) = 1/|1 - r e^(is)|^2 = 1/((1 - r)^2 + 4 r sin^2(s/2)), the grid sum
-    of g K(t_j - t_q - delta) is the circular convolution of g with K
-    sampled at t_j + delta, read at q: one real kernel FFT and one inverse
-    FFT for each radius and sub-grid offset.  `tables` keeps the sine table
-    of each offset, so that the levels of a scan take it once.  The hb
-    numerator |1 - conj(b(lam)) b|^2 expands over g = h, h b and h |b|^2.
-    That expansion cancels where the numerator vanishes under the peak of K,
-    next to a boundary zero of a, so the points nearest each probe angle
-    are summed directly and only the rest of K goes through the FFT.
-    Only the outputs at the probe indices q are read.  With s the largest
-    stride dividing n and every q of a group, those are the outputs of an
-    (n/s)-point inverse FFT of the product spectrum folded onto n/s bins
-    (bin k takes the terms k + i n/s), scaled by 1/s: one level's m probe
-    angles on an n-point grid take an m-point inverse FFT.
-    """
-    h, b, spectra = _kernel_spectra(pair, weight, variant)
-    n = h.size
-    coefficients = np.stack([np.ones(lams.size), -2.0 * np.conj(beta), np.abs(beta) ** 2])
-    pos = np.angle(lams) / TWO_PI * n % n
-    q = np.floor(pos + 1e-9)
-    delta = (pos - q) * (TWO_PI / n)
-    q = q.astype(int) % n
-    radius = np.abs(lams)
-    # the probe points of one level share their radius, and many their offset,
-    # up to rounding; each such group takes one kernel
-    groups = {}
-    for i, key in enumerate(zip(np.round(radius, 13), np.round(delta, 13))):
-        groups.setdefault(key, []).append(i)
-    w = min(_NEAR_POINTS, (n - 1) // 2)
-    near = np.arange(-w, w + 1) % n
-    out = np.empty(lams.size)
-    for (_, offset), idx in groups.items():
-        r = radius[idx[0]]
-        if offset not in tables:
-            tables[offset] = _sine_table(n, delta[idx[0]])
-        kernel = 1.0 / ((1.0 - r) ** 2 + 4.0 * r * tables[offset])
-        j = (q[idx, None] - near) % n
-        numer = np.abs(1.0 - np.conj(beta[idx, None]) * b[j]) ** 2
-        out[idx] = (h[j] * numer) @ kernel[near] / n
-        kernel[near] = 0.0
-        half = np.fft.rfft(kernel)
-        spectrum = np.concatenate([half, np.conj(half[(n - 1) // 2 : 0 : -1])])
-        stride = int(np.gcd.reduce(np.append(q[idx], n)))
-        folded = (spectra * spectrum).reshape(len(spectra), stride, n // stride)
-        sums = np.fft.ifft(folded.sum(axis=1), axis=-1)[:, q[idx] // stride] / (n * stride)
-        out[idx] += np.sum(coefficients[: len(spectra), idx] * sums, axis=0).real
-    return out
 
 
 def log_radial_points(depth, angle_cap=64):

@@ -345,11 +345,13 @@ class PowerOuter(AnalyticFunction):
         """1 - |f|^2 = -expm1(2 log|f(-1)| + 2 alpha log|sin(t/2)|), accurate where |f| nears 1.
 
         Within a quarter turn of t = pi, where sin(t/2) rounds toward 1, the
-        log is taken as log1p(-2 sin^2((t - pi)/4)), since sin(t/2) = cos((t - pi)/2).
+        log is taken as log1p(-2 sin^2(u/4)), u = |t - pi| up to whole turns,
+        since |sin(t/2)| = cos(u/2).  With r = t less its nearest whole turn,
+        u = pi - |r|, exact in that quarter turn.
         """
         t = np.asarray(t, dtype=float)
-        u = t % (2.0 * np.pi) - np.pi
-        near = np.abs(u) < np.pi / 2.0
+        u = np.pi - np.abs(t - 2.0 * np.pi * np.rint(t / (2.0 * np.pi)))
+        near = u < np.pi / 2.0
         log_sin = np.empty(t.shape)
         log_sin[near] = np.log1p(-2.0 * np.sin(u[near] / 4.0) ** 2)
         with np.errstate(divide="ignore"):
@@ -444,19 +446,30 @@ class GridOuter(AnalyticFunction):
     # -- evaluation --------------------------------------------------------
 
     def log_values_on_circle(self, n):
-        """L(e^(it)) on the uniform grid, exact for the stored series."""
-        spec = np.zeros(n, dtype=complex)
+        """L(e^(it)) on the uniform grid, exact for the stored series, in one buffer."""
+        values = np.zeros(n, dtype=complex)
         one_sided = np.concatenate([self.log_coeffs[:1], 2.0 * self.log_coeffs[1:]])
-        np.add.at(spec, np.arange(one_sided.size) % n, one_sided)
-        return np.fft.ifft(spec) * n
+        np.add.at(values, np.arange(one_sided.size) % n, one_sided)
+        np.fft.ifft(values, out=values)
+        values *= n
+        return values
 
     def _master_taylor(self):
+        """The first MASTER_DEGREE Taylor coefficients: the FFT of the values on twice as many points.
+
+        The values are exponentiated and transformed in their one buffer, and
+        the master keeps a copy of its coefficients, not a view that would
+        hold the whole transform.
+        """
         if self._master is None:
             degree = self.MASTER_DEGREE
             m = 2 * degree
-            values = np.exp(0.5 * self.log_values_on_circle(m))
-            coeffs = np.fft.fft(values) / m
-            self._master = coeffs[:degree]
+            values = self.log_values_on_circle(m)
+            values *= 0.5
+            np.exp(values, out=values)
+            np.fft.fft(values, out=values)
+            values /= m
+            self._master = values[:degree].copy()
             self._master.setflags(write=False)
         return self._master
 
@@ -493,7 +506,9 @@ class GridOuter(AnalyticFunction):
         return eval_taylor_on_circle(self._master_taylor(), radius, n_angles)
 
     def boundary_values(self, m):
-        return np.exp(0.5 * self.log_values_on_circle(m))
+        values = self.log_values_on_circle(m)
+        values *= 0.5
+        return np.exp(values, out=values)
 
     def boundary_modulus(self, t):
         t = np.asarray(t, dtype=float)

@@ -105,8 +105,15 @@ def _piecewise_integrals(lo, hi, edges, prefix, piece):
 
 
 def _on_arc(x, start, length):
-    """Whether the point x lies on the arc [start, start + length) of the circle; all in turns."""
-    return (x - start) % 1.0 < length
+    """Whether the point x lies on the arc [start, start + length) of the circle; all in turns.
+
+    `start` is normalized.  The normalized x is compared with the ends of the
+    arc, and with the end less a turn for an arc that wraps past 0: both are
+    exact for lattice arcs, so a point decides as a scan family places it.
+    """
+    x = x % 1.0
+    end = start + length
+    return (start <= x) & (x < end) | (x < end - 1.0)
 
 
 def _point_masses(x, weights, start, length):
@@ -833,7 +840,8 @@ class PiecewiseBoundaryWeight(ArcWeight):
         self._prefix = np.concatenate([[0.0], np.cumsum(whole)])
 
     def values(self, t):
-        t = np.asarray(t, dtype=float) % TWO_PI
+        t = np.asarray(t, dtype=float)
+        t = t - TWO_PI * np.floor(t / TWO_PI)  # whole turns off; an angle in [0, 2 pi) stays
         idx = np.clip(np.searchsorted(self._hi, t, side="right"), 0, len(self.pieces) - 1)
         lo = self._lo[idx]
         width = np.maximum(self._hi[idx] - lo, 1e-300)
@@ -998,6 +1006,7 @@ class RadialPower:
         self.scale = float(scale)
         self.r0 = float(r0)
         self.correction = correction
+        self._window_depth_masses = {}  # arc length -> the depth mass its windows hold
 
     def _depth_mass(self, depth):
         """Mass of the slice 1 - d <= t < 1 (closed form, or substituted quadrature)."""
@@ -1019,8 +1028,17 @@ class RadialPower:
         return float(self._depth_mass(1.0 - self.r0))
 
     def window_mass(self, start, length):
+        """The ray's mass to the depth length / 2 on the arcs that hold its angle.
+
+        A scan asks every length more than once, so each length's depth
+        mass is taken once per ray.
+        """
+        length = float(length)
+        mass = self._window_depth_masses.get(length)
+        if mass is None:
+            mass = self._window_depth_masses[length] = float(self._depth_mass(length / 2.0))
         x = np.array([(self.angle / TWO_PI) % 1.0])
-        return _point_masses(x, np.array([float(self._depth_mass(length / 2.0))]), start, length)
+        return _point_masses(x, np.array([mass]), start, length)
 
     def arc_mass(self, start, length):
         return np.zeros(np.shape(start)) if np.shape(start) else 0.0

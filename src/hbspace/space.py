@@ -357,7 +357,6 @@ class PythagoreanPair:
         self._inv_a_taylor = np.zeros(0, dtype=complex)
         self._b_over_a = None
         self._boundary_interp = None  # b on the 2^16 grid, closed, for interpolation
-        self._kernel_spectra = None  # (weakref to weight, variant, h, b, FFTs) of the last scan
         residual = self.mate_residual()
         self.diagnostics = {"mate_residual": residual}
         if residual > 1e-7:

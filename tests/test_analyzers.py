@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from hbspace import analyzers, measures
 from hbspace.analyzers import (
     _gap_weight,
-    _kernel_mu_norms_squared,
     _KernelNorms,
     a2_check,
     a2_product,
@@ -49,6 +48,11 @@ from hbspace.measures import (
 )
 from hbspace.space import SymbolB, classify_extremeness, pair_from_outer_a, pythagorean_mate
 from oracles import quadrature_depth_mass
+
+
+def _probe_norms(norms, pair, lams):
+    """A `_KernelNorms` at the probes lams, with b summed there."""
+    return norms(lams, np.asarray(pair.b.fn(lams), dtype=complex))
 
 
 @pytest.fixture(scope="module")
@@ -350,6 +354,51 @@ class TestFamilyReads:
                 shallow += fam.complement and fam.length / 2 < 0.49
         assert shallow == 8  # the complements of levels 2 to 5, aligned and shifted
 
+    def test_lone_calls_decide_atoms_next_to_lattice_ends_as_families_do(self):
+        # singular atoms on and within three ulps of the level-4 lattice points; a lone
+        # call compares each with the ends of its arc, which are lattice points too
+        turns = []
+        for end in np.arange(16) / 16:
+            for toward in (-1.0, 2.0):
+                x = 1.0 if end == 0 and toward < 0 else end
+                for _ in range(4):
+                    turns.append(x)
+                    x = np.nextafter(x, toward)
+        turns = np.unique(turns)
+        weights = 2.0 ** -np.arange(turns.size)
+        mu = DiskMeasure(singular_atoms=SingularAtoms(2 * np.pi * turns, weights))
+        for level, families, vals in analyzers._valued_families(mu.batch_window_masses, 6):
+            for fam, fam_vals in zip(families, np.split(vals, len(families))):
+                lone = [mu.batch_window_masses(np.array([fam.start(i)]), fam.length)[0]
+                        for i in range(fam.size)]
+                assert list(fam_vals) == lone
+        # 1/4 - 2^-55 lies on the 3/4 turn from 1/2, which wraps past 0, though
+        # 1/4 - 2^-55 - 1/2 rounds to -1/4
+        atom = DiskMeasure(singular_atoms=SingularAtoms([2 * np.pi * (0.25 - 2.0 ** -55)], [1.0]))
+        assert atom.batch_window_masses(np.array([0.5]), 0.75)[0] == 1.0
+        assert list(atom.batch_window_masses(ScanFamily(2, complement=True), 0.75)) == [
+            0.0, 1.0, 1.0, 1.0]
+
+    def test_a_ray_takes_each_length_once(self, half_sum, monkeypatch):
+        # a weighted ray, as a verdict's nu holds it: a depth-14 sup scan asks 27 lengths,
+        # 2^-k from level 1 and 1 - 2^-k from level 2, each from two families
+        gap = PairWeight(None, lambda z: 1.0 - np.abs(half_sum.b.fn(z)) ** 2)
+        ray = RadialPower(4.5141, 0.5, 0.4153).weighted(gap)
+        mu = DiskMeasure(radial=[ray])
+        calls = []
+        depth_mass = RadialPower._depth_mass
+        monkeypatch.setattr(RadialPower, "_depth_mass",
+                            lambda ray, d: calls.append(d) or depth_mass(ray, d))
+        carleson_sup_scan(mu, depth=14)
+        assert len(calls) == 27 == len(set(calls))
+        # the same bits as a fresh ray for every arc
+        monkeypatch.setattr(RadialPower, "_depth_mass", depth_mass)
+        for level, families, vals in analyzers._valued_families(mu.batch_window_masses, 14):
+            fresh = np.concatenate([
+                RadialPower(ray.angle, ray.beta, ray.scale, ray.r0, ray.correction).window_mass(
+                    fam, fam.length) for fam in families])
+            assert np.array_equal(vals, fresh)
+
     def test_complements_are_summed_once_per_pyramid(self, monkeypatch):
         calls = []
         pair_complements = measures._pair_complements
@@ -390,8 +439,8 @@ class TestKernelRatios:
 
     def test_scan_leaves_no_cycle_through_the_pair(self):
         # a density built from the pair, as the reverse-canonical scenario's is:
-        # the pair's cached kernel spectra must not hold it, or pair and
-        # spectra live on until a full garbage collection
+        # nothing the scan leaves may hold it, or the pair lives on until a full
+        # garbage collection
         import gc
         import weakref
 
@@ -405,6 +454,37 @@ class TestKernelRatios:
             assert ref() is None
         finally:
             gc.enable()
+
+    # verdicts-scan's mixed measure at seed 1, to four digits
+    SCAN_MIXED = {"disk_atoms": [[0.7305, -0.2442, 0.5387], [-0.1085, 0.2651, 0.8622]],
+                  "ac_density": {"power": {"beta": 0.5, "scale": 0.9092,
+                                           "singularity_angle": 1.0}},
+                  "singular_atoms": [[3.6984, 0.1110]],
+                  "radial": [{"angle": 4.5141, "power_beta": 0.5, "scale": 0.4153}]}
+
+    def test_scan_spectra_end_with_the_scan(self):
+        # a depth-12 hb scan holds the grid density, b on its grid and four real rfft
+        # half spectra, about 3.7 MB, and builds one level's kernel at a time: its
+        # traced peak stays under 6 MB (10.75 MB with three full complex spectra and
+        # a (3, 2^16) product per level), and the pair keeps nothing of it (4.7 MB)
+        import gc
+        import tracemalloc
+
+        kernel_ratio_scan(pythagorean_mate(SymbolB.rational([0.5, 0.5])),
+                          DiskMeasure.from_json(self.SCAN_MIXED), depth=2)  # imports, once
+        pair = pythagorean_mate(SymbolB.rational([0.5, 0.5]))
+        mu = DiskMeasure.from_json(self.SCAN_MIXED)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kernel_ratio_scan(pair, mu, depth=12, variant="hb")
+            gc.collect()
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 6e6
+        assert after - before <= 2 ** 14
 
     def test_cauchy_variant(self, alpha_pair, inv_gap_measure):
         scan = kernel_ratio_scan(alpha_pair, inv_gap_measure, depth=8, variant="cauchy")
@@ -427,10 +507,10 @@ class TestKernelRatios:
             12: [0.8168015659820999, 115.26711340119022, 820.5222308386477, 1601.0984848300534,
                  1870.6527890052364, 1272.675015807046, 447.7423785642162, 43.2998926328813],
         }
-        mu = DiskMeasure.from_json(self.MIXED)
+        norms = _KernelNorms(half_sum, DiskMeasure.from_json(self.MIXED), "hb")
         for j, lams in log_radial_points(12):
             if j in before:
-                got = _kernel_mu_norms_squared(half_sum, mu, lams[::8], "hb")
+                got = _probe_norms(norms, half_sum, lams[::8])
                 np.testing.assert_allclose(got, before[j], rtol=1e-11, atol=0.0)
 
     @staticmethod
@@ -455,28 +535,40 @@ class TestKernelRatios:
             size = int(density.split("-")[1])
             weight = GridArcWeight(np.random.default_rng(size).uniform(0.1, 2.0, size))
         h = weight.grid_density()
-        mu = DiskMeasure(ac=weight)
+        norms = _KernelNorms(half_sum, DiskMeasure(ac=weight), variant)
         offsets = set()
         for j, lams in log_radial_points(12):
             offsets |= set(np.round((np.angle(lams) / (2 * np.pi) * h.size + 1e-9) % 1.0, 6))
-            got = _kernel_mu_norms_squared(half_sum, mu, lams, variant)
+            got = _probe_norms(norms, half_sum, lams)
             expect = self._plain_grid_sums(half_sum, h, lams, variant)
             np.testing.assert_allclose(got, expect, rtol=1e-11, atol=0.0)
         # the probe angles fall between the points of a 1000-point grid
         assert len(offsets) == (8 if density == "grid-1000" else 1)
+
+    @pytest.mark.parametrize("size", [999, 255])
+    def test_fft_route_on_odd_grids(self, half_sum, size):
+        # an odd grid has no unmirrored bin n/2 in its half spectra
+        weight = GridArcWeight(np.random.default_rng(size).uniform(0.1, 2.0, size))
+        for variant in ("hb", "cauchy"):
+            norms = _KernelNorms(half_sum, DiskMeasure(ac=weight), variant)
+            for j, lams in log_radial_points(12):
+                expect = self._plain_grid_sums(half_sum, weight.grid_density(), lams, variant)
+                np.testing.assert_allclose(_probe_norms(norms, half_sum, lams), expect,
+                                           rtol=1e-11, atol=0.0)
 
     def test_half_sum_lebesgue_kernel_norms_in_closed_form(self):
         # <b k, k> = b(lam) ||k||^2 and P[|b|^2](lam) = (1 + Re lam)/2 for b = (1 + z)/2;
         # level 12 carries the grid's own alias 2 r^n ~ 2e-7
         pair = pythagorean_mate(SymbolB.rational([0.5, 0.5]))
         mu = DiskMeasure.lebesgue()
+        hb_norms, cauchy_norms = (_KernelNorms(pair, mu, variant) for variant in ("hb", "cauchy"))
         for j, lams in log_radial_points(11):
             beta2 = np.abs(pair.b.fn(lams)) ** 2
             gap = 1.0 - np.abs(lams) ** 2
             hb = (1.0 - 2.0 * beta2 + beta2 * (1.0 + lams.real) / 2.0) / gap
-            np.testing.assert_allclose(_kernel_mu_norms_squared(pair, mu, lams, "hb"), hb,
+            np.testing.assert_allclose(_probe_norms(hb_norms, pair, lams), hb,
                                        rtol=1e-10, atol=0.0)
-            np.testing.assert_allclose(_kernel_mu_norms_squared(pair, mu, lams, "cauchy"),
+            np.testing.assert_allclose(_probe_norms(cauchy_norms, pair, lams),
                                        1.0 / gap, rtol=1e-10, atol=0.0)
 
     def test_hb_scan_takes_the_boundary_values_of_b_once(self, monkeypatch):
@@ -579,11 +671,11 @@ class TestKernelRatios:
         else:
             weight = GridArcWeight(np.random.default_rng(1000).uniform(0.1, 2.0, 1000))
         h = weight.grid_density()
-        mu = DiskMeasure(ac=weight)
+        norms = _KernelNorms(half_sum, DiskMeasure(ac=weight), variant)
         lams = log_radial_points(12)[-1][1]
         for stride in range(1, 65):
             for sub in (lams[::stride], lams[stride - 1 :: stride]):
-                got = _kernel_mu_norms_squared(half_sum, mu, sub, variant)
+                got = _probe_norms(norms, half_sum, sub)
                 expect = self._plain_grid_sums(half_sum, h, sub, variant)
                 np.testing.assert_allclose(got, expect, rtol=1e-11, atol=0.0)
 
@@ -596,6 +688,7 @@ class TestKernelRatios:
     def _pointwise_level_maxima(pair, mu, depth, variant):
         # the ratios with b and a evaluated at each probe point by their Taylor sums
         out = []
+        norms = _KernelNorms(pair, mu, variant)
         for j, lams in log_radial_points(depth):
             bvals = pair.b.fn(lams)
             gap = 1.0 - np.abs(lams) ** 2
@@ -603,7 +696,7 @@ class TestKernelRatios:
                 b_sq = (1.0 - np.abs(bvals) ** 2) / gap
             else:
                 b_sq = (1.0 + np.abs(bvals / pair.a(lams)) ** 2) / gap
-            out.append(np.max(np.sqrt(b_sq / _kernel_mu_norms_squared(pair, mu, lams, variant))))
+            out.append(np.max(np.sqrt(b_sq / _probe_norms(norms, pair, lams))))
         return out
 
     @pytest.mark.parametrize("variant", ["hb", "cauchy"])

@@ -11,6 +11,7 @@ from hbspace.errors import (
 )
 from hbspace.functions import (
     BlaschkeProduct,
+    GridOuter,
     PowerOuter,
     RationalFn,
     blaschke_eval,
@@ -22,6 +23,7 @@ from hbspace.functions import (
     series_quotient,
     trig_poly_values,
 )
+from hbspace.space import pair_from_outer_a
 
 
 class TestRationalFn:
@@ -190,6 +192,28 @@ class TestOneMinusModulusSquared:
                 # abs: the 40-digit reference's own rounding, where 1 - |f|^2 vanishes at pi
                 assert value == pytest.approx(float(exact), rel=1e-14, abs=1e-35)
 
+    @pytest.mark.parametrize("scale", [None, 0.7], ids=["unit-peak", "scaled"])
+    def test_angles_over_three_turns_against_mpmath(self, scale):
+        # from -2 pi to 4 pi: next to the zeros at 0 and +-2 pi and the peaks at +-pi
+        # and 3 pi, on both sides of the quarter turn from a peak where the rule
+        # changes; whole turns are taken off without a float remainder
+        offsets = np.array([0.0, 1e-9, 1e-5, 0.3, 1.2, 1.9])
+        t = (np.pi * np.arange(-2.0, 4.0)[:, None]
+             + np.concatenate([offsets, -offsets[1:]])).ravel()
+        t = t[(t >= -2 * np.pi) & (t < 4 * np.pi)]
+        got = PowerOuter(0.25, scale).one_minus_modulus_squared(t)
+        turns = np.floor(t / (2 * np.pi))
+        near_peak = np.abs(t / np.pi - 2 * turns - 1) < 0.5
+        assert 0 < np.count_nonzero(near_peak) < t.size
+        with mpmath.workdps(40):
+            c = mpmath.mpf(2) ** mpmath.mpf("-0.25") if scale is None else mpmath.mpf(scale)
+            for angle, value, near in zip(t, got, near_peak):
+                # next to a peak the angle is a multiple of the float pi, as in the test
+                # above; elsewhere sin(t/2) is read at the float angle itself
+                angle = mpmath.mpf(angle) * (mpmath.pi / mpmath.mpf(np.pi) if near else 1)
+                exact = 1 - c**2 * abs(2 * mpmath.sin(angle / 2)) ** mpmath.mpf("0.5")
+                assert value == pytest.approx(float(exact), rel=1e-14, abs=1e-35)
+
     def test_default_is_one_minus_the_modulus_squared(self):
         f = RationalFn([0.3, 0.4j], [1.0, -0.2])
         t = np.array(self.ANGLES)
@@ -269,6 +293,30 @@ class TestOuterFromLogModulus:
 
         outer_from_log_modulus(w, size=2 ** 10)
         assert sorted(sizes) == [2 ** 8, 2 ** 9, 2 ** 10, 2 ** 11, 2 ** 12]
+
+
+class TestGridOuterMaster:
+    def test_master_owns_its_data_and_equals_the_out_of_place_transform(self):
+        # reverse-canonical's b, the mate of a = ((1 - z)/2)^(1/4): its master series and
+        # boundary values come from one buffer transformed in place
+        fn = pair_from_outer_a(PowerOuter(0.25)).b.fn
+        assert isinstance(fn, GridOuter)
+        one_sided = np.concatenate([fn.log_coeffs[:1], 2.0 * fn.log_coeffs[1:]])
+
+        def log_values(n):
+            spec = np.zeros(n, dtype=complex)
+            np.add.at(spec, np.arange(one_sided.size) % n, one_sided)
+            return np.fft.ifft(spec) * n
+
+        degree = GridOuter.MASTER_DEGREE
+        master = fn.taylor(degree + 1)[:degree]
+        assert fn._master_taylor().base is None
+        assert np.array_equal(fn._master_taylor(), master)
+        m = 2 * degree
+        assert np.array_equal(master, (np.fft.fft(np.exp(0.5 * log_values(m))) / m)[:degree])
+        for n in (2 ** 12, 2 ** 16):
+            assert np.array_equal(fn.log_values_on_circle(n), log_values(n))
+            assert np.array_equal(fn.boundary_values(n), np.exp(0.5 * log_values(n)))
 
 
 class TestEvalOnCircle:
