@@ -39,7 +39,7 @@ print("\n== Taylor data of b/a ==")
 data = taylor_b_over_a(half_sum, 8)
 print("b/a = (1+z)/(1-z):", np.round(np.real(data.coefficients), 9))
 print("square-summable:", data.in_h2, "(the gap (1-|b|)^-1 is not integrable)")
-data2 = alpha.b_over_a_cache(32)
+data2 = taylor_b_over_a(alpha, 32)
 print("power pair:", data2.in_h2, " first coefficients:",
       np.round(np.abs(data2.coefficients[:4]), 6))
 

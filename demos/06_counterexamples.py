@@ -46,7 +46,10 @@ print("Blaschke pair with Lebesgue measure:", rep.overall,
 
 print("\n== no isometric measures for non-constant symbols ==")
 alpha = build("alpha-power")
-print(isometry_refutation(alpha.pair))
+cert = isometry_refutation(alpha.pair)
+print(f"||z^{cert['index']}||_b^2 = {cert['norm_squared_monomial']:.6f} exceeds "
+      f"||1||_b^2 = {cert['norm_squared_one']:.6f}")
+print("note:", cert["note"])
 
 print("\n== no sampling sequences for non-inner symbols ==")
 rep = sampling_refutation(alpha.pair, [1 - 2.0 ** (-n) for n in range(1, 10)], depth=8)

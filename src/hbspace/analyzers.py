@@ -899,8 +899,11 @@ def norm_equivalence_verdict(pair, measure, depth=DEFAULT_DEPTH):
 def isometry_refutation(pair, degree_bound=64, tol=1e-10):
     """Certificate that no positive measure is isometric for the space.
 
-    Non-constant b: the first Taylor coefficient of b/a with |c_n|^2 above
-    tolerance contradicts the vanishing tail the isometry identities force.
+    Non-constant b: an isometric mu would give ||z^j||_mu^2 <= mu(closed disk)
+    = ||1||_b^2, while ||z^j||_b^2 - ||1||_b^2 = sum_(1<=i<=j) |c_i|^2, c the
+    Taylor data of b/a, for every non-extreme b (the `monomial_norm`
+    identity).  The first j >= 1 whose sum exceeds tolerance is the
+    certificate; c_0 does not enter.
     Constant b: the space is H^2 up to a constant factor, and the unique
     isometric measure is Lebesgue measure rescaled accordingly.
     """
@@ -917,25 +920,25 @@ def isometry_refutation(pair, degree_bound=64, tol=1e-10):
             "note": "space is H^2 with norm scaled by (1 - |b|^2)^(-1/2); "
                     "the only isometric measure for H^2 is normalized Lebesgue measure",
         }
-    data = pair.b_over_a_cache(degree_bound)
-    if data.in_h2 != "yes":
-        raise UnsupportedError(
-            f"isometry certificate requires b/a in H^2 (verdict: {data.in_h2})"
-        )
-    mags = np.abs(data.coefficients[: degree_bound + 1]) ** 2
-    hits = np.nonzero(mags > tol)[0]
+    mags = np.abs(pair.b_over_a_taylor(degree_bound + 1)) ** 2
+    one = float(1.0 + mags[0])
+    gains = np.cumsum(mags[1:])  # ||z^j||_b^2 - ||1||_b^2 for j = 1..degree_bound
+    hits = np.nonzero(gains > tol)[0]
     if hits.size == 0:
         raise ResolutionError(
-            f"no coefficient of b/a exceeds {tol} below degree {degree_bound}; "
+            f"no partial sum of |c_j|^2 over 1 <= j <= {degree_bound} exceeds {tol}; "
             "increase the degree bound"
         )
-    n = int(hits[0])
+    n = int(hits[0]) + 1
     return {
         "kind": "certificate",
         "index": n,
         "coefficient_magnitude_squared": float(mags[n]),
-        "note": "a vanishing tail of b/a coefficients is impossible, so no "
-                "positive isometric measure exists",
+        "norm_squared_one": one,
+        "norm_squared_monomial": float(one + gains[n - 1]),
+        "note": "||z^n||_b^2 exceeds ||1||_b^2, while an isometric measure would "
+                "give ||z^n||_mu^2 <= mu(closed disk) = ||1||_b^2, so no positive "
+                "isometric measure exists",
     }
 
 

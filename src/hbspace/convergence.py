@@ -59,7 +59,6 @@ RULES = {rule.name: rule for rule in (
     Rule("kernel", rtol=0.25, trend=-0.1),
     Rule("extremeness", rtol=1e-3, atol=1e-6),
     Rule("gap-integral", rtol=1e-3, atol=1e-12),
-    Rule("partial-sums", rtol=1e-3, atol=1e-12, runs=2),
     Rule("log-integrable", rtol=None),
     Rule("hb-norm", rtol=1e-8, runs=None),
 )}

@@ -29,6 +29,7 @@ from .space import (
     PythagoreanPair,
     SymbolB,
     classify_extremeness,
+    l1_gap_test,
     pythagorean_mate,
     pair_from_outer_a,
 )
@@ -397,8 +398,8 @@ def _dispatch(scenario, analyzer, depth, seed):
         res = a2_check(scenario.weight, depth=depth)
         return res.verdict_bounded(), res.to_json()
     if analyzer == "in-h2":
-        data = scenario.pair.b_over_a_cache(64)
-        return data.in_h2, {"l1": data.l1_verdict, "partial": data.partial_sum_verdict}
+        out = l1_gap_test(scenario.pair)
+        return out["feasible"], out
     if analyzer == "carleson-mu":
         scan = carleson_sup_scan(scenario.measure, depth=depth)
         return scan.verdict_bounded(), scan.to_json()

@@ -12,7 +12,7 @@ triangular Toeplitz matrix of the reciprocal power series, so the solve is a
 pair of FFT correlations.  Truncations are doubled until the norm stabilizes.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -25,7 +25,6 @@ from .convergence import (
     RULES,
     TRUNCATION_CAP,
     UNDETERMINED,
-    Ladder,
     refine,
 )
 from .errors import (
@@ -355,7 +354,6 @@ class PythagoreanPair:
         self._b_taylor = np.zeros(0, dtype=complex)
         self._a_taylor = np.zeros(0, dtype=complex)
         self._inv_a_taylor = np.zeros(0, dtype=complex)
-        self._b_over_a = None
         self._boundary_interp = None  # b on the 2^16 grid, closed, for interpolation
         residual = self.mate_residual()
         self.diagnostics = {"mate_residual": residual}
@@ -403,6 +401,14 @@ class PythagoreanPair:
                 self.a.inverse_taylor(_next_size(n)), dtype=complex
             )
         return self._inv_a_taylor[:n]
+
+    def b_over_a_taylor(self, n):
+        """The first n Taylor coefficients of b/a: the Cauchy product of the b and 1/a series.
+
+        Nothing is kept, so a reader's value does not depend on what was read before.
+        """
+        self.require_nonextreme("Taylor data of b/a")
+        return analytic_mul(self.b_taylor(n), self.inv_a_taylor(n), n)
 
     # -- boundary data ---------------------------------------------------------
 
@@ -482,11 +488,6 @@ class PythagoreanPair:
         if isinstance(self.a, PowerOuter):
             return True
         return float(np.min(self.a.boundary_modulus(grid_angles(2 ** 12)))) <= 1e-6
-
-    def b_over_a_cache(self, degree):
-        if self._b_over_a is None or self._b_over_a.coefficients.size < degree + 1:
-            self._b_over_a = taylor_b_over_a(self, degree)
-        return self._b_over_a
 
 
 def _next_size(n):
@@ -578,7 +579,7 @@ def hb_norm_squared(f, pair, rtol=RULES["hb-norm"].rtol, start=DEFAULT_TRUNCATIO
                                last_values=(None, *ladder.values)[-2:])
     value, m = ladder.value, ladder.sizes[-1]
     if cross_check and not pair.a_vanishes_on_circle:
-        c = analytic_mul(pair.b_taylor(m + 1), pair.inv_a_taylor(m + 1), m + 1)
+        c = pair.b_over_a_taylor(m + 1)
         f_pad = np.zeros(m + 1, dtype=complex)
         f_pad[: f.size] = f
         g2 = coanalytic_apply(c, f_pad)
@@ -696,63 +697,19 @@ def hb_kernel_taylor(lam, pair, n=None):
 class BOverATaylor:
     coefficients: np.ndarray
     in_h2: str
-    partial_sum_verdict: str
-    l1_verdict: str
-    diagnostics: dict = field(default_factory=dict)
 
 
 def taylor_b_over_a(pair, degree):
-    """Taylor coefficients of b/a through z^degree.
+    """Taylor coefficients of b/a through z^degree, and whether b/a lies in H^2.
 
     a is outer, so 1/a has a Taylor series even when a has boundary zeros,
-    and the truncated Cauchy product of the b and 1/a series is exact.  The
-    H^2 membership verdict is computed two ways (partial sums of |c_j|^2,
-    and the integrability of (1 - |b|)^-1) and the two are required to be
-    consistent when both are determinate; the second is the verdict.
+    and the truncated Cauchy product of the b and 1/a series is exact.  As a
+    is outer, b/a lies in the Smirnov class N^+, and N^+ ∩ L^2 = H^2
+    (Smirnov; Duren, Theory of H^p Spaces).  So b/a is in H^2 exactly when
+    |b/a|^2 = |b|^2 / (1 - |b|^2) is integrable on the circle, that is when
+    (1 - |b|)^-1 is, and `l1_gap_test` is the verdict.
     """
-    pair.require_nonextreme("Taylor data of b/a")
-    n = degree + 1
-    coeffs = analytic_mul(pair.b_taylor(n), pair.inv_a_taylor(n), n)
-    partial = _partial_sum_verdict(coeffs)
-    l1 = l1_gap_test(pair)["feasible"]
-    if partial != UNDETERMINED and l1 != UNDETERMINED and partial != l1:
-        raise DiagnosticsError(
-            "H^2 verdicts disagree between partial sums and the L^1 gap test",
-            details={"partial_sums": partial, "l1": l1},
-        )
-    return BOverATaylor(
-        coefficients=coeffs,
-        in_h2=l1,
-        partial_sum_verdict=partial,
-        l1_verdict=l1,
-    )
-
-
-def _partial_sum_verdict(coeffs):
-    """H^2 verdict from the sums of |c_j|^2 over the first n/4, n/2 and n coefficients.
-
-    Sums that keep growing mean "no" only while |c_j| does not decay.  When
-    its envelope decays geometrically, by a ratio r per step from the third
-    to the last quarter, the tail is about |c|^2 r^2 / (1 - r^2) with |c|
-    the envelope at the end, and the verdict is "yes" once that tail is small.
-    """
-    n = coeffs.size
-    if n < 8:
-        return UNDETERMINED
-    sums = Ladder(rule=RULES["partial-sums"])
-    for d in (n // 4, n // 2, n):
-        sums.add(d, np.sum(np.abs(coeffs[:d]) ** 2))
-    if sums.stabilized():
-        return "yes"
-    q = n // 4
-    third, last = np.max(np.abs(coeffs[2 * q : 3 * q])), np.max(np.abs(coeffs[3 * q :]))
-    ratio = (last / third) ** (1.0 / q) if third > 0 else 0.0
-    if ratio < 1.0 - 1e-6:
-        tail = last**2 * ratio**2 / (1.0 - ratio**2)
-        return "yes" if tail <= sums.rule.rtol * sums.value else UNDETERMINED
-    if sums.divergent():
-        return "no"
-    return UNDETERMINED
+    return BOverATaylor(pair.b_over_a_taylor(degree + 1), l1_gap_test(pair)["feasible"])
 
 
 def l1_gap_test(pair):
@@ -802,8 +759,8 @@ def monomial_norm(n, pair, cross_check=True):
     (Sarason, Sub-Hardy Hilbert Spaces).  The cross-check compares against
     the generic solver.
     """
-    data = pair.b_over_a_cache(max(n, 16))
-    value = float(np.sqrt(1.0 + np.sum(np.abs(data.coefficients[: n + 1]) ** 2)))
+    c = pair.b_over_a_taylor(n + 1)
+    value = float(np.sqrt(1.0 + np.sum(np.abs(c) ** 2)))
     if cross_check:
         e_n = np.zeros(n + 1, dtype=complex)
         e_n[n] = 1.0

@@ -30,7 +30,7 @@ from hbspace.analyzers import (
 )
 from hbspace.circle import grid_angles
 from hbspace.cli import _report_exit
-from hbspace.errors import DegenerateMeasureError, UnsupportedError
+from hbspace.errors import DegenerateMeasureError
 from hbspace.functions import GridOuter, PowerOuter, polynomial_fn
 from hbspace.measures import (
     ArcWeight,
@@ -1086,10 +1086,15 @@ class TestNormEquivalence:
 
 class TestIsometry:
     def test_alpha_certificate(self, alpha_pair):
+        # c_0 does not enter: ||z||_b^2 - ||1||_b^2 = |c_1|^2 = 0.276 is the witness
         cert = isometry_refutation(alpha_pair)
         assert cert["kind"] == "certificate"
-        assert cert["index"] <= 16
+        assert cert["index"] == 1
         assert cert["coefficient_magnitude_squared"] > 1e-10
+        assert cert["norm_squared_one"] == pytest.approx(1.1262125017245859, rel=1e-14)
+        assert cert["norm_squared_monomial"] == pytest.approx(1.401883917215802, rel=1e-14)
+        assert cert["norm_squared_monomial"] - cert["norm_squared_one"] == pytest.approx(
+            cert["coefficient_magnitude_squared"], rel=1e-14)
 
     def test_constant_branch(self):
         pair = pythagorean_mate(SymbolB.constant(0.5))
@@ -1103,9 +1108,28 @@ class TestIsometry:
         assert cert["kind"] == "constant-symbol"
         assert cert["measure_scale"] == pytest.approx(1.0)
 
+    # The name predates the certificate holding without b/a in H^2; it is kept so
+    # the test keeps its id.  Half-sum has c = (1, 2, 2, ...): ||1||_b^2 = 2, ||z||_b^2 = 6.
     def test_requires_h2(self, half_sum):
-        with pytest.raises(UnsupportedError):
-            isometry_refutation(half_sum)
+        cert = isometry_refutation(half_sum)
+        assert cert["kind"] == "certificate"
+        assert cert["index"] == 1
+        assert cert["norm_squared_one"] == pytest.approx(2.0, rel=1e-14)
+        assert cert["norm_squared_monomial"] == pytest.approx(6.0, rel=1e-14)
+
+    @pytest.mark.parametrize("name", ["rotated-half-sum", "blaschke-corona"])
+    def test_certificate_needs_no_h2_verdict(self, name):
+        # b/a is not in H^2 for the rotated half-sum, and is for blaschke-corona
+        from hbspace.scenarios import build
+
+        if name == "rotated-half-sum":
+            pair = pythagorean_mate(SymbolB.rational([0.5, 0.5 * np.exp(-1j)]))
+        else:
+            pair = build(name).pair
+        cert = isometry_refutation(pair)
+        assert cert["kind"] == "certificate"
+        assert cert["index"] == 1
+        assert cert["norm_squared_monomial"] > cert["norm_squared_one"] + 1e-10
 
 
 class TestSampling:

@@ -1,10 +1,9 @@
 """The edges of every refinement-ladder rule, through the public entry points.
 
 Each test feeds a ladder whose rungs it chooses: a scan whose per-level
-values are given, a pair whose |a| + |b| minima are given, coefficients
-whose partial sums are given, a symbol whose log(1 - |b|) is given, or a
-pair whose truncated norms are given.  The expected verdicts follow from the
-documented tolerances alone.
+values are given, a pair whose |a| + |b| minima are given, a symbol whose
+log(1 - |b|) is given, or a pair whose truncated norms are given.  The
+expected verdicts follow from the documented tolerances alone.
 """
 
 from types import SimpleNamespace
@@ -14,7 +13,7 @@ import pytest
 
 from hbspace.analyzers import arc_scan, corona_check
 from hbspace.errors import ConvergenceError
-from hbspace.space import _partial_sum_verdict, classify_extremeness, hb_norm_squared
+from hbspace.space import classify_extremeness, hb_norm_squared
 
 DEPTH = 8
 UNDETERMINED = "undetermined"
@@ -103,28 +102,6 @@ class TestCoronaRule:
 
     def test_minima_halving_twice_stabilize(self):
         assert _corona([1.0, 0.5, 0.25] + [0.25] * (DEPTH - 3)).verdict == "pass"
-
-
-class TestPartialSumRule:
-    N = 64
-
-    def test_two_rises_mean_no(self):
-        # sums over 16, 32 and 64 unit coefficients: 16, 32, 64
-        assert _partial_sum_verdict(np.ones(self.N)) == "no"
-
-    def test_one_rise_is_undetermined(self):
-        # the second half adds 0.3^2 * 32 = 2.88 to 32: one rise of 2, then one of 1.09
-        coeffs = np.concatenate([np.ones(self.N // 2), np.full(self.N // 2, 0.3)])
-        assert _partial_sum_verdict(coeffs) == UNDETERMINED
-
-    @pytest.mark.parametrize("tail, verdict", [(0.9e-3, "yes"), (1.1e-3, UNDETERMINED)])
-    def test_last_sum_against_the_1e3_tolerance(self, tail, verdict):
-        # the last half holds `tail` of the total, spread evenly so that the
-        # envelope does not decay and only the tolerance decides
-        half = self.N // 2
-        coeffs = np.full(self.N, np.sqrt(tail / (1.0 - tail) / half))
-        coeffs[:half] = 1.0 / np.sqrt(half)
-        assert _partial_sum_verdict(coeffs) == verdict
 
 
 def _symbol(logs):
