@@ -338,10 +338,10 @@ def a2_check(weight, depth=DEFAULT_DEPTH, collect_table=False):
                     collect_table=collect_table)
 
 
-def two_weight_necessary(h, w, depth=DEFAULT_DEPTH, collect_table=False):
+def two_weight_necessary(h, w, depth=DEFAULT_DEPTH):
     """Scan of the paired averages (avg h)(avg w); necessary, never sufficient."""
     products = partial(_paired_averages, as_arc_weight(h), as_arc_weight(w))
-    scan = arc_scan(products, depth, mode="sup", collect_table=collect_table)
+    scan = arc_scan(products, depth, mode="sup")
     report = AnalysisReport(
         kind="two-weight-necessary",
         overall=scan.verdict_bounded(),
@@ -411,17 +411,18 @@ class CoronaResult(LevelScan):
         }
 
 
-def corona_check(pair, depth=DEFAULT_DEPTH, angle_cap=512):
+def corona_check(pair, depth=DEFAULT_DEPTH):
     """inf of |a| + |b| over a log-radial interior grid.
 
-    Radii 1 - 2^-j probe the boundary-approach regime; the cumulative minima
-    are an inf ladder read by the 'corona' rule: stabilizing positive minima
-    pass, minima decaying geometrically or down to its floor fail.
+    Radii 1 - 2^-j probe the boundary-approach regime, at 2^(j + 2) angles
+    up to 512; the cumulative minima are an inf ladder read by the 'corona'
+    rule: stabilizing positive minima pass, minima decaying geometrically or
+    down to its floor fail.
     """
     scan = CoronaResult(rule=RULES["corona"], mode="inf")
     for j in range(1, depth + 1):
         radius = 1.0 - 2.0 ** (-j)
-        m = int(min(2 ** (j + 2), angle_cap))
+        m = min(2 ** (j + 2), 512)
         s = np.abs(pair.a.eval_on_circle(radius, m)) + np.abs(pair.b.fn.eval_on_circle(radius, m))
         scan.add_level(2 ** j, s, lambda i, v: {
             "radius": radius, "angle": float(grid_angles(m)[i]), "value": v})
@@ -611,17 +612,17 @@ def _sine_table(n, delta):
     return np.sin((grid_angles(n) + delta) / 2.0) ** 2
 
 
-def log_radial_points(depth, angle_cap=64):
-    """The lambda probe family: radii 1 - 2^-j with dyadic angles."""
+def log_radial_points(depth):
+    """The lambda probe family: radii 1 - 2^-j at 2^(j + 1) dyadic angles, up to 64."""
     levels = []
     for j in range(1, depth + 1):
-        m = int(min(2 ** (j + 1), angle_cap))
+        m = min(2 ** (j + 1), 64)
         angles = grid_angles(m)
         levels.append((j, (1.0 - 2.0 ** (-j)) * np.exp(1j * angles)))
     return levels
 
 
-def kernel_ratio_scan(pair, measure, depth=12, variant="hb", angle_cap=64):
+def kernel_ratio_scan(pair, measure, depth=12, variant="hb"):
     """max over the log-radial family of ||k_lam||_b / ||k_lam||_mu.
 
     variant 'hb' uses the space's own kernels, 'cauchy' the plain Cauchy
@@ -636,7 +637,7 @@ def kernel_ratio_scan(pair, measure, depth=12, variant="hb", angle_cap=64):
         raise DegenerateMeasureError("measure has zero total mass")
     scan = KernelRatioResult(rule=RULES["kernel"], variant=variant)
     norms = _KernelNorms(pair, measure, variant)
-    for j, lams in log_radial_points(depth, angle_cap):
+    for j, lams in log_radial_points(depth):
         radius = 1.0 - 2.0 ** (-j)
         bvals = np.asarray(pair.b.fn.eval_on_circle(radius, lams.size), dtype=complex)
         mu_sq = norms(lams, bvals)
@@ -710,14 +711,14 @@ def symbol_reverse_feasibility(b, extremeness):
 # ---------------------------------------------------------------------------
 
 
-def reverse_carleson_verdict(pair, measure, depth=DEFAULT_DEPTH, kernel_depth=12, size=None):
+def reverse_carleson_verdict(pair, measure, depth=DEFAULT_DEPTH, kernel_depth=12):
     """Decide whether mu is a reverse Carleson measure for the space of b.
 
     The primary criterion is the essential infimum of (1 - |b|^2) h, read
-    from cell averages up to level log2(size), `depth` by default; the
-    window infimum of (1 - |b|^2) d(mu) and the kernel-ratio test provide
-    the cross-checks; determinate disagreement downgrades the verdict to
-    undetermined with a diagnostics flag.
+    from cell averages up to level `depth`; the window infimum of
+    (1 - |b|^2) d(mu) and the kernel-ratio test provide the cross-checks;
+    determinate disagreement downgrades the verdict to undetermined with a
+    diagnostics flag.
     """
     pair.require_nonextreme("the reverse Carleson analysis")
     if measure.carried_on_boundary() and not pair.b.admissible_with(measure):
@@ -731,7 +732,7 @@ def reverse_carleson_verdict(pair, measure, depth=DEFAULT_DEPTH, kernel_depth=12
         _gap_weight(pair, pair.b.fn, lambda z: 1.0 - np.abs(np.asarray(pair.b.fn(z))) ** 2))
     inf_scan = reverse_inf_scan(nu, depth=depth)
     # nu.ac is (1 - |b|^2) h, and its cells come from the pyramid the scan built
-    ess = _ess_inf_scan(nu.ac, int(np.log2(size)) if size else depth)
+    ess = _ess_inf_scan(nu.ac, depth)
     # the kernel spectra integrate mu's cells directly, so when mu's a.c. part is the
     # pair's inverse gap weight, as for reverse-canonical, Sarason's total is read
     # from a level-10 pyramid of that weight's own
@@ -943,16 +944,13 @@ def isometry_refutation(pair, degree_bound=64, tol=1e-10):
 
 
 def sampling_refutation(pair, points, depth=DEFAULT_DEPTH):
-    """Refute a candidate sampling sequence for a non-inner symbol.
+    """Refute a candidate sampling sequence for a non-extreme symbol, which is never inner.
 
     The induced measure sum ||k^b||^-2 delta_lambda has no absolutely
     continuous boundary part, so the reverse Carleson test fails at its
     essential-infimum condition.
     """
     pair.require_nonextreme("the sampling analysis")
-    gap = 1.0 - pair.b.boundary_modulus(grid_angles(2 ** 12, offset=True))
-    if float(np.mean(gap > 1e-6)) < 0.005:
-        raise UnsupportedError("symbol is inner to grid tolerance; no refutation applies")
     points = np.asarray(points, dtype=complex)
     if points.size == 0 or np.max(np.abs(points)) >= 1.0:
         raise DomainError("candidate sequence must be a nonempty subset of the open disk")

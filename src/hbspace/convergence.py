@@ -42,10 +42,10 @@ def is_power_of_two(n):
 
 @dataclass(frozen=True)
 class Rule:
-    """How a ladder is read; None switches a test off."""
+    """How a ladder is read; None switches a divergence test off."""
 
     name: str
-    rtol: float | None  # stabilization window, relative to the last rung
+    rtol: float  # stabilization window, relative to the last rung
     atol: float = 0.0
     floor: float = 0.0  # inf mode: a rung at or below it has decayed
     runs: int | None = 3  # consecutive rises by DIVERGENCE_FACTOR that diverge
@@ -57,9 +57,7 @@ RULES = {rule.name: rule for rule in (
     Rule("scan", rtol=0.05),
     Rule("corona", rtol=0.05, floor=1e-12),
     Rule("kernel", rtol=0.25, trend=-0.1),
-    Rule("extremeness", rtol=1e-3, atol=1e-6),
-    Rule("gap-integral", rtol=1e-3, atol=1e-12),
-    Rule("log-integrable", rtol=None),
+    Rule("grid-integral", rtol=1e-3, atol=1e-6),
     Rule("hb-norm", rtol=1e-8, runs=None),
 )}
 
@@ -103,7 +101,7 @@ class Ladder:
 
     def stabilized(self):
         rtol, atol = self.rule.rtol, self.rule.atol
-        if rtol is None or len(self.values) < 2:
+        if len(self.values) < 2:
             return False
         prev, last = self.values[-2:]
         return bool(np.isfinite(last)

@@ -429,7 +429,7 @@ class GridOuter(AnalyticFunction):
     @staticmethod
     def _check_log_integrable(w, n):
         """Refuse w if mean |log w| grows on the offset grids n/4..4n; give the n and 2n samples."""
-        ladder = Ladder(rule=RULES["log-integrable"])
+        ladder = Ladder(rule=RULES["grid-integral"])
         samples = {}
         for m in (n // 4, n // 2, n, 2 * n, 4 * n):
             t = grid_angles(m, offset=True)
@@ -614,13 +614,14 @@ _SNAP_TOL = 1e-9
 _CLUSTER_GAP = 2e-3
 
 
-def fejer_riesz(tau, nonneg_tol=1e-12, residual_tol=1e-8):
+def fejer_riesz(tau):
     """Factor a nonnegative real trigonometric polynomial as |q(e^(i theta))|^2.
 
     `tau` holds the one-sided coefficients [tau_0, ..., tau_d] (tau_0 real,
     negative frequencies implied by conjugation).  The returned q is the
     analytic polynomial with all roots outside the open disk, boundary roots
-    allowed, normalized so q(0) > 0.
+    allowed, normalized so q(0) > 0.  A dip below -1e-12 on the probe grid
+    raises NotNonnegativeError.
 
     Exact double roots on the circle split numerically into reflected pairs
     straddling it; such pairs are detected by reflection-pairing and snapped
@@ -634,7 +635,7 @@ def fejer_riesz(tau, nonneg_tol=1e-12, residual_tol=1e-8):
     d = tau.size - 1
     probe = np.linspace(0.0, 2.0 * np.pi, max(4096, 16 * (d + 1)), endpoint=False)
     tvals = trig_poly_values(tau, probe)
-    if np.min(tvals) < -nonneg_tol:
+    if np.min(tvals) < -1e-12:
         raise NotNonnegativeError(
             f"trigonometric polynomial dips to {np.min(tvals):.3e} on the circle"
         )
@@ -666,7 +667,7 @@ def fejer_riesz(tau, nonneg_tol=1e-12, residual_tol=1e-8):
     recon = np.abs(np.polynomial.polynomial.polyval(np.exp(1j * check), q)) ** 2
     residual = float(np.max(np.abs(recon - trig_poly_values(tau, check))))
     scale = max(1.0, float(np.max(tvals)))
-    if residual > residual_tol * scale:
+    if residual > 1e-8 * scale:
         raise NumericalFactorizationError(
             f"factorization residual {residual:.3e} exceeds tolerance", residual=residual
         )

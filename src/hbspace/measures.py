@@ -35,7 +35,7 @@ _GL = {n: np.polynomial.legendre.leggauss(n) for n in (8, 16, 48)}
 
 #: normalized distance within which an arc end or a singular angle counts as a lattice point
 _SNAP = 1e-15
-#: finest lattice k / 2^_MAX_LEVEL that arc ends and singular angles are matched against
+#: finest lattice k / 2^_MAX_LEVEL that family starts and singular angles are matched against
 _MAX_LEVEL = 18
 
 
@@ -140,18 +140,6 @@ def _point_masses(x, weights, start, length):
     rows, cols = np.nonzero(_on_arc(x[None, :], starts[:, None], length))
     out = np.bincount(rows, weights=weights[cols], minlength=starts.size)
     return out if np.ndim(start) else float(out[0])
-
-
-def _lattice_levels(x):
-    """Per normalized point, the coarsest level whose lattice k / 2^level holds it.
-
-    A point off every lattice up to _MAX_LEVEL gets _MAX_LEVEL + 1.
-    """
-    pos = x * 2.0 ** _MAX_LEVEL
-    idx = np.rint(pos)
-    bits = idx.astype(np.int64) | (1 << _MAX_LEVEL)
-    level = _MAX_LEVEL - np.log2(bits & -bits).astype(int)  # less the trailing zero bits
-    return np.where(np.abs(pos - idx) > _SNAP * 2.0 ** _MAX_LEVEL, _MAX_LEVEL + 1, level)
 
 
 def _family(x, length):
@@ -292,14 +280,15 @@ class ArcWeight:
     of the nodes flanking it (see `_pair_complements`, summed once per
     pyramid and kept with it); such an arc reads a pyramid of level k + 1 or
     finer.  A `ScanFamily` is read so as a whole, and a lone arc of one the
-    same way, node by node.  Any other arc with both ends on a
-    lattice is a walk down a pyramid at least as fine as that lattice,
-    taking at most two nodes per level, and a wrapping arc is two walks.  No
+    same way, node by node.  Only these reads and `cell_integrals`, which
+    read by lattice index, build a finer pyramid.  Any other arc reads the
+    pyramid as it is, level 10 when none is built yet: a walk down it takes
+    its whole cells, at most two nodes per level, adds the two partial cells
+    at its ends, integrated directly, and a wrapping arc is two walks.  No
     difference is taken on either path, so a small arc keeps its relative
     accuracy next to a zero or a pole, and given the pyramid an arc's value
     never depends on the other arcs of its call.  A cell whose closure holds
-    a pole is +inf, and so is every arc holding that cell.  An arc off every
-    lattice adds its two end segments to the nodes of its whole cells.
+    a pole is +inf, and so is every arc holding that cell.
     A subclass with a rule of its own for `l2`, `weighted`, `scaled` or
     `to_json` overrides it; the defaults raise.  One with a reciprocal gives
     `_inverted`, which `reciprocal` calls once per weight.
@@ -367,14 +356,11 @@ class ArcWeight:
         """Integrals over the arcs of normalized length `length` from the normalized starts."""
         x = np.atleast_1d(np.asarray(start, dtype=float) % 1.0)
         length = min(float(length), 1.0)
-        end = x + length
         k, complement, j = _family(x, length) or (0, False, np.full(x.size, -1))
         scan, rest = j >= 0, j < 0
-        # the pyramid must reach level k + 1 for a family arc, the lattice of both
-        # ends for any other; a finer one gives the same nodes
-        level = np.maximum(_lattice_levels(x[rest]), _lattice_levels(end[rest]))
-        top = np.max(level[level <= _MAX_LEVEL], initial=k + 1 if np.any(scan) else 0)
-        levels = self._levels(int(top))
+        # a family arc, read by lattice index, needs level k + 1; any other arc reads
+        # the pyramid as it is
+        levels = self._levels(k + 1 if np.any(scan) else 0)
         out = np.empty(x.size)
         if np.any(scan):
             if complement:
@@ -383,7 +369,7 @@ class ArcWeight:
                 nodes = levels[k + 1]
                 out[scan] = nodes[j[scan]] + nodes[(j[scan] + 1) % nodes.size]
         if np.any(rest):
-            out[rest] = self._walk(levels, x[rest], end[rest])
+            out[rest] = self._walk(levels, x[rest], x[rest] + length)
         return out if np.ndim(start) else float(out[0])
 
     def _family_integrals(self, family):

@@ -12,7 +12,7 @@ triangular Toeplitz matrix of the reciprocal power series, so the solve is a
 pair of FFT correlations.  Truncations are doubled until the norm stabilizes.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -272,15 +272,14 @@ def _complex_array(pairs):
 # ---------------------------------------------------------------------------
 
 
-def classify_extremeness(b, start_exponent=10, cap_exponent=16,
-                         rtol=RULES["extremeness"].rtol):
+def classify_extremeness(b, cap_exponent=16):
     """Classify b by the behaviour of the integral of log(1 - |b|).
 
     The integral is refined on half-offset grids; a finite stabilizing value
     means non-extreme, sustained growth fires the divergence rule and means
     extreme, anything else is reported as undetermined with the evidence.
     The ladder holds the integral of log 1/(1 - |b|) >= 0, whose growth the
-    'extremeness' rule reads; the verdict reports the integral of log(1 - |b|).
+    'grid-integral' rule reads; the verdict reports the integral of log(1 - |b|).
     A rational b is classified by its form: 1 - |b|^2 is a nonnegative
     trigonometric rational function, whose log is integrable unless it
     vanishes identically, that is unless b is inner.  So a rational b that is
@@ -293,8 +292,8 @@ def classify_extremeness(b, start_exponent=10, cap_exponent=16,
         t = grid_angles(n, offset=True)
         return float(np.mean(-b.gap_log(t)))
 
-    ladder = refine(evaluate, [2 ** k for k in range(start_exponent, cap_exponent + 1)],
-                    replace(RULES["extremeness"], rtol=rtol))
+    ladder = refine(evaluate, [2 ** k for k in range(10, cap_exponent + 1)],
+                    RULES["grid-integral"])
     sizes, values = tuple(ladder.sizes), tuple(-v for v in ladder.values)
     rational = isinstance(b, SymbolB) and b.is_rational and _gap_numerator(b.fn) is not None
     if rational and not ladder.stabilized():
@@ -365,8 +364,8 @@ class PythagoreanPair:
 
     # -- invariants ----------------------------------------------------------
 
-    def mate_residual(self, n=2 ** 12):
-        t = grid_angles(n)
+    def mate_residual(self):
+        t = grid_angles(2 ** 12)
         err = np.abs(
             self.a.boundary_modulus(t) ** 2 + self.b.boundary_modulus(t) ** 2 - 1.0
         )
@@ -535,8 +534,14 @@ def pair_from_outer_a(a, size=2 ** 14, admissible_for="all"):
     # |b| keeps its accuracy where it vanishes; the outer's samples carry its own
     # discretization error, far above the rounding of the difference
     mod_b = lambda t: np.sqrt(np.clip(a.one_minus_modulus_squared(t), 0.0, None))
+
+    def gap_log(t):  # log(|a|^2 / (1 + |b|)), finite next to a zero of a, where |b| rounds to 1
+        with np.errstate(divide="ignore"):
+            return 2.0 * np.log(a.boundary_modulus(t)) - np.log1p(mod_b(t))
+
     fn = outer_from_log_modulus(w_b, size=size)
-    b = SymbolB(fn, form="outer_modulus", modulus_fn=mod_b, admissible_for=admissible_for)
+    b = SymbolB(fn, form="outer_modulus", modulus_fn=mod_b, gap_log_fn=gap_log,
+                admissible_for=admissible_for)
     extremeness = classify_extremeness(b)
     return PythagoreanPair(b, a, extremeness)
 
@@ -557,8 +562,7 @@ def _as_taylor(f):
     return t[: nz[-1] + 1] if nz.size else t[:1]
 
 
-def hb_norm_squared(f, pair, rtol=RULES["hb-norm"].rtol, start=DEFAULT_TRUNCATION,
-                    cap=TRUNCATION_CAP, cross_check=True):
+def hb_norm_squared(f, pair, start=DEFAULT_TRUNCATION, cap=TRUNCATION_CAP, cross_check=True):
     """||f||_b^2 by the truncated triangular Toeplitz solve, doubled to stabilization.
 
     Rungs double up to `cap` and are clamped to it; the first starts no
@@ -572,8 +576,7 @@ def hb_norm_squared(f, pair, rtol=RULES["hb-norm"].rtol, start=DEFAULT_TRUNCATIO
     rungs = [min(max(start, 2 * f.size), max(f.size, cap // 2))]
     while rungs[-1] < cap:
         rungs.append(min(2 * rungs[-1], cap))
-    ladder = refine(lambda m: _norm_attempt(f, pair, m, norm2_f), rungs,
-                    replace(RULES["hb-norm"], rtol=rtol))
+    ladder = refine(lambda m: _norm_attempt(f, pair, m, norm2_f), rungs, RULES["hb-norm"])
     if not ladder.stabilized():
         raise ConvergenceError(f"H(b) norm did not stabilize by truncation {cap}",
                                last_values=(None, *ladder.values)[-2:])
@@ -636,13 +639,13 @@ class KernelPoint:
     norm_squared: float
 
 
-def cauchy_kernel_taylor(lam, n=None, tail_tol=1e-16):
-    """Taylor coefficients conj(lam)^k of the Cauchy kernel at lam."""
+def cauchy_kernel_taylor(lam, n=None):
+    """Taylor coefficients conj(lam)^k of the Cauchy kernel at lam, by default down to 1e-16."""
     lam = complex(lam)
     if abs(lam) >= 1:
         raise DomainError("kernel point must lie in the open disk")
     if n is None:
-        n = 1 if lam == 0 else min(int(np.log(tail_tol) / np.log(abs(lam))) + 2, 2 ** 17)
+        n = 1 if lam == 0 else min(int(np.log(1e-16) / np.log(abs(lam))) + 2, 2 ** 17)
     return np.conj(lam) ** np.arange(max(n, 1))
 
 
@@ -747,7 +750,7 @@ def gap_reciprocal_ladder(b):
             vals = np.exp(-logs)
         return float(np.mean(np.where(logs > -np.inf, vals, 0.0)))
 
-    return refine(evaluate, [2 ** k for k in range(10, 17)], RULES["gap-integral"])
+    return refine(evaluate, [2 ** k for k in range(10, 17)], RULES["grid-integral"])
 
 
 def monomial_norm(n, pair, cross_check=True):

@@ -1151,6 +1151,12 @@ class TestSampling:
         rep = sampling_refutation(alpha_pair, pts, depth=6)
         assert rep.overall == "not-reverse-carleson"
 
+    def test_a_symbol_near_the_circle_is_refuted(self):
+        # b = (1 - 1e-7) z is non-extreme, with 1 - |b| = 1e-7 on the whole circle
+        pair = pythagorean_mate(SymbolB.rational([0.0, 1.0 - 1e-7]))
+        rep = sampling_refutation(pair, [0.1, 0.2 + 0.1j, -0.3], depth=6)
+        assert rep.conditions["MainThm.4"].verdict == "fail"
+
 
 class TestFeasibility:
     def test_open_case_reported_as_open(self):

@@ -1,8 +1,11 @@
-"""The kernel rule's edges, on ladders of chosen kernel-ratio maxima."""
+"""Every rule has a reader, and the kernel rule's edges, on ladders of chosen kernel-ratio maxima."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hbspace
 from hbspace.convergence import RULES, Ladder
 
 SIZES = [2 ** j for j in range(1, 11)]
@@ -25,3 +28,9 @@ def test_growth_like_a_power_of_the_level_size(power, verdict):
     ladder = _kernel(np.asarray(SIZES, dtype=float) ** power)
     assert ladder.trend_exponent() == pytest.approx(-power, rel=1e-9)
     assert ladder.verdict() == verdict
+
+
+def test_every_rule_is_read_by_name():
+    # a row that no module reads has outlived its reader
+    source = "".join(p.read_text() for p in Path(hbspace.__file__).parent.glob("*.py"))
+    assert [name for name in RULES if f'RULES["{name}"]' not in source] == []

@@ -475,12 +475,32 @@ class TestCellPyramid:
             for s, value in zip(starts, together):
                 assert w.window_mass(np.array([s]), ell)[0] == value
 
+    @pytest.mark.parametrize("gamma", [0.5, -0.5, 1.5])
+    def test_no_lone_arc_sets_a_fresh_weights_level(self, gamma):
+        # the family arc of 2^-10 turn from 325/1024 alone, and read with a lone arc
+        # from a point of a finer lattice, in one call or after it
+        x, length = 0.3173828125, 2.0**-10
+        for angle in (2.0, 1.0, 4.0):
+            alone = PowerArcWeight(gamma, 1.0, angle).window_mass(np.array([x]), length)[0]
+            for level in (14, 16, 17, 18):
+                lone = 3 * 2.0**-level
+                together = PowerArcWeight(gamma, 1.0, angle).window_mass(np.array([x, lone]), length)
+                w = PowerArcWeight(gamma, 1.0, angle)
+                w.window_mass(np.array([lone]), length)
+                assert together[0] == alone == w.window_mass(np.array([x]), length)[0]
+
     def test_off_lattice_arcs_reuse_the_finest_pyramid(self):
+        # a lone arc, from a lattice point or off every lattice, reads the pyramid as it is,
+        # level 10 when none is built
+        fresh = PowerArcWeight(-0.5, 1.0, 1.0)
+        fresh.arc_integral(TWO_PI * 3 * 2.0**-18, 5 * 2.0**-18)
+        assert len(fresh._pyramid) == 11
         w = PowerArcWeight(-0.5, 1.0, 1.0)
         w.cell_integrals(12)
         pyramid = w._pyramid
         w.arc_integral(np.array([0.123, 4.5]), 0.01)
         w.arc_integral(np.array([0.0]), 2.0 ** -9)
+        w.arc_integral(TWO_PI * 3 * 2.0**-18, 5 * 2.0**-18)
         assert w._pyramid is pyramid and len(pyramid) == 13
 
 

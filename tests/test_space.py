@@ -229,6 +229,14 @@ class TestExtremeness:
             for b in (simple, double_zero_symbol(turn)):
                 assert classify_extremeness(b).verdict == "non-extreme"
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_declared_outer_mates_at_seeded_turns_are_non_extreme(self, k):
+        # a = ((1 - e^(-2 pi i u) z)/2)^k; next to its zero |b| = sqrt(1 - |a|^2) rounds to 1
+        for turn in np.random.default_rng(0).uniform(0, 1, 40):
+            a = RationalFn(np.polynomial.polynomial.polypow(
+                [0.5, -0.5 * np.exp(-2j * np.pi * turn)], k), [1.0])
+            assert pair_from_outer_a(a).extremeness.verdict == "non-extreme"
+
 
 class TestHbNorm:
     def test_h2_limit(self, zero_pair):
