@@ -22,7 +22,7 @@ from hbspace.scenarios import build, kappa_mass_growth
 print("== corona failure along Blaschke zeros ==")
 sc = build("boundary-beta", {"alpha": 0.4, "beta": 0.6})
 cor = corona_check(sc.pair, depth=12)
-print("verdict:", cor.verdict)
+print("verdict:", cor.verdict())
 print("level minima of |a| + |b| (these are c 2^(-0.4 n) at the zeros):")
 print("  ", [f"{v:.4f}" for v in cor.per_level])
 slope = kappa_mass_growth(sc.pair, sc.measure)
@@ -31,9 +31,9 @@ print(f"kernel masses against |1-z|^-0.6 dm grow at rate {slope:.4f} per index "
 
 print("\n== oscillating weight: corona holds, the weight condition fails ==")
 osc = build("oscillating-a2", {"rate": 1.2, "n_max": 8})
-print("corona:", corona_check(osc.pair, depth=12).verdict)
+print("corona:", corona_check(osc.pair, depth=12).verdict())
 scan = a2_check(osc.weight, depth=14)
-print("weight-condition scan:", scan.verdict_bounded(), f"(sup {scan.value:.2f})")
+print("weight-condition scan:", scan.verdict(), f"(sup {scan.value:.2f})")
 print("products on the pinch arcs K_n against the plateau reciprocals:")
 for n in range(3, 9):
     p = a2_product(osc.weight, osc.extras["k_arcs"][n])

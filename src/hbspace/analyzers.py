@@ -97,10 +97,10 @@ class AnalysisReport:
         }
 
 
-def _condition(verdict, scan, **evidence):
-    """A condition read off a level scan: its last value, two resolutions and witness."""
-    return ConditionResult(verdict=verdict, value=scan.value, resolutions=scan.resolutions(),
-                           witness=scan.witness, evidence=evidence)
+def _condition(scan, **evidence):
+    """A condition read off a level scan: its verdict, last value, two resolutions and witness."""
+    return ConditionResult(verdict=scan.verdict(), value=scan.value,
+                           resolutions=scan.resolutions(), witness=scan.witness, evidence=evidence)
 
 
 def _jsonable(obj):
@@ -136,10 +136,6 @@ class LevelScan(Ladder):
     per_level: list = field(default_factory=list)
     witness: dict | None = None
 
-    @property
-    def cumulative(self):
-        return self.values
-
     def add_level(self, size, values, witness):
         """Add one level: its extreme of `values` (-inf or +inf when empty) and the cumulative one.
 
@@ -172,13 +168,9 @@ class ScanResult(LevelScan):
         """Slope of log(cumulative) against log(1/size), size 2^level."""
         return growth_exponent([1.0 / s for s in self.sizes], self.values)
 
-    def verdict_bounded(self):
-        """pass = stabilized finite sup, fail = infinite/divergent, else undetermined."""
-        return FAIL if self.infinite_witnesses else self.verdict()
-
-    def verdict_positive_inf(self):
-        """pass = stabilized positive infimum, fail = zero/decaying, else undetermined."""
-        return self.verdict()
+    def verdict(self):
+        """The ladder's verdict, and fail for a sup scan that met an infinite arc."""
+        return FAIL if self.infinite_witnesses else super().verdict()
 
     def add_family(self, level, families, vals):
         """Add one level's scan families (`ScanFamily`), with the values of their arcs in order."""
@@ -223,7 +215,7 @@ class ScanResult(LevelScan):
             "depth": self.depth,
             "value": _jsonable(self.value),
             "per_level": _jsonable(self.per_level),
-            "cumulative": _jsonable(self.cumulative),
+            "cumulative": _jsonable(self.values),
             "witness": _jsonable(self.witness),
             "exponent": _jsonable(self.exponent),
             "stabilized": self.stabilized(),
@@ -342,13 +334,11 @@ def two_weight_necessary(h, w, depth=DEFAULT_DEPTH):
     """Scan of the paired averages (avg h)(avg w); necessary, never sufficient."""
     products = partial(_paired_averages, as_arc_weight(h), as_arc_weight(w))
     scan = arc_scan(products, depth, mode="sup")
+    condition = _condition(scan, exponent=scan.exponent)
     report = AnalysisReport(
         kind="two-weight-necessary",
-        overall=scan.verdict_bounded(),
-        conditions={
-            "GenMuckenhoupt.sup": _condition(scan.verdict_bounded(), scan,
-                                             exponent=scan.exponent)
-        },
+        overall=condition.verdict,
+        conditions={"GenMuckenhoupt.sup": condition},
         constants={"sup": scan.value},
         diagnostics={"note": "necessary condition only; boundedness is not implied"},
     )
@@ -380,15 +370,15 @@ def _ess_inf_scan(ac, last):
     return scan
 
 
-def ess_inf_weighted(pair, measure, size=None):
+def ess_inf_weighted(pair, measure, depth=DEFAULT_DEPTH):
     """Essential infimum of (1 - |b|^2) h, as the least cell average over dyadic levels.
 
     (1 - |b|^2) is the pair's gap weight |a|^2, which weights the measure's
-    a.c. part h; the levels run up to log2(size), 14 by default.  An a.c.
-    part that cannot be weighted, a piecewise weight say, raises WeightingError.
+    a.c. part h; the levels run up to `depth`.  An a.c. part that cannot be
+    weighted, a piecewise weight say, raises WeightingError.
     """
     ac = None if measure.ac is None else measure.ac.weighted(pair.gap2_weight)
-    return _ess_inf_scan(ac, int(np.log2(size or 2 ** 14)))
+    return _ess_inf_scan(ac, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -398,16 +388,13 @@ def ess_inf_weighted(pair, measure, size=None):
 
 @dataclass(kw_only=True)
 class CoronaResult(LevelScan):
-    infimum = Ladder.value
-    verdict = property(Ladder.verdict)
-
     def to_json(self):
         return {
-            "infimum": _jsonable(self.infimum),
+            "infimum": _jsonable(self.value),
             "witness": _jsonable(self.witness),
             "per_level": _jsonable(self.per_level),
-            "cumulative": _jsonable(self.cumulative),
-            "verdict": self.verdict,
+            "cumulative": _jsonable(self.values),
+            "verdict": self.verdict(),
         }
 
 
@@ -432,25 +419,6 @@ def corona_check(pair, depth=DEFAULT_DEPTH):
 # ---------------------------------------------------------------------------
 # kernel ratio scans
 # ---------------------------------------------------------------------------
-
-
-@dataclass(kw_only=True)
-class KernelRatioResult(LevelScan):
-    variant: str
-    max_ratio = Ladder.value
-
-    @property
-    def per_level_max(self):
-        return self.per_level
-
-    def to_json(self):
-        return {
-            "max_ratio": _jsonable(self.max_ratio),
-            "witness": _jsonable(self.witness),
-            "per_level_max": _jsonable(self.per_level_max),
-            "cumulative": _jsonable(self.cumulative),
-            "variant": self.variant,
-        }
 
 
 def _up_to_circle(fn, value, boundary):
@@ -635,7 +603,7 @@ def kernel_ratio_scan(pair, measure, depth=12, variant="hb"):
     pair.require_nonextreme("kernel ratio scans")
     if not measure.charges():
         raise DegenerateMeasureError("measure has zero total mass")
-    scan = KernelRatioResult(rule=RULES["kernel"], variant=variant)
+    scan = LevelScan(rule=RULES["kernel"])
     norms = _KernelNorms(pair, measure, variant)
     for j, lams in log_radial_points(depth):
         radius = 1.0 - 2.0 ** (-j)
@@ -739,21 +707,18 @@ def reverse_carleson_verdict(pair, measure, depth=DEFAULT_DEPTH, kernel_depth=12
     feasibility = l1_gap_test(pair)
     sarason = {"yes": PASS, "no": FAIL}.get(feasibility["feasible"], UNDETERMINED)
     conditions = {"Sarason.L1gap": ConditionResult(verdict=sarason, evidence=feasibility)}
-    v4 = ess.verdict()
-    conditions["MainThm.4"] = _condition(v4, ess, per_level=ess.per_level)
-    if v4 == FAIL:
+    main4 = conditions["MainThm.4"] = _condition(ess, per_level=ess.per_level)
+    if main4.verdict == FAIL:
         # decaying cell minima mean the essential infimum is zero, whatever the last one
-        conditions["MainThm.4"].value = 0.0
-    conditions["MainThm.3"] = _condition(inf_scan.verdict_positive_inf(), inf_scan,
-                                         per_level=inf_scan.per_level)
-    conditions["MainThm.2"] = _condition(kernels.verdict(), kernels,
-                                         per_level_max=kernels.per_level)
+        main4.value = 0.0
+    conditions["MainThm.3"] = _condition(inf_scan, per_level=inf_scan.per_level)
+    conditions["MainThm.2"] = _condition(kernels, per_level_max=kernels.per_level)
 
     diagnostics = {}
     # the three theorem conditions must agree whenever determinate
     determinate = {k: c.verdict for k, c in conditions.items()
                    if k.startswith("MainThm") and c.verdict != UNDETERMINED}
-    overall = v4
+    overall = main4.verdict
     if len(set(determinate.values())) > 1:
         overall = UNDETERMINED
         diagnostics["equivalence_violation"] = determinate
@@ -764,7 +729,7 @@ def reverse_carleson_verdict(pair, measure, depth=DEFAULT_DEPTH, kernel_depth=12
     constants = {
         "ess_inf": ess.value,
         "reverse_window_inf": inf_scan.value,
-        "kernel_ratio_max": kernels.max_ratio,
+        "kernel_ratio_max": kernels.value,
     }
     witnesses = {}
     if inf_scan.witness:
@@ -798,14 +763,12 @@ def direct_carleson_verdict(pair, measure, depth=DEFAULT_DEPTH, seed=0):
     diagnostics = {}
 
     mu_scan = carleson_sup_scan(measure, depth=depth)
-    conditions["H2Window.mu"] = _condition(mu_scan.verdict_bounded(), mu_scan,
-                                           exponent=mu_scan.exponent,
+    conditions["H2Window.mu"] = _condition(mu_scan, exponent=mu_scan.exponent,
                                            per_level=mu_scan.per_level)
 
     nu = measure.weighted(_gap_weight(pair, pair.a, lambda z: np.abs(np.asarray(pair.a(z))) ** 2))
     nu_scan = carleson_sup_scan(nu, depth=depth)
-    v = nu_scan.verdict_bounded()
-    conditions["CorRationnel.nu"] = _condition(v, nu_scan, exponent=nu_scan.exponent,
+    conditions["CorRationnel.nu"] = _condition(nu_scan, exponent=nu_scan.exponent,
                                                per_level=nu_scan.per_level)
 
     rational = pair.b.is_rational and isinstance(pair.a, RationalFn)
@@ -822,6 +785,7 @@ def direct_carleson_verdict(pair, measure, depth=DEFAULT_DEPTH, seed=0):
             }
         except UnsupportedError:
             rational = False
+    v = conditions["CorRationnel.nu"].verdict
     overall = {PASS: "carleson-for-hb", FAIL: "not-carleson-for-hb"}.get(v, v)
     if not rational:
         diagnostics["heuristic"] = (
@@ -858,18 +822,16 @@ def norm_equivalence_verdict(pair, measure, depth=DEFAULT_DEPTH):
     )
 
     corona = corona_check(pair, depth=depth)
-    conditions["EquivNorm.corona"] = _condition(corona.verdict, corona,
-                                                per_level=corona.per_level)
+    conditions["EquivNorm.corona"] = _condition(corona, per_level=corona.per_level)
 
     a2 = a2_check(pair.gap2_weight, depth=depth)
-    conditions["EquivNorm.a2"] = _condition(a2.verdict_bounded(), a2, exponent=a2.exponent,
+    conditions["EquivNorm.a2"] = _condition(a2, exponent=a2.exponent,
                                             infinite_witnesses=a2.infinite_witnesses)
 
     nu = measure.weighted(_gap_weight(pair, pair.a, lambda z: np.abs(np.asarray(pair.a(z))) ** 2))
     lo, hi = window_scans(nu, depth=depth)
-    conditions["EquivNorm.window_inf"] = _condition(lo.verdict_positive_inf(), lo)
-    conditions["EquivNorm.window_sup"] = _condition(hi.verdict_bounded(), hi,
-                                                    exponent=hi.exponent)
+    conditions["EquivNorm.window_inf"] = _condition(lo)
+    conditions["EquivNorm.window_sup"] = _condition(hi, exponent=hi.exponent)
 
     verdicts = [c.verdict for c in conditions.values()]
     if FAIL in verdicts:
@@ -883,7 +845,7 @@ def norm_equivalence_verdict(pair, measure, depth=DEFAULT_DEPTH):
         overall=overall,
         conditions=conditions,
         constants={
-            "corona_inf": corona.infimum,
+            "corona_inf": corona.value,
             "a2_sup": a2.value,
             "window_inf": lo.value,
             "window_sup": hi.value,
@@ -897,7 +859,11 @@ def norm_equivalence_verdict(pair, measure, depth=DEFAULT_DEPTH):
 # ---------------------------------------------------------------------------
 
 
-def isometry_refutation(pair, degree_bound=64, tol=1e-10):
+_ISOMETRY_DEGREE_BOUND = 64  # the last j >= 1 whose monomial norm is compared
+_ISOMETRY_TOL = 1e-10  # least gain ||z^j||_b^2 - ||1||_b^2 that certifies
+
+
+def isometry_refutation(pair):
     """Certificate that no positive measure is isometric for the space.
 
     Non-constant b: an isometric mu would give ||z^j||_mu^2 <= mu(closed disk)
@@ -921,14 +887,14 @@ def isometry_refutation(pair, degree_bound=64, tol=1e-10):
             "note": "space is H^2 with norm scaled by (1 - |b|^2)^(-1/2); "
                     "the only isometric measure for H^2 is normalized Lebesgue measure",
         }
-    mags = np.abs(pair.b_over_a_taylor(degree_bound + 1)) ** 2
+    mags = np.abs(pair.b_over_a_taylor(_ISOMETRY_DEGREE_BOUND + 1)) ** 2
     one = float(1.0 + mags[0])
-    gains = np.cumsum(mags[1:])  # ||z^j||_b^2 - ||1||_b^2 for j = 1..degree_bound
-    hits = np.nonzero(gains > tol)[0]
+    gains = np.cumsum(mags[1:])  # ||z^j||_b^2 - ||1||_b^2 for j = 1.._ISOMETRY_DEGREE_BOUND
+    hits = np.nonzero(gains > _ISOMETRY_TOL)[0]
     if hits.size == 0:
         raise ResolutionError(
-            f"no partial sum of |c_j|^2 over 1 <= j <= {degree_bound} exceeds {tol}; "
-            "increase the degree bound"
+            f"no partial sum of |c_j|^2 over 1 <= j <= {_ISOMETRY_DEGREE_BOUND} exceeds "
+            f"{_ISOMETRY_TOL}"
         )
     n = int(hits[0]) + 1
     return {
@@ -972,11 +938,14 @@ def sampling_refutation(pair, points, depth=DEFAULT_DEPTH):
 # ---------------------------------------------------------------------------
 
 
-def poisson_square_limit_check(q, zeta_angle, radii, max_size=2 ** 18):
+_POISSON_GRID_CAP = 2 ** 18
+
+
+def poisson_square_limit_check(q, zeta_angle, radii):
     """Table of int |q(r xi)|^2 P_(r zeta)(xi) dm against the target |q(zeta)|^2.
 
     The integral is a grid sum whose error decays like r^n, so the grid is
-    sized from the radius; radii needing more than `max_size` points raise.
+    sized from the radius; radii needing more than _POISSON_GRID_CAP points raise.
     """
     zeta_angle = float(zeta_angle)
     target = float(np.abs(np.asarray(q.boundary_modulus(np.array([zeta_angle])))[0]) ** 2)
@@ -987,9 +956,9 @@ def poisson_square_limit_check(q, zeta_angle, radii, max_size=2 ** 18):
             raise DomainError("radii must lie in [0, 1)")
         need = max(4096, int(40.0 / max(1.0 - r, 1e-9)))
         n = 1 << int(np.ceil(np.log2(need)))
-        if n > max_size:
+        if n > _POISSON_GRID_CAP:
             raise ResolutionError(
-                f"radius {r} needs {n} quadrature points, above the cap {max_size}"
+                f"radius {r} needs {n} quadrature points, above the cap {_POISSON_GRID_CAP}"
             )
         t = grid_angles(n)
         qvals = np.abs(q.eval_on_circle(r, n)) ** 2

@@ -71,13 +71,9 @@ def _atomic_write(path, text):
 def _emit(doc, args, text_summary=None):
     payload = json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n"
     out = getattr(args, "out", None)
-    fmt = getattr(args, "format", "json")
     if out:
-        if fmt == "csv" and isinstance(doc, str):
-            _atomic_write(out, doc)
-        else:
-            _atomic_write(out, payload)
-    if text_summary and fmt == "text":
+        _atomic_write(out, payload)
+    if text_summary and getattr(args, "format", "json") == "text":
         print(text_summary)
     elif not out:
         print(payload, end="")
@@ -211,24 +207,20 @@ def cmd_analyze(kind):
 def cmd_a2(args):
     _check_bounds(args)
     scan = a2_check(_weight(args), depth=args.depth)
-    verdict = scan.verdict_bounded()
+    verdict = scan.verdict()
     doc = {"verdict": verdict, "scan": scan.to_json()}
     _emit(doc, args, f"a2: {verdict} (sup {scan.value:.6g}, exponent {scan.exponent:.3f})")
-    if verdict == "undetermined":
-        return EXIT_UNDETERMINED
-    return EXIT_OK
+    return EXIT_UNDETERMINED if verdict == "undetermined" else EXIT_OK
 
 
 def cmd_corona(args):
     _check_bounds(args)
     b = _symbol(args)
     pair = pythagorean_mate(b, size=2 ** args.grid_exp)
-    res = corona_check(pair, depth=args.depth)
-    doc = res.to_json()
-    _emit(doc, args, f"corona: {res.verdict} (inf {res.infimum:.6g})")
-    if res.verdict == "undetermined":
-        return EXIT_UNDETERMINED
-    return EXIT_OK
+    scan = corona_check(pair, depth=args.depth)
+    verdict = scan.verdict()
+    _emit(scan.to_json(), args, f"corona: {verdict} (inf {scan.value:.6g})")
+    return EXIT_UNDETERMINED if verdict == "undetermined" else EXIT_OK
 
 
 def cmd_scenario(args):

@@ -107,12 +107,15 @@ class Ladder:
         return bool(np.isfinite(last)
                     and abs(last - prev) <= max(atol, rtol * max(abs(last), _TINY)))
 
+    def _series(self):
+        """The values the divergence tests read: in inf mode the reciprocals above the floor."""
+        if self.mode == "inf":
+            return [1.0 / v if v > self.rule.floor else np.inf for v in self.values]
+        return self.values
+
     def divergent(self):
         """Divergence in sup mode; in inf mode, decay: the reciprocals above the floor diverge."""
-        values = self.values
-        if self.mode == "inf":
-            values = [1.0 / v if v > self.rule.floor else np.inf for v in values]
-        if self.rule.runs is not None and _rises(values, self.rule.runs):
+        if self.rule.runs is not None and _rises(self._series(), self.rule.runs):
             return True
         if self.rule.trend is None:
             return False
@@ -120,9 +123,12 @@ class Ladder:
         return bool(np.isfinite(exponent) and exponent <= self.rule.trend)
 
     def trend_exponent(self):
-        """Slope of log(value) against log(1/size) over the rule's last trend_rungs rungs."""
+        """Slope of log(value) against log(1/size) over the rule's last trend_rungs rungs.
+
+        In inf mode the values are the reciprocals, so that decay reads as growth.
+        """
         tail = self.rule.trend_rungs
-        return growth_exponent([1.0 / s for s in self.sizes[-tail:]], self.values[-tail:])
+        return growth_exponent([1.0 / s for s in self.sizes[-tail:]], self._series()[-tail:])
 
     def verdict(self):
         if self.divergent():

@@ -371,38 +371,30 @@ def run_scenario(scenario, depth=12, seed=0):
 
 
 def _dispatch(scenario, analyzer, depth, seed):
-    if analyzer == "extremeness":
-        verdict = (
-            scenario.pair.extremeness
-            if scenario.pair is not None
-            else classify_extremeness(scenario.symbol)
-        )
-        return verdict.verdict, verdict.to_json()
+    if analyzer in ("extremeness", "reverse-feasibility"):
+        ext = (scenario.pair.extremeness if scenario.pair is not None
+               else classify_extremeness(scenario.symbol))
+        if analyzer == "extremeness":
+            return ext.verdict, ext.to_json()
+        out = symbol_reverse_feasibility(scenario.symbol, ext)
+        return out["feasible"], out
     if analyzer == "mate-closed-form":
         a = scenario.pair.a
         target = np.array([0.5, -0.5])
         err = float(np.max(np.abs(a.num - target))) + float(np.max(np.abs(a.den - [1.0])))
         return ("match" if err < 1e-9 else "mismatch"), {"coefficient_error": err}
-    if analyzer == "reverse-feasibility":
-        ext = (
-            scenario.pair.extremeness
-            if scenario.pair is not None
-            else classify_extremeness(scenario.symbol)
-        )
-        out = symbol_reverse_feasibility(scenario.symbol, ext)
-        return out["feasible"], out
     if analyzer == "corona":
-        res = corona_check(scenario.pair, depth=depth)
-        return res.verdict, res.to_json()
+        scan = corona_check(scenario.pair, depth=depth)
+        return scan.verdict(), scan.to_json()
     if analyzer == "a2":
-        res = a2_check(scenario.weight, depth=depth)
-        return res.verdict_bounded(), res.to_json()
+        scan = a2_check(scenario.weight, depth=depth)
+        return scan.verdict(), scan.to_json()
     if analyzer == "in-h2":
         out = l1_gap_test(scenario.pair)
         return out["feasible"], out
     if analyzer == "carleson-mu":
         scan = carleson_sup_scan(scenario.measure, depth=depth)
-        return scan.verdict_bounded(), scan.to_json()
+        return scan.verdict(), scan.to_json()
     if analyzer == "direct":
         rep = direct_carleson_verdict(scenario.pair, scenario.measure, depth=depth, seed=seed)
         return rep.overall, rep.to_json()

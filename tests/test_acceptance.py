@@ -134,13 +134,13 @@ def test_criterion_04_carleson_dichotomy(half_sum):
     )
     scan_nu = carleson_sup_scan(mu.weighted(weight), depth=14)
     elapsed = time.monotonic() - start
-    last2 = scan_nu.cumulative[-2:]
+    last2 = scan_nu.values[-2:]
     stable = abs(last2[1] - last2[0]) <= 0.05 * last2[1]
     ok = (
         abs(scan_mu.exponent + 0.5) <= 0.05
-        and scan_mu.verdict_bounded() == "fail"
+        and scan_mu.verdict() == "fail"
         and stable
-        and scan_nu.verdict_bounded() == "pass"
+        and scan_nu.verdict() == "pass"
         and elapsed <= 30.0
     )
     report(4, ok,
@@ -153,8 +153,8 @@ def test_criterion_05_a2_dichotomy():
     good = a2_check(PowerArcWeight(0.5), depth=14)
     bad = a2_check(PowerArcWeight(1.5), depth=14)
     ok = (
-        good.verdict_bounded() == "pass"
-        and bad.verdict_bounded() == "fail"
+        good.verdict() == "pass"
+        and bad.verdict() == "fail"
         and abs(bad.exponent + 0.5) <= 0.05
     )
     report(5, ok,
@@ -239,8 +239,8 @@ def test_criterion_08_oscillating_weight():
         growth = products[n + 1] / products[n]
         predicted = betas[n] / betas[n + 1]
         worst = max(worst, abs(growth / predicted - 1.0))
-    ok = cor.verdict == "pass" and worst <= 0.25
-    report(8, ok, f"corona {cor.verdict}, K_n growth deviation {worst:.1%}")
+    ok = cor.verdict() == "pass" and worst <= 0.25
+    report(8, ok, f"corona {cor.verdict()}, K_n growth deviation {worst:.1%}")
 
 
 def test_criterion_09_extremeness_classification(half_sum):

@@ -96,12 +96,12 @@ class TestReverseInfScan:
     def test_lebesgue_is_one_at_every_level(self):
         scan = reverse_inf_scan(DiskMeasure.lebesgue(), depth=10)
         assert all(abs(v - 1.0) < 1e-9 for v in scan.per_level)
-        assert scan.verdict_positive_inf() == "pass"
+        assert scan.verdict() == "pass"
 
     def test_interior_atom_fails(self):
         scan = reverse_inf_scan(DiskMeasure.point_mass(0.5, 2.0), depth=8)
         assert scan.value == 0.0
-        assert scan.verdict_positive_inf() == "fail"
+        assert scan.verdict() == "fail"
 
     def test_density_bounded_below(self):
         delta = 0.3
@@ -115,7 +115,7 @@ class TestReverseInfScan:
             1.0 + 0.5 * np.sin(grid_angles(1024)) ** 2
         )
         scan = reverse_inf_scan(mu, depth=10)
-        assert all(b <= a + 1e-15 for a, b in zip(scan.cumulative, scan.cumulative[1:]))
+        assert all(b <= a + 1e-15 for a, b in zip(scan.values, scan.values[1:]))
 
 
 class TestCarlesonSupScan:
@@ -123,16 +123,16 @@ class TestCarlesonSupScan:
         scan = carleson_sup_scan(DiskMeasure.lebesgue(), depth=10)
         assert scan.value == pytest.approx(1.0, abs=1e-9)
         assert abs(scan.exponent) < 0.01
-        assert scan.verdict_bounded() == "pass"
+        assert scan.verdict() == "pass"
 
     def test_radial_power_grows_at_rate_beta(self):
         scan = carleson_sup_scan(DiskMeasure.radial_power(0.5), depth=10)
-        assert scan.verdict_bounded() == "fail"
+        assert scan.verdict() == "fail"
         assert scan.exponent == pytest.approx(-0.5, abs=0.02)
 
     def test_level_maxima_nondecreasing(self):
         scan = carleson_sup_scan(DiskMeasure.radial_power(0.3), depth=10)
-        assert all(b >= a - 1e-15 for a, b in zip(scan.cumulative, scan.cumulative[1:]))
+        assert all(b >= a - 1e-15 for a, b in zip(scan.values, scan.values[1:]))
 
 
 class TestEssInf:
@@ -175,7 +175,7 @@ class TestEssInf:
     def test_level_minima_never_rise_and_witness_is_a_cell_average(self, beta, angle, rotation):
         pair = pythagorean_mate(SymbolB.rational([0.5, 0.5 * np.exp(-1j * rotation)]))
         measure = DiskMeasure.boundary_power(beta, 1.0, angle)
-        res = ess_inf_weighted(pair, measure, size=2 ** 8)
+        res = ess_inf_weighted(pair, measure, depth=8)
         assert all(b <= a for a, b in zip(res.per_level, res.per_level[1:]))
         w = res.witness
         ac = measure.ac.weighted(pair.gap2_weight)
@@ -187,16 +187,16 @@ class TestA2Check:
     def test_constant_weight(self):
         scan = a2_check(np.ones(512), depth=8)
         assert scan.value == pytest.approx(1.0, abs=1e-9)
-        assert scan.verdict_bounded() == "pass"
+        assert scan.verdict() == "pass"
 
     def test_small_power_passes(self):
         scan = a2_check(PowerArcWeight(0.5), depth=12)
-        assert scan.verdict_bounded() == "pass"
+        assert scan.verdict() == "pass"
         assert not scan.infinite_witnesses
 
     def test_large_power_fails_with_rate(self):
         scan = a2_check(PowerArcWeight(1.5), depth=12)
-        assert scan.verdict_bounded() == "fail"
+        assert scan.verdict() == "fail"
         assert scan.infinite_witnesses  # arcs at the singularity are infinite
         assert scan.exponent == pytest.approx(-0.5, abs=0.05)
 
@@ -228,7 +228,7 @@ class TestTwoWeight:
         report, scan = two_weight_necessary(
             PowerArcWeight(-0.5), PowerArcWeight(1.5), depth=12
         )
-        assert scan.verdict_bounded() == "pass"
+        assert scan.verdict() == "pass"
         assert "necessary" in report.diagnostics["note"]
 
 
@@ -236,20 +236,20 @@ class TestCorona:
     def test_halfsum_infimum_is_one(self, half_sum):
         # |a| + |b| >= |a + b| = 1, attained on the real axis
         res = corona_check(half_sum, depth=12)
-        assert res.infimum == pytest.approx(1.0, abs=1e-12)
-        assert res.verdict == "pass"
+        assert res.value == pytest.approx(1.0, abs=1e-12)
+        assert res.verdict() == "pass"
 
     def test_trivial_pair(self):
         pair = pythagorean_mate(SymbolB.rational([0.0]))
         res = corona_check(pair, depth=8)
-        assert res.infimum == pytest.approx(1.0)
+        assert res.value == pytest.approx(1.0)
 
     def test_blaschke_failure_tracks_zeros(self):
         from hbspace.scenarios import build
 
         sc = build("blaschke-corona", {"alpha": 0.4, "n_zeros": 12})
         res = corona_check(sc.pair, depth=12)
-        assert res.verdict == "fail"
+        assert res.verdict() == "fail"
         c = 2.0 ** -0.4
         oracle = [c * 2.0 ** (-0.4 * n) for n in range(1, 13)]
         assert np.allclose(res.per_level, oracle, rtol=1e-6)
@@ -317,7 +317,7 @@ class TestWitnesses:
         pair = build(name).pair
         res = corona_check(pair, depth=10)
         z = res.witness["radius"] * np.exp(1j * res.witness["angle"])
-        assert res.witness["value"] == res.infimum
+        assert res.witness["value"] == res.value
         at = abs(complex(pair.a(z))) + abs(complex(pair.b.fn(z)))
         assert at == pytest.approx(res.witness["value"], rel=1e-12, abs=1e-12)
 
@@ -431,7 +431,7 @@ class TestKernelRatios:
     def test_isometric_case(self):
         pair = pythagorean_mate(SymbolB.rational([0.0]))
         scan = kernel_ratio_scan(pair, DiskMeasure.lebesgue(), depth=8)
-        assert scan.max_ratio == pytest.approx(1.0, abs=1e-6)
+        assert scan.value == pytest.approx(1.0, abs=1e-6)
 
     def test_degenerate_measure_raises(self, half_sum):
         with pytest.raises(DegenerateMeasureError):
@@ -488,7 +488,7 @@ class TestKernelRatios:
 
     def test_cauchy_variant(self, alpha_pair, inv_gap_measure):
         scan = kernel_ratio_scan(alpha_pair, inv_gap_measure, depth=8, variant="cauchy")
-        assert np.isfinite(scan.max_ratio)
+        assert np.isfinite(scan.value)
 
     MIXED = {"disk_atoms": [[0.3, 0.4, 0.5], [-0.6, 0.1, 0.3]],
              "ac_density": {"power": {"beta": 0.5, "scale": 1.2, "singularity_angle": 1.0}},
@@ -716,7 +716,7 @@ class TestKernelRatios:
             m.setattr(functions, "polyval_ascending", refuse)
             m.setattr(functions.GridOuter, "__call__", refuse)
             scan = kernel_ratio_scan(outer_pair, mu, depth=12, variant=variant)
-        np.testing.assert_allclose(scan.per_level_max, expect, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(scan.per_level, expect, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("variant", ["hb", "cauchy"])
     def test_rational_scan_evaluates_b_once_per_level(self, variant, monkeypatch):
@@ -778,7 +778,7 @@ class TestReverseVerdict:
     def test_kernel_thesis_direction(self, alpha_pair, inv_gap_measure):
         # whenever the verdict passes, the kernel ratio maxima are finite/stable
         scan = kernel_ratio_scan(alpha_pair, inv_gap_measure, depth=10)
-        assert np.isfinite(scan.max_ratio)
+        assert np.isfinite(scan.value)
         assert scan.stabilized()
 
     @pytest.mark.parametrize("t0", [0.0, 1.0])
@@ -1231,5 +1231,4 @@ class TestSpecificSymbolCertificates:
         from hbspace.functions import polynomial_fn
 
         with pytest.raises(ResolutionError):
-            poisson_square_limit_check(polynomial_fn([0.0, 1.0]), 0.0, [1 - 1e-6],
-                                       max_size=2 ** 14)
+            poisson_square_limit_check(polynomial_fn([0.0, 1.0]), 0.0, [1 - 1e-6])

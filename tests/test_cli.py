@@ -74,6 +74,10 @@ class TestVerbs:
         assert main(["a2", "--alpha", "0.25", "--depth", "10"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdict"] == "pass"
+        assert set(doc) == {"verdict", "scan"}
+        assert set(doc["scan"]) == {"mode", "depth", "value", "per_level", "cumulative",
+                                    "witness", "exponent", "stabilized", "divergent",
+                                    "infinite_witnesses"}
 
     def test_a2_weight_file(self, tmp_path, capsys):
         w = tmp_path / "w.json"
@@ -91,8 +95,36 @@ class TestVerbs:
     def test_corona(self, files, capsys):
         assert main(["corona", "--b", files["b"], "--depth", "10"]) == 0
         doc = json.loads(capsys.readouterr().out)
+        assert set(doc) == {"infimum", "witness", "per_level", "cumulative", "verdict"}
         assert doc["verdict"] == "pass"
         assert doc["infimum"] == pytest.approx(1.0)
+
+    def test_corona_csv_format_writes_the_json_report(self, files, tmp_path):
+        csv_out, json_out = tmp_path / "corona.csv", tmp_path / "corona.json"
+        for fmt, out in (("csv", csv_out), ("json", json_out)):
+            assert main(["corona", "--b", files["b"], "--depth", "8", "--format", fmt,
+                         "--out", str(out)]) == 0
+        assert csv_out.read_bytes() == json_out.read_bytes()
+
+    @pytest.mark.parametrize("verb, evidence", [
+        ("analyze-direct", {"H2Window.mu": {"exponent", "per_level"},
+                            "CorRationnel.nu": {"exponent", "per_level"}}),
+        ("analyze-reverse", {"Sarason.L1gap": {"feasible", "certificate"},
+                             "MainThm.4": {"per_level"}, "MainThm.3": {"per_level"},
+                             "MainThm.2": {"per_level_max"}}),
+        ("analyze-equivalence", {"EquivNorm.admissible": {"a_admissible", "b_admissible"},
+                                 "EquivNorm.corona": {"per_level"},
+                                 "EquivNorm.a2": {"exponent", "infinite_witnesses"},
+                                 "EquivNorm.window_inf": set(),
+                                 "EquivNorm.window_sup": {"exponent"}}),
+    ])
+    def test_condition_and_evidence_keys(self, files, capsys, verb, evidence):
+        assert main([verb, "--b", files["b"], "--mu", files["m"], "--depth", "8"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert set(doc["conditions"]) == set(evidence)
+        for name, cond in doc["conditions"].items():
+            assert set(cond) == {"verdict", "value", "resolutions", "witness", "evidence"}
+            assert set(cond["evidence"]) == evidence[name]
 
     def test_scenario_list(self, capsys):
         assert main(["scenario", "list"]) == 0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hbspace
-from hbspace.convergence import RULES, Ladder
+from hbspace.convergence import RULES, Ladder, Rule
 
 SIZES = [2 ** j for j in range(1, 11)]
 
@@ -27,6 +27,17 @@ def test_growth_like_a_power_of_the_level_size(power, verdict):
     # trend (exponent <= -0.1 against 2^-j over the last 8 levels) can fire
     ladder = _kernel(np.asarray(SIZES, dtype=float) ** power)
     assert ladder.trend_exponent() == pytest.approx(-power, rel=1e-9)
+    assert ladder.verdict() == verdict
+
+
+@pytest.mark.parametrize("power, verdict", [(-0.5, "fail"), (0.5, "undetermined")])
+def test_an_inf_ladder_reads_its_trend_on_the_reciprocals(power, verdict):
+    # minima decaying like size^-1/2 have reciprocals growing like size^1/2: decay fails;
+    # growing minima are not decay, and they never stabilize
+    rule = Rule("t", rtol=0.05, runs=None, trend=-0.1)
+    ladder = Ladder(rule=rule, mode="inf", sizes=SIZES,
+                    values=list(np.asarray(SIZES, dtype=float) ** power))
+    assert ladder.trend_exponent() == pytest.approx(power, rel=1e-9)
     assert ladder.verdict() == verdict
 
 

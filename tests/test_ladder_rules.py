@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from hbspace.analyzers import arc_scan, corona_check
+from hbspace.convergence import Ladder
 from hbspace.errors import ConvergenceError
 from hbspace.space import classify_extremeness, hb_norm_squared
 
@@ -34,17 +35,17 @@ class TestScanRule:
     def test_sup_last_step_against_the_005_window(self, prev, verdict):
         scan = _scan([prev] * (DEPTH - 1) + [1.0], "sup")
         assert scan.resolutions() == (prev, 1.0)
-        assert scan.verdict_bounded() == verdict
+        assert scan.verdict() == verdict
 
     @pytest.mark.parametrize("last, verdict", [(0.9525, "pass"), (0.9523, "undetermined")])
     def test_inf_last_step_against_the_005_window(self, last, verdict):
         # |1 - last| <= 0.05 last holds from last = 1/1.05 = 0.95238...
         scan = _scan([1.0] * (DEPTH - 1) + [last], "inf")
-        assert scan.verdict_positive_inf() == verdict
+        assert scan.verdict() == verdict
 
     def test_three_consecutive_rises_by_125_diverge(self):
         scan = _scan([1.0, 1.25, 1.5625, 1.953125] + [1.953125] * (DEPTH - 4), "sup")
-        assert scan.verdict_bounded() == "fail"
+        assert scan.verdict() == "fail"
 
     @pytest.mark.parametrize("series", [
         [1.0, 1.25, 1.5625] + [1.5625] * (DEPTH - 3),  # two rises, then flat
@@ -52,24 +53,37 @@ class TestScanRule:
         [1.0, 1.25, 1.5625, 1.5625, 1.953125, 2.44140625] + [2.44140625] * (DEPTH - 6),
     ])
     def test_fewer_than_three_consecutive_rises_stabilize(self, series):
-        assert _scan(series, "sup").verdict_bounded() == "pass"
+        assert _scan(series, "sup").verdict() == "pass"
 
     def test_inf_series_halving_three_times_decays(self):
         scan = _scan([1.0, 0.5, 0.25, 0.125] + [0.125] * (DEPTH - 4), "inf")
-        assert scan.verdict_positive_inf() == "fail"
+        assert scan.verdict() == "fail"
 
     def test_inf_series_halving_twice_stabilizes(self):
         scan = _scan([1.0, 0.5, 0.25] + [0.25] * (DEPTH - 3), "inf")
-        assert scan.verdict_positive_inf() == "pass"
+        assert scan.verdict() == "pass"
 
     def test_inf_series_reaching_zero_fails(self):
         scan = _scan([1.0] * (DEPTH - 2) + [0.0, 0.0], "inf")
         assert scan.value == 0.0
-        assert scan.verdict_positive_inf() == "fail"
+        assert scan.verdict() == "fail"
 
     def test_zero_sup_series_is_bounded(self):
         # a measure that never charges a window: every ratio is 0
-        assert _scan([0.0] * DEPTH, "sup").verdict_bounded() == "pass"
+        assert _scan([0.0] * DEPTH, "sup").verdict() == "pass"
+
+    def test_an_infinite_arc_fails_a_sup_scan_whose_finite_ladder_passes(self):
+        # every finite ratio is 1, and one arc of the deepest level is infinite
+        def value_fn(starts, length):
+            vals = np.ones(np.size(starts))
+            if length == 2.0 ** -DEPTH:
+                vals[0] = np.inf
+            return vals
+
+        scan = arc_scan(value_fn, DEPTH, mode="sup", complements=False)
+        assert scan.values == [1.0] * DEPTH
+        assert Ladder.verdict(scan) == "pass"
+        assert scan.infinite_witnesses and scan.verdict() == "fail"
 
 
 def _corona(minima):
@@ -91,17 +105,17 @@ class TestCoronaRule:
     ])
     def test_flat_minima_around_the_1e12_floor(self, floor_multiple, verdict):
         res = _corona([floor_multiple * 1e-12] * DEPTH)
-        assert res.verdict == verdict
+        assert res.verdict() == verdict
 
     @pytest.mark.parametrize("last, verdict", [(0.9525, "pass"), (0.9523, "undetermined")])
     def test_last_step_against_the_005_window(self, last, verdict):
-        assert _corona([1.0] * (DEPTH - 1) + [last]).verdict == verdict
+        assert _corona([1.0] * (DEPTH - 1) + [last]).verdict() == verdict
 
     def test_minima_halving_three_times_decay(self):
-        assert _corona([1.0, 0.5, 0.25, 0.125] + [0.125] * (DEPTH - 4)).verdict == "fail"
+        assert _corona([1.0, 0.5, 0.25, 0.125] + [0.125] * (DEPTH - 4)).verdict() == "fail"
 
     def test_minima_halving_twice_stabilize(self):
-        assert _corona([1.0, 0.5, 0.25] + [0.25] * (DEPTH - 3)).verdict == "pass"
+        assert _corona([1.0, 0.5, 0.25] + [0.25] * (DEPTH - 3)).verdict() == "pass"
 
 
 def _symbol(logs):

@@ -138,7 +138,7 @@ class TestGapWeight:
         assert pair.a_boundary_zeros == pytest.approx([1.0])
         got = a2_check(pair.gap2_weight, depth=10)
         want = a2_check(pythagorean_mate(SymbolB.rational([0.5, 0.5])).gap2_weight, depth=10)
-        assert got.verdict_bounded() == "fail"
+        assert got.verdict() == "fail"
         assert len(got.infinite_witnesses) == 3
         assert got.infinite_witnesses == want.infinite_witnesses
 
