@@ -13,8 +13,11 @@ implements the same small protocol:
   closed form is known.
 
 The Taylor data of an object is the single source of truth for all
-coefficient-space algorithms downstream; interior evaluation sums exactly the
-same coefficients.
+coefficient-space algorithms downstream.  Rational functions, Blaschke
+products and powers evaluate inside the disk in closed form; a grid outer
+evaluates there from the log series it is built from, and its Taylor data, a
+master series of 2^16 coefficients, is built only for the algorithms that
+read coefficients: the Toeplitz norm solve and the series of b/a.
 """
 
 import numpy as np
@@ -364,9 +367,12 @@ class GridOuter(AnalyticFunction):
 
     The Herglotz transform of log w is discretized as the one-sided series
     L(z) = l_0 + 2 sum l_k z^k, and the function is exp(L(z)/2), which has
-    boundary modulus sqrt(w) and is positive at the origin.  All Taylor data
-    comes from one master coefficient array so that every consumer sees the
-    same discretized object.
+    boundary modulus sqrt(w) and is positive at the origin.  Values inside
+    the disk and on the circle are exp(L/2) of that one series, summed where
+    they are asked for.  The Taylor data is the master array: the first
+    MASTER_DEGREE coefficients of exp(L/2), built on the first call of
+    `taylor` or `inverse_taylor` and kept, so that every coefficient reader
+    sees the same discretized object.
 
     Callable inputs are sampled on half-offset grids at two resolutions and
     Richardson-combined; this is what keeps boundary zeros of w off the sample
@@ -375,12 +381,16 @@ class GridOuter(AnalyticFunction):
 
     #: master Taylor degree and the transform size used to extract it
     MASTER_DEGREE = 2 ** 16
-    #: largest |z| at which the Taylor series is summed
+    #: largest |z| at which the log series is summed
     INTERIOR_LIMIT = 1.0 - 1e-9
 
     def __init__(self, log_coeffs, modulus_fn=None, diagnostics=None):
         self.log_coeffs = np.asarray(log_coeffs, dtype=complex)
         self.log_coeffs.setflags(write=False)
+        #: the coefficients of L: l_0, 2 l_1, 2 l_2, ...
+        self.one_sided = 2.0 * self.log_coeffs
+        self.one_sided[:1] = self.log_coeffs[:1]
+        self.one_sided.setflags(write=False)
         self._modulus_fn = modulus_fn
         self.diagnostics = diagnostics or {}
         self._master = None
@@ -448,8 +458,7 @@ class GridOuter(AnalyticFunction):
     def log_values_on_circle(self, n):
         """L(e^(it)) on the uniform grid, exact for the stored series, in one buffer."""
         values = np.zeros(n, dtype=complex)
-        one_sided = np.concatenate([self.log_coeffs[:1], 2.0 * self.log_coeffs[1:]])
-        np.add.at(values, np.arange(one_sided.size) % n, one_sided)
+        np.add.at(values, np.arange(self.one_sided.size) % n, self.one_sided)
         np.fft.ifft(values, out=values)
         values *= n
         return values
@@ -498,12 +507,14 @@ class GridOuter(AnalyticFunction):
                 "GridOuter interior evaluation requires |z| <= 1 - 1e-9; "
                 "use boundary_values for circle data"
             )
-        return polyval_ascending(self._master_taylor(), z)
+        return np.exp(0.5 * polyval_ascending(self.one_sided, z))
 
     def eval_on_circle(self, radius, n_angles):
         if radius > 1.0 - 1e-12:
             return self.boundary_values(n_angles)
-        return eval_taylor_on_circle(self._master_taylor(), radius, n_angles)
+        values = eval_taylor_on_circle(self.one_sided, radius, n_angles)
+        values *= 0.5
+        return np.exp(values, out=values)
 
     def boundary_values(self, m):
         values = self.log_values_on_circle(m)
@@ -514,10 +525,7 @@ class GridOuter(AnalyticFunction):
         t = np.asarray(t, dtype=float)
         if self._modulus_fn is not None:
             return self._modulus_fn(t)
-        L = polyval_ascending(
-            np.concatenate([self.log_coeffs[:1], 2.0 * self.log_coeffs[1:]]), np.exp(1j * t)
-        )
-        return np.exp(0.5 * np.real(L))
+        return np.exp(0.5 * np.real(polyval_ascending(self.one_sided, np.exp(1j * t))))
 
     def value_at_zero(self):
         return float(np.exp(0.5 * self.log_coeffs[0].real))

@@ -528,8 +528,15 @@ def pair_from_outer_a(a, size=2 ** 14, admissible_for="all"):
     """Build the pair starting from a declared outer a (e.g. a closed form).
 
     b is the outer function with |b|^2 = 1 - |a|^2; its own Pythagorean mate
-    is a again.
+    is a again.  For a rational a, b is built as `pythagorean_mate` builds a:
+    the Fejer-Riesz factor of |r|^2 - |p|^2 over a's denominator r, or 0
+    when a is unimodular, so no grid is sampled and no zero of b can land on one.
     """
+    if isinstance(a, RationalFn):
+        tau = _gap_numerator(a)
+        num = [0.0] if tau is None else fejer_riesz(tau).q
+        b = SymbolB.rational(num, a.den, admissible_for=admissible_for)
+        return PythagoreanPair(b, a, classify_extremeness(b))
     w_b = lambda t: np.clip(1.0 - np.asarray(a.boundary_modulus(t), dtype=float) ** 2, 0.0, None)
     # |b| keeps its accuracy where it vanishes; the outer's samples carry its own
     # discretization error, far above the rounding of the difference

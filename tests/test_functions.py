@@ -23,7 +23,8 @@ from hbspace.functions import (
     series_quotient,
     trig_poly_values,
 )
-from hbspace.space import pair_from_outer_a
+from hbspace.scenarios import run_all
+from hbspace.space import SymbolB, hb_norm, pair_from_outer_a
 
 
 class TestRationalFn:
@@ -302,6 +303,7 @@ class TestGridOuterMaster:
         fn = pair_from_outer_a(PowerOuter(0.25)).b.fn
         assert isinstance(fn, GridOuter)
         one_sided = np.concatenate([fn.log_coeffs[:1], 2.0 * fn.log_coeffs[1:]])
+        assert np.array_equal(fn.one_sided, one_sided)
 
         def log_values(n):
             spec = np.zeros(n, dtype=complex)
@@ -317,6 +319,84 @@ class TestGridOuterMaster:
         for n in (2 ** 12, 2 ** 16):
             assert np.array_equal(fn.log_values_on_circle(n), log_values(n))
             assert np.array_equal(fn.boundary_values(n), np.exp(0.5 * log_values(n)))
+
+    @pytest.fixture
+    def master_builds(self, monkeypatch):
+        """The grid outers whose master is built while the test runs."""
+        builds = []
+        build = GridOuter._master_taylor
+
+        def counted(fn):
+            if fn._master is None:
+                builds.append(fn)
+            return build(fn)
+
+        monkeypatch.setattr(GridOuter, "_master_taylor", counted)
+        return builds
+
+    def test_symbols_and_scans_build_no_master(self, master_builds):
+        # the unit-ball check of a new symbol and every corona and kernel scan of the
+        # catalog read grid outers inside the disk, from their log series
+        _smooth_outer()
+        assert run_all(depth=12)["all_ok"]
+        assert master_builds == []
+
+    def test_the_toeplitz_norm_builds_one_master(self, master_builds):
+        # the alpha-power pair: b is a grid outer, a a closed-form power
+        pair = pair_from_outer_a(PowerOuter(0.25))
+        assert master_builds == []
+        hb_norm([0.0, 1.0], pair)
+        assert master_builds == [pair.b.fn]
+
+
+def _smooth_outer():
+    return SymbolB.from_outer_modulus(lambda t: 0.9 * np.exp(-0.4 * (1 - np.cos(t - 1)))).fn
+
+
+def _reverse_canonical_b():
+    # vanishes like |t - pi|^(1/2) at pi, so its log series decays like 1/k
+    return pair_from_outer_a(PowerOuter(0.25)).b.fn
+
+
+class TestGridOuterValues:
+    """Interior values of a grid outer are exp(L/2), L its stored log series."""
+
+    @staticmethod
+    def reference(fn, z):
+        """exp(L(z)/2) with L summed by Horner in extended precision."""
+        total = np.zeros(z.shape, dtype=np.clongdouble)
+        for c in fn.one_sided[::-1].astype(np.clongdouble):
+            total = total * z + c
+        return np.exp(total / 2)
+
+    @pytest.mark.parametrize("make", [_smooth_outer, _reverse_canonical_b],
+                             ids=["smooth", "reverse-canonical-b"])
+    def test_values_match_extended_precision(self, make):
+        # eval_on_circle at r = 1 - 2^-j, j = 1..14, on exact angles, and __call__ just
+        # inside INTERIOR_LIMIT; at j = 14 a sum of the first 2^16 Taylor coefficients
+        # would miss a tail of order r^(2^16) = e^-4
+        fn, m = make(), 64
+        turn = 8 * np.arctan(np.longdouble(1))
+        radii = 1.0 - 2.0 ** -np.arange(1, 15)
+        circles = radii.astype(np.longdouble)[:, None] * np.exp(
+            1j * turn * np.arange(m, dtype=np.longdouble) / m)
+        got = np.array([fn.eval_on_circle(r, m) for r in radii])
+        want = self.reference(fn, circles)
+        np.testing.assert_allclose(got, want.astype(complex), rtol=1e-13, atol=0)
+        z = GridOuter.INTERIOR_LIMIT * (1 - 2.0 ** -50) * np.exp(1j * grid_angles(m, offset=True))
+        want = self.reference(fn, z.astype(np.clongdouble))
+        np.testing.assert_allclose(fn(z), want.astype(complex), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("make", [_smooth_outer, _reverse_canonical_b],
+                             ids=["smooth", "reverse-canonical-b"])
+    def test_the_last_interior_circle_meets_the_boundary_values(self, make):
+        # from r = 1 - 1e-12 to the circle, L/2 moves by at most (1 - r)/2 sum k |c_k|,
+        # which is 1.1e-8 where the log series decays like 1/k
+        fn = make()
+        moves = 0.5e-12 * np.sum(np.arange(fn.one_sided.size) * np.abs(fn.one_sided))
+        for m in (64, 2 ** 12):
+            gap = np.log(fn.eval_on_circle(1.0 - 1e-12, m) / fn.boundary_values(m))
+            assert np.max(np.abs(gap)) <= moves + 1e-14
 
 
 class TestEvalOnCircle:

@@ -112,6 +112,15 @@ class TestGapWeight:
     @given(order=st.sampled_from([0, 1, 2]), turn=st.floats(0.0, 1.0, exclude_max=True),
            route=st.sampled_from(["mate", "outer-a"]))
     def test_gap_weight_is_one_minus_b_squared(self, order, turn, route):
+        self.check_gap_weight(order, turn, route)
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_outer_a_route_with_a_zero_of_b_on_a_grid_point(self, order):
+        # at turn 2^-14 the zero of b, at angle pi + 2 pi turn, is a point of the
+        # 2^13-point offset grid, where samples of 1 - |a|^2 read exactly 0
+        self.check_gap_weight(order, 2.0 ** -14, "outer-a")
+
+    def check_gap_weight(self, order, turn, route):
         coeffs = np.asarray(self.SYMBOLS[order])
         b = SymbolB.rational(coeffs * np.exp(-2j * np.pi * turn) ** np.arange(coeffs.size))
         pair = pythagorean_mate(b)
