@@ -449,6 +449,8 @@ def _gap_weight(pair, fn, interior):
 
 _BATCH = 2 ** 14  # complex entries of one batched kernel temporary: 256 kB
 _NEAR_POINTS = 64  # grid points on either side of a probe angle that are summed directly
+#: the most probe angles of a level, and the bins of a kernel scan's phase layout
+_PROBE_ANGLES = 64
 
 
 class _KernelNorms:
@@ -457,21 +459,22 @@ class _KernelNorms:
     The kernel is k_lam(z) = (1 - conj(b(lam)) b(z)) / (1 - conj(lam) z) for
     'hb' and 1 / (1 - conj(lam) z) for 'cauchy'.  What the levels share is
     taken once per scan and dropped with it: for the boundary a.c. part its
-    grid density h, b on that grid and the real spectra of the rows the
-    grid sums convolve (`_grid_sums`), and one sine table per sub-grid
-    offset; for every other component the nodes of its own l2 rule
-    (`l2_by_nodes`) with b read there.  A level's probes are summed at those
-    nodes in batches of at most _BATCH entries.
+    grid density h, b on that grid, the phase layout of the rows the grid
+    sums convolve (`_layout`; one per number of phases, and a single one on
+    the 2^16 grid) and one sine table per sub-grid offset; for every other
+    component the nodes of its own l2 rule (`l2_by_nodes`) with b read
+    there.  A level's probes are summed at those nodes in batches of at
+    most _BATCH entries.
     """
 
     def __init__(self, pair, measure, variant):
         self.ac, self.b = measure.ac, None
         self.tables = {}  # sub-grid offset -> its sine table
+        self.layouts = {}  # number of phases -> the rows in that many phases
         if self.ac is not None:
             self.h = self.ac.grid_density()
             if variant == "hb":
                 self.b = pair.b_boundary(self.h.size)
-            self.spectra = self._row_spectra(self.h, self.b)
         b_at = _up_to_circle(pair.b.fn, pair.b.fn, pair.b_at_angles)
         self.components = []
         for comp in measure.components():
@@ -482,20 +485,41 @@ class _KernelNorms:
                     bz = pair.b_at_angles(nodes) if boundary else b_at(nodes)
                 self.components.append((np.exp(1j * nodes) if boundary else nodes, bz, integral))
 
-    @staticmethod
-    def _row_spectra(h, b):
-        """The rfft half spectra of the real rows h, Re(h b), Im(h b), h |b|^2 (h alone without b).
+    def _layout(self, phases):
+        """The real rows h, Re(h b), Im(h b), h |b|^2 (h alone without b) in `phases` phases.
 
-        Each row is formed in one buffer and transformed into its row of
-        the spectra, so that the four real rows are never held at once.
+        With P phases and m = n / P bins, row g is laid out as (m, P): column
+        c holds the phase g[l P + c], l < m, and takes an m-point rfft.
+        Column 0 is kept; columns 1..P-1 are reversed and multiplied by
+        e^(-2 pi i k / m), so that column c holds the spectrum of phase P - c
+        delayed by one bin step, which is what meets the kernel's own column
+        c in `_grid_sums`.  Each row is formed in one buffer and stored in
+        one (m/2 + 1, rows, P) array, so that the four real rows are never
+        held at once.
         """
-        spectra = np.empty((1 if b is None else 4, h.size // 2 + 1), dtype=complex)
-        np.fft.rfft(h, out=spectra[0])
+        if phases not in self.layouts:
+            h, b = self.h, self.b
+            m = h.size // phases
+            delay = np.exp(-2j * np.pi * np.arange(m // 2 + 1) / m)[:, None]
+            layout = np.empty((m // 2 + 1, 1 if b is None else 4, phases), dtype=complex)
+            for i, g in enumerate(self._rows()):
+                spectra = np.fft.rfft(g.reshape(m, phases), axis=0)
+                layout[:, i, 0] = spectra[:, 0]
+                np.multiply(spectra[:, :0:-1], delay, out=layout[:, i, 1:])
+            self.layouts[phases] = layout
+        return self.layouts[phases]
+
+    def _rows(self):
+        """h, then for 'hb' h Re(b), h Im(b) and h |b|^2, formed in turn in one buffer."""
+        h, b = self.h, self.b
+        yield h
         if b is not None:
             row = np.empty(h.size)
-            for spectrum, factor in zip(spectra[1:], (b.real, b.imag, np.abs(b) ** 2)):
-                np.fft.rfft(np.multiply(h, factor, out=row), out=spectrum)
-        return spectra
+            yield np.multiply(h, b.real, out=row)
+            yield np.multiply(h, b.imag, out=row)
+            np.abs(b, out=row)
+            row **= 2
+            yield np.multiply(h, row, out=row)
 
     def __call__(self, lams, beta):
         out = np.zeros(lams.size)
@@ -515,24 +539,28 @@ class _KernelNorms:
 
         `beta` holds b at the lams.  With lam = r e^(i(t_q + delta)) and
         K(s) = 1/|1 - r e^(is)|^2 = 1/((1 - r)^2 + 4 r sin^2(s/2)), the grid
-        sum of g K(t_j - t_q - delta) is the circular convolution of g with K
-        sampled at t_j + delta, read at q: one real kernel FFT and one short
-        inverse FFT per row for each radius and sub-grid offset.  The hb
-        numerator |1 - conj(b(lam)) b|^2 expands over the real rows
+        sum of g K(t_j - t_q - delta) is the circular convolution
+        sum_j g_j K[q - j] of g with K sampled at t_j + delta, read at q.  The
+        hb numerator |1 - conj(b(lam)) b|^2 expands over the real rows
         g = h, Re(h b), Im(h b) and h |b|^2.  That expansion cancels where
         the numerator vanishes under the peak of K, next to a boundary zero
         of a, so the points nearest each probe angle are summed directly and
-        only the rest of K goes through the FFT.  Only the outputs at the
-        probe indices q are read, and they are real: with the product P of
-        two rfft half spectra, output q is Re sum_k c_k P_k e^(2 pi i k q / n)
-        / n, c_k = 2 but for the bins k = 0 and n/2 that have no mirror.  With
-        s the largest stride dividing n and every q of a group, the phases
-        repeat every n/s bins, so one row's weighted half spectrum is folded
-        onto n/s bins (bin k takes the terms k + i n/s) and takes an
-        (n/s)-point inverse FFT, scaled by 1/s: one level's m probe angles on
-        an n-point grid take an m-point inverse FFT per row.
+        only the rest of K is convolved.
+
+        The probes of one radius and offset share a kernel, and with s the
+        largest stride dividing n and each of their indices q, they read the
+        layout in P = gcd(s, n // _PROBE_ANGLES) phases of m = n / P bins.
+        With q = u P and j = l P + c, the sum splits over the phases c into
+        P circular convolutions of length m: phase 0 of g against column 0
+        of K, phase c > 0 against column P - c one step later.  So the
+        kernel, laid out as (m, P), takes P m-point rffts, one batched
+        product over the phases with the layout gives each row's m-bin
+        spectrum, and one m-point irfft per row is read at u = q / P.  On
+        the 2^16 grid every level reads 64 bins; other grids and probes off
+        that lattice take fewer, longer phases, down to P = 1, one n-point
+        transform.
         """
-        h, b, spectra = self.h, self.b, self.spectra
+        h, b = self.h, self.b
         n = h.size
         coefficients = np.stack([np.ones(lams.size), -2.0 * beta.real, -2.0 * beta.imag,
                                  np.abs(beta) ** 2])
@@ -551,6 +579,9 @@ class _KernelNorms:
         out = np.empty(lams.size)
         for (_, offset), idx in groups.items():
             r = radius[idx[0]]
+            stride = int(np.gcd.reduce(np.append(q[idx], n)))
+            phases = int(np.gcd(stride, max(1, n // _PROBE_ANGLES)))
+            layout = self._layout(phases)
             if offset not in self.tables:
                 self.tables[offset] = _sine_table(n, delta[idx[0]])
             kernel = 1.0 / ((1.0 - r) ** 2 + 4.0 * r * self.tables[offset])
@@ -558,20 +589,11 @@ class _KernelNorms:
             numer = 1.0 if b is None else np.abs(1.0 - np.conj(beta[idx, None]) * b[j]) ** 2
             out[idx] = (h[j] * numer) @ kernel[near] / n
             kernel[near] = 0.0
-            half = np.fft.rfft(kernel)
+            spectra = np.fft.rfft(kernel.reshape(-1, phases), axis=0)
             del kernel
-            half[1 : (n + 1) // 2] *= 2.0
-            product = np.empty_like(half)
-            stride = int(np.gcd.reduce(np.append(q[idx], n)))
-            bins = n // stride
-            whole = half.size - half.size % bins
-            far = np.zeros(len(idx))
-            for row, coefficient in zip(spectra, coefficients[:, idx]):
-                np.multiply(row, half, out=product)
-                folded = product[:whole].reshape(-1, bins).sum(axis=0)
-                folded[: half.size - whole] += product[whole:]
-                far += coefficient * np.fft.ifft(folded)[q[idx] // stride].real
-            out[idx] += far / (n * stride)
+            sums = np.fft.irfft(layout @ spectra[:, :, None], n // phases, axis=0)
+            rows = sums[q[idx] // phases, :, 0]
+            out[idx] += np.einsum("ir,ri->i", rows, coefficients[: layout.shape[1], idx]) / n
         return out
 
 
@@ -581,10 +603,10 @@ def _sine_table(n, delta):
 
 
 def log_radial_points(depth):
-    """The lambda probe family: radii 1 - 2^-j at 2^(j + 1) dyadic angles, up to 64."""
+    """The lambda probe family: radii 1 - 2^-j at 2^(j + 1) dyadic angles, up to _PROBE_ANGLES."""
     levels = []
     for j in range(1, depth + 1):
-        m = min(2 ** (j + 1), 64)
+        m = min(2 ** (j + 1), _PROBE_ANGLES)
         angles = grid_angles(m)
         levels.append((j, (1.0 - 2.0 ** (-j)) * np.exp(1j * angles)))
     return levels

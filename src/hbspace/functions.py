@@ -38,6 +38,8 @@ _TAIL_TOL = 1e-18
 _LOG_TINY = float(np.log(np.finfo(float).tiny))
 #: terms per step of the homogeneous tail in series_quotient
 _SERIES_BLOCK = 256
+#: points per step of RationalFn.__call__
+_CALL_BLOCK = 2 ** 11
 
 
 def polyval_ascending(coeffs, z):
@@ -144,7 +146,8 @@ class AnalyticFunction:
         raise NotImplementedError
 
     def boundary_values(self, m):
-        return self(np.exp(1j * grid_angles(m)))
+        z = 1j * grid_angles(m)
+        return self(np.exp(z, out=z))
 
     def boundary_modulus(self, t):
         return np.abs(self(np.exp(1j * np.asarray(t, dtype=float))))
@@ -204,10 +207,20 @@ class RationalFn(AnalyticFunction):
         self.den.setflags(write=False)
 
     def __call__(self, z):
+        """num(z) / den(z) by numpy's polyval, _CALL_BLOCK points at a time.
+
+        Each value takes the same operations whatever block it is in, and a
+        large z forms no full-size temporary besides the result.  A 0-d z
+        gives a scalar, as polyval does.
+        """
         z = np.asarray(z, dtype=complex)
-        return np.polynomial.polynomial.polyval(z, self.num) / np.polynomial.polynomial.polyval(
-            z, self.den
-        )
+        flat = z.reshape(-1)
+        out = np.empty(flat.size, dtype=complex)
+        for s in range(0, flat.size, _CALL_BLOCK):
+            w = flat[s : s + _CALL_BLOCK]
+            out[s : s + _CALL_BLOCK] = (np.polynomial.polynomial.polyval(w, self.num)
+                                        / np.polynomial.polynomial.polyval(w, self.den))
+        return out.reshape(z.shape)[()]
 
     def taylor(self, n):
         return series_quotient(self.num, self.den, n)
@@ -407,9 +420,9 @@ class GridOuter(AnalyticFunction):
         """
         if callable(w):
             n = size or 2 ** 14
-            on_n, on_2n = cls._check_log_integrable(w, n)
-            lam_n = cls._log_series_from_samples(on_n)
-            lam_2n = cls._log_series_from_samples(on_2n)
+            log_n, log_2n = cls._check_log_integrable(w, n)
+            lam_n = cls._log_series_from_logs(log_n)
+            lam_2n = cls._log_series_from_logs(log_2n)
             half = lam_n.size
             lam = lam_2n.copy()
             lam[:half] = 2.0 * lam_2n[:half] - lam_n
@@ -427,31 +440,36 @@ class GridOuter(AnalyticFunction):
         return cls(np.fft.fft(np.log(values))[: n // 2] / n)
 
     @staticmethod
-    def _log_series_from_samples(vals):
-        """The log series from samples of w on the half-offset grid of their size."""
-        n = vals.size
-        if np.any(vals <= 0) or not np.all(np.isfinite(vals)):
+    def _log_series_from_logs(logs):
+        """The log series from log w on the half-offset grid of their size.
+
+        The samples are real, so the first n/2 bins of their rfft are those
+        of the full transform.
+        """
+        n = logs.size
+        if not np.all(np.isfinite(logs)):
             raise DomainError("log-modulus callable must be strictly positive on sample grids")
-        spec = np.fft.fft(np.log(vals)) / n
+        spec = np.fft.rfft(logs)[: n // 2] / n
         k = np.arange(n // 2)
-        return spec[: n // 2] * np.exp(-1j * np.pi * k / n)
+        return spec * np.exp(-1j * np.pi * k / n)
 
     @staticmethod
     def _check_log_integrable(w, n):
-        """Refuse w if mean |log w| grows on the offset grids n/4..4n; give the n and 2n samples."""
+        """Refuse w if mean |log w| grows on the offset grids n/4..4n; give log w on n and 2n."""
         ladder = Ladder(rule=RULES["grid-integral"])
-        samples = {}
+        logs = {}
         for m in (n // 4, n // 2, n, 2 * n, 4 * n):
             t = grid_angles(m, offset=True)
-            vals = samples[m] = np.asarray(w(t), dtype=float)
+            vals = np.asarray(w(t), dtype=float)
             if np.any(vals <= 0):
                 raise DomainError("log-modulus callable must be strictly positive on sample grids")
-            ladder.add(m, np.mean(np.abs(np.log(vals))))
+            logs[m] = np.log(vals)
+            ladder.add(m, np.mean(np.abs(logs[m])))
         if ladder.divergent():
             raise LogIntegrabilityError(
                 f"log integral keeps growing under refinement: {ladder.values}"
             )
-        return samples[n], samples[2 * n]
+        return logs[n], logs[2 * n]
 
     # -- evaluation --------------------------------------------------------
 

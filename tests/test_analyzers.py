@@ -463,10 +463,11 @@ class TestKernelRatios:
                   "radial": [{"angle": 4.5141, "power_beta": 0.5, "scale": 0.4153}]}
 
     def test_scan_spectra_end_with_the_scan(self):
-        # a depth-12 hb scan holds the grid density, b on its grid and four real rfft
-        # half spectra, about 3.7 MB, and builds one level's kernel at a time: its
-        # traced peak stays under 6 MB (10.75 MB with three full complex spectra and
-        # a (3, 2^16) product per level), and the pair keeps nothing of it (4.7 MB)
+        # a depth-12 hb scan holds the grid density, b on its grid, the four rows in
+        # one 64-bin phase layout and one sine table, about 4.4 MB, and builds one
+        # level's kernel at a time: its traced peak, 5.58 MB, stays under 6 MB (10.75 MB
+        # with three full complex spectra and a (3, 2^16) product per level), and the
+        # pair keeps nothing of it (4.7 MB)
         import gc
         import tracemalloc
 
@@ -678,6 +679,38 @@ class TestKernelRatios:
                 got = _probe_norms(norms, half_sum, sub)
                 expect = self._plain_grid_sums(half_sum, h, sub, variant)
                 np.testing.assert_allclose(got, expect, rtol=1e-11, atol=0.0)
+
+    def test_scan_takes_only_64_point_transforms(self, half_sum, monkeypatch):
+        # on the 2^16 grid every level reads one 64-bin layout: each of the four rows
+        # and each level's kernel take 64-point rffts down their phases, and each level
+        # one 64-point irfft of its rows
+        lengths = []
+        for name in ("rfft", "irfft"):
+            def spy(a, n=None, axis=-1, *args, _fft=getattr(np.fft, name), **kwargs):
+                lengths.append(np.shape(a)[axis] if n is None else n)
+                return _fft(a, n, axis, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, spy)
+        kernel_ratio_scan(half_sum, DiskMeasure.lebesgue(), depth=12)
+        assert lengths == [64] * (4 + 12 + 12)
+
+    @pytest.mark.parametrize("variant", ["hb", "cauchy"])
+    def test_probes_off_the_64_lattice_of_the_2_16_grid(self, half_sum, variant):
+        # the level-12 probes turned by 7/16 of a grid step keep their stride of 1024
+        # points and their 64-bin layout under a new sine table; turned by 5.5 steps
+        # they share no stride and take one phase of 2^16 points; probes 768 points apart
+        # take 256 phases of 256 bins
+        weight = DiskMeasure.from_json(self.MIXED).ac
+        h = weight.grid_density()
+        step = 2 * np.pi / h.size
+        norms = _KernelNorms(half_sum, DiskMeasure(ac=weight), variant)
+        lams = log_radial_points(12)[-1][1]
+        for probes in (lams * np.exp(7j / 16 * step), lams * np.exp(5.5j * step),
+                       np.abs(lams[0]) * np.exp(768j * step * np.arange(64))):
+            expect = self._plain_grid_sums(half_sum, h, probes, variant)
+            np.testing.assert_allclose(_probe_norms(norms, half_sum, probes), expect,
+                                       rtol=1e-11, atol=0.0)
+        assert sorted(norms.layouts) == [1, 256, 1024]
 
     @pytest.fixture(scope="class")
     def outer_pair(self):

@@ -49,6 +49,39 @@ class TestRationalFn:
         assert np.allclose(inv, 2.0 * np.ones(6))
 
 
+    RATIONALS = [([0.5, 0.5], [1.0]), ([0.3, 0.4j, -0.1], [1.0, -0.2]),
+                 ([1.0, 2.0, -1.5j, 0.25], [4.0, 0.5 - 0.5j, 0.3j])]
+
+    @pytest.mark.parametrize("num, den", RATIONALS)
+    def test_values_in_blocks_equal_one_polyval_quotient(self, num, den):
+        # each block takes the same operations as one polyval over the whole array
+        f = RationalFn(num, den)
+        polyval = np.polynomial.polynomial.polyval
+        for m in (8, 1000, 2 ** 11 + 3, 2 ** 16):
+            z = np.exp(1j * grid_angles(m))
+            expect = polyval(z, f.num) / polyval(z, f.den)
+            assert f.boundary_values(m).tobytes() == expect.tobytes()
+            assert f(z).tobytes() == expect.tobytes()
+        z = np.random.default_rng(5).uniform(-0.7, 0.7, (2, 3000, 2)) @ [1.0, 1j]
+        assert f(z).tobytes() == (polyval(z, f.num) / polyval(z, f.den)).tobytes()
+        assert type(f(0.5)) is np.complex128
+
+    @pytest.mark.parametrize("num, den", RATIONALS)
+    def test_boundary_values_peak_near_their_own_size(self, num, den):
+        # e^(it) formed in one buffer and the quotient taken in blocks: about 2.2 MB
+        # traced for the 1 MB of values on 2^16 points
+        import tracemalloc
+
+        f = RationalFn(num, den)
+        f.boundary_values(8)
+        tracemalloc.start()
+        try:
+            f.boundary_values(2 ** 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5e6
+
 class TestSeriesQuotient:
     def test_matches_lfilter_on_random_rationals(self):
         rng = np.random.default_rng(17)
@@ -283,6 +316,14 @@ class TestOuterFromLogModulus:
         g = outer_from_log_modulus(lambda t: 2.0 + np.sin(t), size=2 ** 10)
         v = complex(g(np.array([0.0]))[0])
         assert v.real > 0 and abs(v.imag) < 1e-12
+
+    def test_log_series_from_the_real_transform(self):
+        # the first n/2 bins of the rfft of real logs are those of their complex transform
+        n = 2 ** 10
+        logs = np.log(1.5 + np.cos(grid_angles(n, offset=True)))
+        expect = np.fft.fft(logs)[: n // 2] / n * np.exp(-1j * np.pi * np.arange(n // 2) / n)
+        np.testing.assert_allclose(GridOuter._log_series_from_logs(logs), expect,
+                                   rtol=0.0, atol=1e-15)
 
     def test_callable_is_sampled_once_per_grid(self):
         # the integrability rungs n/4..4n; the log series reuse the n and 2n samples
