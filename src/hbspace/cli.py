@@ -29,6 +29,7 @@ from .errors import ConfigurationError, HbError
 from .measures import DiskMeasure, GridArcWeight, PowerArcWeight
 from .space import (
     SymbolB,
+    _complex_list,
     cauchy_kernel_taylor,
     hb_norm,
     kernel_norm_closed_form,
@@ -91,8 +92,11 @@ def _check_bounds(args):
         raise ConfigurationError(f"truncation cap {cap} outside [256, 65536]")
 
 
-def _symbol(args):
-    return SymbolB.from_json(_load_json(args.b))
+def _pair(args):
+    """The checked bounds, then the pair of the symbol in `--b` on the `--grid-exp` grid."""
+    _check_bounds(args)
+    b = SymbolB.from_json(_load_json(args.b))
+    return pythagorean_mate(b, size=2 ** args.grid_exp)
 
 
 def _measure(args):
@@ -125,9 +129,7 @@ def _report_exit(report):
 
 
 def cmd_mate(args):
-    _check_bounds(args)
-    b = _symbol(args)
-    pair = pythagorean_mate(b, size=2 ** args.grid_exp)
+    pair = _pair(args)
     doc = {
         "extremeness": pair.extremeness.to_json(),
         "mate_residual": pair.diagnostics.get("mate_residual"),
@@ -145,11 +147,8 @@ def _describe_a(a):
     from .functions import GridOuter, PowerOuter, RationalFn
 
     if isinstance(a, RationalFn):
-        return {
-            "form": "rational",
-            "numerator": [[float(v.real), float(v.imag)] for v in a.num],
-            "denominator": [[float(v.real), float(v.imag)] for v in a.den],
-        }
+        return {"form": "rational", "numerator": _complex_list(a.num),
+                "denominator": _complex_list(a.den)}
     if isinstance(a, PowerOuter):
         return {"form": "power", "alpha": a.alpha, "scale": a.scale}
     if isinstance(a, GridOuter):
@@ -158,9 +157,7 @@ def _describe_a(a):
 
 
 def cmd_norms(args):
-    _check_bounds(args)
-    b = _symbol(args)
-    pair = pythagorean_mate(b, size=2 ** args.grid_exp)
+    pair = _pair(args)
     cap = args.truncation_cap
     if args.monomial is not None:
         value = monomial_norm(args.monomial, pair)
@@ -183,9 +180,7 @@ def cmd_norms(args):
 
 def cmd_analyze(kind):
     def run(args):
-        _check_bounds(args)
-        b = _symbol(args)
-        pair = pythagorean_mate(b, size=2 ** args.grid_exp)
+        pair = _pair(args)
         mu = _measure(args)
         if kind == "direct":
             report = direct_carleson_verdict(pair, mu, depth=args.depth, seed=args.seed)
@@ -214,9 +209,7 @@ def cmd_a2(args):
 
 
 def cmd_corona(args):
-    _check_bounds(args)
-    b = _symbol(args)
-    pair = pythagorean_mate(b, size=2 ** args.grid_exp)
+    pair = _pair(args)
     scan = corona_check(pair, depth=args.depth)
     verdict = scan.verdict()
     _emit(scan.to_json(), args, f"corona: {verdict} (inf {scan.value:.6g})")

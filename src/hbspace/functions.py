@@ -20,6 +20,9 @@ master series of 2^16 coefficients, is built only for the algorithms that
 read coefficients: the Toeplitz norm solve and the series of b/a.
 """
 
+from functools import reduce
+from operator import mul
+
 import numpy as np
 
 from .convergence import RULES, Ladder
@@ -234,10 +237,6 @@ class RationalFn(AnalyticFunction):
         if self.num.size == 0 or self.num[0] == 0:
             raise DomainError("reciprocal series undefined: function vanishes at 0")
         return series_quotient(self.den, self.num, n)
-
-    def boundary_modulus(self, t):
-        w = np.exp(1j * np.asarray(t, dtype=float))
-        return np.abs(self(w))
 
     @property
     def degree(self):
@@ -562,35 +561,19 @@ class ProductFn(AnalyticFunction):
         self.continuous_on_closure = all(f.continuous_on_closure for f in self.factors)
 
     def __call__(self, z):
-        out = None
-        for f in self.factors:
-            v = f(z)
-            out = v if out is None else out * v
-        return out
+        return reduce(mul, (f(z) for f in self.factors))
 
     def taylor(self, n):
         return _series_product((f.taylor(n) for f in self.factors), n)
 
     def boundary_values(self, m):
-        out = None
-        for f in self.factors:
-            v = f.boundary_values(m)
-            out = v if out is None else out * v
-        return out
+        return reduce(mul, (f.boundary_values(m) for f in self.factors))
 
     def boundary_modulus(self, t):
-        out = None
-        for f in self.factors:
-            v = f.boundary_modulus(t)
-            out = v if out is None else out * v
-        return out
+        return reduce(mul, (f.boundary_modulus(t) for f in self.factors))
 
     def eval_on_circle(self, radius, n_angles):
-        out = None
-        for f in self.factors:
-            v = f.eval_on_circle(radius, n_angles)
-            out = v if out is None else out * v
-        return out
+        return reduce(mul, (f.eval_on_circle(radius, n_angles) for f in self.factors))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .analyzers import (
     symbol_reverse_feasibility,
 )
 from .errors import DomainError
-from .functions import BlaschkeProduct, PowerOuter, ProductFn, outer_from_log_modulus
+from .functions import PowerOuter, outer_from_log_modulus
 from .measures import (
     ArcWindow,
     DiskMeasure,
@@ -115,15 +115,12 @@ def _build_blaschke_corona(params):
         raise DomainError("n_zeros out of range [1, 40]")
     a = PowerOuter(alpha)
     zeros = [1.0 - 2.0 ** (-n) for n in range(1, n_zeros + 1)]
-    w_b0 = lambda t: np.clip(1.0 - a.boundary_modulus(t) ** 2, 0.0, None)
-    b0 = outer_from_log_modulus(w_b0)
-    fn = ProductFn([BlaschkeProduct(zeros), b0])
-    b = SymbolB.from_function(
-        fn,
-        form="inner_times_outer",
-        modulus_fn=lambda t: np.sqrt(w_b0(t)),
+    b = SymbolB.inner_times_outer(
+        zeros,
+        lambda t: np.sqrt(np.clip(1.0 - a.boundary_modulus(t) ** 2, 0.0, None)),
         admissible_for="all",
     )
+    # the pair keeps the declared power a: no constructor builds b = B u from a mate
     pair = PythagoreanPair(b, a, classify_extremeness(b))
     return Scenario(
         name="blaschke-corona",
@@ -189,20 +186,11 @@ def _build_oscillating_a2(params):
     if not 0.0 < rate < 2.0:
         raise DomainError("rate must lie in (0, 2) for both plateau series to converge")
     u, betas, k_arcs = oscillating_modulus(rate, n_max)
-    a = outer_from_log_modulus(lambda t: u.values(t), size=2 ** 14)
-    b_fn = outer_from_log_modulus(lambda t: np.clip(1.0 - u.values(t), 1e-300, None),
-                                  size=2 ** 14)
-    b = SymbolB.from_function(
-        b_fn,
-        form="outer_modulus",
-        modulus_fn=lambda t: np.sqrt(np.clip(1.0 - u.values(t), 0.0, None)),
-        admissible_for="all",
-    )
-    pair = PythagoreanPair(b, a, classify_extremeness(b))
+    pair = pair_from_outer_a(outer_from_log_modulus(u.values))
     return Scenario(
         name="oscillating-a2",
         params={"rate": rate, "n_max": n_max},
-        symbol=b,
+        symbol=pair.b,
         pair=pair,
         weight=u,
         extras={"betas": betas, "k_arcs": k_arcs},

@@ -91,7 +91,6 @@ class SymbolB:
         modulus_fn=None,
         gap_log_fn=None,
         admissible_for=(),
-        check=True,
     ):
         self.fn = fn
         self.form = form
@@ -101,8 +100,7 @@ class SymbolB:
             self.admissible_for = "all"
         else:
             self.admissible_for = frozenset(admissible_for)
-        if check:
-            self._check_unit_ball()
+        self._check_unit_ball()
 
     # -- constructors -------------------------------------------------------
 
@@ -123,55 +121,47 @@ class SymbolB:
 
         `modulus` is a callable of the angle or an array of samples in (0, 1].
         """
-        if callable(modulus):
-            w = lambda t: np.asarray(modulus(t), dtype=float) ** 2
-            fn = outer_from_log_modulus(w, size=size)
-            mod = lambda t: np.asarray(modulus(t), dtype=float)
-        else:
-            samples = np.asarray(modulus, dtype=float)
-            if np.any(samples <= 0) or np.any(samples > 1 + cls.SUP_TOL):
-                raise DomainError("outer-modulus samples must lie in (0, 1]")
-            fn = outer_from_log_modulus(samples ** 2)
-            mod = None
+        fn, modulus_fn = cls._outer(modulus, size)
         return cls(
             fn,
             form="outer_modulus",
-            modulus_fn=mod,
+            modulus_fn=modulus_fn,
             gap_log_fn=gap_log_fn,
             admissible_for=admissible_for,
         )
 
     @classmethod
     def inner_times_outer(cls, blaschke_zeros, outer_modulus, size=2 ** 14, admissible_for=()):
-        inner = BlaschkeProduct(blaschke_zeros)
-        if callable(outer_modulus):
-            w = lambda t: np.asarray(outer_modulus(t), dtype=float) ** 2
-            outer = outer_from_log_modulus(w, size=size)
-            mod = lambda t: np.asarray(outer_modulus(t), dtype=float)
-        else:
-            outer = outer_from_log_modulus(np.asarray(outer_modulus, dtype=float) ** 2)
-            mod = None
+        """b is the Blaschke product with `blaschke_zeros` times the outer of `outer_modulus`.
+
+        `outer_modulus` is given, and its samples checked, as for `from_outer_modulus`.
+        """
+        outer, modulus_fn = cls._outer(outer_modulus, size)
         return cls(
-            ProductFn([inner, outer]),
+            ProductFn([BlaschkeProduct(blaschke_zeros), outer]),
             form="inner_times_outer",
-            modulus_fn=mod,
+            modulus_fn=modulus_fn,
             admissible_for=admissible_for,
         )
 
     @classmethod
-    def from_function(cls, fn, form="custom", modulus_fn=None, admissible_for=(), **kw):
-        return cls(fn, form=form, modulus_fn=modulus_fn, admissible_for=admissible_for, **kw)
+    def _outer(cls, modulus, size):
+        """The outer function with boundary modulus `modulus`, and that modulus as a callable.
+
+        For samples the callable is None, and |b| is read from the outer itself.
+        """
+        if callable(modulus):
+            modulus_fn = lambda t: np.asarray(modulus(t), dtype=float)
+            return outer_from_log_modulus(lambda t: modulus_fn(t) ** 2, size=size), modulus_fn
+        samples = np.asarray(modulus, dtype=float)
+        if np.any(samples <= 0) or np.any(samples > 1 + cls.SUP_TOL):
+            raise DomainError("outer-modulus samples must lie in (0, 1]")
+        return outer_from_log_modulus(samples ** 2), None
 
     @classmethod
     def modulus_only(cls, modulus_fn, gap_log_fn=None):
         """Symbol known only through |b| on the boundary (enough for extremeness)."""
-        return cls(
-            None,
-            form="modulus_only",
-            modulus_fn=modulus_fn,
-            gap_log_fn=gap_log_fn,
-            check=False,
-        )
+        return cls(None, form="modulus_only", modulus_fn=modulus_fn, gap_log_fn=gap_log_fn)
 
     # -- basic queries -------------------------------------------------------
 
@@ -646,6 +636,11 @@ class KernelPoint:
     norm_squared: float
 
 
+def _value_at(f, z):
+    """f at the one point z, as a complex number."""
+    return complex(np.asarray(f(np.array([z])))[0])
+
+
 def cauchy_kernel_taylor(lam, n=None):
     """Taylor coefficients conj(lam)^k of the Cauchy kernel at lam, by default down to 1e-16."""
     lam = complex(lam)
@@ -666,8 +661,8 @@ def kernel_norm_closed_form(lam, pair):
     lam = complex(lam)
     if abs(lam) >= 1:
         raise DomainError("kernel point must lie in the open disk")
-    bv = complex(np.asarray(pair.b.fn(np.array([lam])))[0])
-    av = complex(np.asarray(pair.a(np.array([lam])))[0])
+    bv = _value_at(pair.b.fn, lam)
+    av = _value_at(pair.a, lam)
     norm2 = (1.0 + abs(bv) ** 2 / abs(av) ** 2) / (1.0 - abs(lam) ** 2)
     return KernelPoint(lam, bv, av, float(norm2))
 
@@ -675,7 +670,7 @@ def kernel_norm_closed_form(lam, pair):
 def hb_kernel_norm_squared(lam, pair):
     """||k^b_lam||_b^2 = k^b_lam(lam) = (1 - |b(lam)|^2)/(1 - |lam|^2)."""
     lam = complex(lam)
-    bv = complex(np.asarray(pair.b.fn(np.array([lam])))[0])
+    bv = _value_at(pair.b.fn, lam)
     return (1.0 - abs(bv) ** 2) / (1.0 - abs(lam) ** 2)
 
 
@@ -686,14 +681,14 @@ def kernel_eval(lam, z, pair):
     denom = 1.0 - np.conj(lam) * z
     if np.any(np.abs(denom) < 1e-14):
         raise DomainError("kernel pole: z = 1/conj(lam)")
-    bl = complex(np.asarray(pair.b.fn(np.array([lam])))[0])
+    bl = _value_at(pair.b.fn, lam)
     return (1.0 - np.conj(bl) * pair.b.fn(z)) / denom
 
 
 def hb_kernel_taylor(lam, pair, n=None):
     """Taylor coefficients of k^b_lam = (I - T_b T_conj(b)) k_lam."""
     k = cauchy_kernel_taylor(lam, n)
-    bl = complex(np.asarray(pair.b.fn(np.array([lam])))[0])
+    bl = _value_at(pair.b.fn, lam)
     b_tay = pair.b_taylor(k.size)
     return k - np.conj(bl) * analytic_mul(b_tay, k, k.size)
 
@@ -815,7 +810,7 @@ def clark_density(pair, alpha, size=2 ** 12, rng=None):
     for z in pts:
         poisson = (1.0 - abs(z) ** 2) / np.abs(np.exp(1j * t) - z) ** 2
         extension = float(np.mean(poisson * density))
-        bz = complex(np.asarray(pair.b.fn(np.array([z])))[0])
+        bz = _value_at(pair.b.fn, z)
         target = (1.0 - abs(bz) ** 2) / abs(1.0 - np.conj(alpha) * bz) ** 2
         worst = max(worst, abs(extension - target))
     return ClarkDensity(alpha, density, worst)

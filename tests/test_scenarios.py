@@ -5,6 +5,7 @@ import pytest
 
 from hbspace.analyzers import a2_product
 from hbspace.errors import DomainError
+from hbspace.functions import outer_from_log_modulus
 from hbspace.scenarios import (
     build,
     catalog,
@@ -13,6 +14,7 @@ from hbspace.scenarios import (
     run_all,
     run_scenario,
 )
+from hbspace.space import pair_from_outer_a
 
 
 class TestCatalog:
@@ -53,6 +55,13 @@ class TestOscillatingWeight:
             assert u.values(np.array([j_mid]))[0] == 0.5
             # symmetric copies
             assert u.values(np.array([2 * np.pi - i_mid]))[0] == betas[n]
+
+    def test_the_pair_is_the_one_of_its_outer_mate(self):
+        b = build("oscillating-a2").pair.b
+        u, _, _ = oscillating_modulus(1.2, 8)
+        declared = pair_from_outer_a(outer_from_log_modulus(u.values)).b
+        assert b.gap_log_fn is not None
+        assert np.array_equal(b.fn.one_sided, declared.fn.one_sided)
 
     def test_summability_precheck(self):
         # a rate too shallow for the reciprocal series must be rejected

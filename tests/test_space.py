@@ -7,6 +7,7 @@ from hbspace.circle import grid_angles
 from hbspace.errors import (
     AlphaResonanceError,
     DiagnosticsError,
+    DomainError,
     ExtremeDegenerateError,
     UnsupportedError,
 )
@@ -99,6 +100,29 @@ class TestPythagoreanMate:
     def test_a_positive_at_zero(self, half_sum, alpha_pair):
         assert complex(np.asarray(half_sum.a(np.array([0.0])))[0]).real > 0
         assert complex(np.asarray(alpha_pair.a(np.array([0.0])))[0]).real > 0
+
+
+class TestSymbolConstructors:
+    MODULI = {"callable": lambda t: 0.7 + 0.1 * np.sin(t),
+              "samples": 0.7 + 0.1 * np.sin(grid_angles(2 ** 10))}
+
+    @pytest.mark.parametrize("kind", sorted(MODULI))
+    def test_inner_times_outer_takes_the_outer_of_from_outer_modulus(self, kind):
+        modulus = self.MODULI[kind]
+        product = SymbolB.inner_times_outer([0.5, -0.25j], modulus, size=2 ** 10).fn
+        outer = SymbolB.from_outer_modulus(modulus, size=2 ** 10).fn
+        assert np.array_equal(product.factors[1].one_sided, outer.one_sided)
+
+    @pytest.mark.parametrize("bad", [0.0, 1.5])
+    @pytest.mark.parametrize("build", [
+        lambda m: SymbolB.from_outer_modulus(m),
+        lambda m: SymbolB.inner_times_outer([0.5], m),
+    ], ids=["outer", "inner-times-outer"])
+    def test_samples_outside_the_unit_interval_are_refused(self, build, bad):
+        samples = np.full(256, 0.5)
+        samples[3] = bad
+        with pytest.raises(DomainError, match=r"outer-modulus samples must lie in \(0, 1\]"):
+            build(samples)
 
 
 class TestGapWeight:
