@@ -93,7 +93,7 @@ def _check_bounds(args):
 
 
 def _pair(args):
-    """The checked bounds, then the pair of the symbol in `--b` on the `--grid-exp` grid."""
+    """The symbol in `--b` and its mate on the `--grid-exp` grid, once the bounds are checked."""
     _check_bounds(args)
     b = SymbolB.from_json(_load_json(args.b))
     return pythagorean_mate(b, size=2 ** args.grid_exp)

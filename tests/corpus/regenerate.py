@@ -1,6 +1,6 @@
 """Write the report corpus: one JSON file per `hb` call, from the source in this checkout.
 
-    PYTHONPATH=src python3 tests/corpus/regenerate.py
+    python3 tests/corpus/regenerate.py
 
 Each file holds the call's argv, its exit code, its stderr and its parsed
 JSON report.  The nine `verdicts-scan` calls take their inputs and argv from

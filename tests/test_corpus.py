@@ -2,8 +2,8 @@
 
 Keys, strings, booleans, integers, verdicts and exit codes must match
 exactly, and floats to REL relative.  After a change that moves a report on
-purpose, `PYTHONPATH=src python3 tests/corpus/regenerate.py` rewrites the
-corpus, and its diff shows every number that moved.
+purpose, `python3 tests/corpus/regenerate.py` rewrites the corpus, and its
+diff shows every number that moved.
 """
 
 import glob
