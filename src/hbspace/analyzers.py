@@ -587,6 +587,8 @@ class _KernelNorms:
             kernel = 1.0 / ((1.0 - r) ** 2 + 4.0 * r * self.tables[offset])
             j = (q[idx, None] - near) % n
             numer = 1.0 if b is None else np.abs(1.0 - np.conj(beta[idx, None]) * b[j]) ** 2
+            # at most _PROBE_ANGLES x (2 _NEAR_POINTS + 1) = 8,256 entries: below the
+            # 9,216 past which OpenBLAS hands a matrix-vector product to a second thread
             out[idx] = (h[j] * numer) @ kernel[near] / n
             kernel[near] = 0.0
             spectra = np.fft.rfft(kernel.reshape(-1, phases), axis=0)

@@ -618,17 +618,24 @@ class FactoredArcWeight(ArcWeight):
     def segment_integrals(self, lo, hi):
         if self.cofactor is None and not self._angles.size:
             return self._scale * (hi - lo)
-        self._cut()
-        a, b, owner = _pieces(lo, hi, self._breaks)
-        # the rule of each segment's width (see ArcWeight); a cut piece keeps 16 nodes
-        nodes = _rule_nodes((hi - lo)[owner])
-        cut = (a != lo[owner]) | (b != hi[owner])
-        nodes[cut] = np.maximum(nodes[cut], 16)
+        a, b, owner, nodes = self._segment_pieces(lo, hi)
         parts = np.empty(a.size)
         for n in _distinct(nodes):
             pick = nodes == n
             parts[pick] = self._piece_integrals(a[pick], b[pick], _GL[n])
         return self._scale * np.bincount(owner, weights=parts, minlength=lo.size)
+
+    def _segment_pieces(self, lo, hi):
+        """The segments cut at the breaks: pieces (a, b), the segment of each and its node count.
+
+        The rule is sized from each segment's width (see ArcWeight); a cut piece keeps 16 nodes.
+        """
+        self._cut()
+        a, b, owner = _pieces(lo, hi, self._breaks)
+        nodes = _rule_nodes((hi - lo)[owner])
+        cut = (a != lo[owner]) | (b != hi[owner])
+        nodes[cut] = np.maximum(nodes[cut], 16)
+        return a, b, owner, nodes
 
     def _run(self, start, width, count):
         """Cells of a run: whole ones by angle addition, cut and near ones piece by piece.
@@ -642,6 +649,20 @@ class FactoredArcWeight(ArcWeight):
         """
         if self.cofactor is None and not self._angles.size:
             return np.full(count, self._scale * width)
+        lo, near = self._near_cells(start, width, count)
+        out = np.empty(count)
+        part = np.nonzero(near)[0]
+        out[part] = self._integrals(lo[part], lo[part] + width)
+        whole = np.nonzero(~near)[0]
+        rule = _GL[int(_rule_nodes(width))]
+        step = self._CHUNK * 48 // rule[0].size
+        for s in range(0, whole.size, step):
+            part = whole[s : s + step]
+            out[part] = self._whole_cells(lo[part], width, rule)
+        return out
+
+    def _near_cells(self, start, width, count):
+        """The starts of the cells of a run, and which ones `_run` takes piece by piece."""
         self._cut()
         lo = start + width * np.arange(count)
         near = np.zeros(count, dtype=bool)
@@ -654,16 +675,7 @@ class FactoredArcWeight(ArcWeight):
         k = np.floor((self._refs[:, None] + [-1.0, 0.0, 1.0] - start) / width).astype(np.int64)
         c = (k[..., None] + np.arange(-2, 3)).ravel()
         near[c[(c >= 0) & (c < count)]] = True
-        out = np.empty(count)
-        part = np.nonzero(near)[0]
-        out[part] = self._integrals(lo[part], lo[part] + width)
-        whole = np.nonzero(~near)[0]
-        rule = _GL[int(_rule_nodes(width))]
-        step = self._CHUNK * 48 // rule[0].size
-        for s in range(0, whole.size, step):
-            part = whole[s : s + step]
-            out[part] = self._whole_cells(lo[part], width, rule)
-        return out
+        return lo, near
 
     def _whole_cells(self, lo, width, rule):
         """Integrals over whole far cells [lo, lo + width] (see `_run`), with the scale.
@@ -671,24 +683,52 @@ class FactoredArcWeight(ArcWeight):
         Node values are laid out one row per node, and the rows are summed in
         order, so a cell's integral does not depend on the other cells.
         """
-        offsets = (0.5 * width * (1.0 + rule[0]))[:, None]
+        x, factors = self._whole_nodes(lo, width, rule)
         vals = None
         if self.cofactor is not None:
-            x = offsets + lo
-            vals = np.asarray(self.cofactor(TWO_PI * (x - np.rint(x))), dtype=float)
-        cos_o, sin_o = 2.0 * np.cos(np.pi * offsets), 2.0 * np.sin(np.pi * offsets)
-        for angle, gamma in zip(self._angles, self._gammas):
-            d = np.pi * _offset(lo, angle)
-            base = np.abs(np.sin(d) * cos_o + np.cos(d) * sin_o)
-            base **= gamma
+            vals = np.asarray(self.cofactor(_radians(x)), dtype=float)
+        for base in factors:
             vals = base if vals is None else np.multiply(vals, base, out=base)
         out = vals[0] * rule[1][0]
         for row, weight in zip(vals[1:], rule[1][1:]):
             out += row * weight
         return self._scale * (out * 0.5 * width)
 
+    def _whole_nodes(self, lo, width, rule):
+        """The nodes (turns) of whole far cells, one row per node, and the factors' values there.
+
+        The values come one factor at a time, each |2 sin(pi (d + o))|^gamma in a new array.
+        """
+        offsets = (0.5 * width * (1.0 + rule[0]))[:, None]
+        cos_o, sin_o = 2.0 * np.cos(np.pi * offsets), 2.0 * np.sin(np.pi * offsets)
+
+        def factors():
+            for angle, gamma in zip(self._angles, self._gammas):
+                d = np.pi * _offset(lo, angle)
+                base = np.abs(np.sin(d) * cos_o + np.cos(d) * sin_o)
+                base **= gamma
+                yield base
+
+        return offsets + lo, factors()
+
     def _piece_integrals(self, a, b, rule):
         """Integrals against dm over pieces [a, b] (turns) holding no break, without the scale."""
+        x, factors, dv, q = self._piece_nodes(a, b, rule)
+        vals = 1.0
+        if self.cofactor is not None:
+            vals = np.asarray(self.cofactor(_radians(x)), dtype=float)
+        for base in factors:
+            vals = vals * base
+        # summed row by row, so that a piece's integral does not depend on its batch (a
+        # BLAS matrix-vector product sums the rows past a multiple of four in another order)
+        return np.sum(vals * rule[1], axis=-1) * 0.5 * dv / q
+
+    def _piece_nodes(self, a, b, rule):
+        """The nodes (turns) of pieces [a, b], one row per piece, and the factors' values there.
+
+        Also gives each piece's length dv in its variable and the power q of
+        that variable, whose quotient, halved, is the Jacobian.
+        """
         mid = _offset(0.5 * (a + b), self._refs[:, None])
         near = np.argmin(np.abs(mid), axis=0)
         c, below = self._refs[near], mid[near, np.arange(near.size)] < 0
@@ -707,18 +747,46 @@ class FactoredArcWeight(ArcWeight):
         v = v1[:, None] + 0.5 * dv[:, None] * (1.0 + rule[0])
         u = v ** (1.0 / q)[:, None] if np.any(p) else v
         s = side[:, None] * u
-        vals = 1.0
-        if self.cofactor is not None:
-            x = c[:, None] + s
-            vals = np.asarray(self.cofactor(TWO_PI * (x - np.rint(x))), dtype=float)
-        for angle, gamma in zip(self._angles, self._gammas):
-            base = np.abs(2.0 * np.sin(np.pi * _offset(_offset(c, angle)[:, None] + s, 0.0)))
-            absorbed = (c == angle) & (p != 0)
-            base[absorbed] = TWO_PI * np.sinc(u[absorbed])
-            vals = vals * base ** gamma
-        # summed row by row, so that a piece's integral does not depend on its batch (a
-        # BLAS matrix-vector product sums the rows past a multiple of four in another order)
-        return np.sum(vals * rule[1], axis=-1) * 0.5 * dv / q
+
+        def factors():
+            for angle, gamma in zip(self._angles, self._gammas):
+                base = np.abs(2.0 * np.sin(np.pi * _offset(_offset(c, angle)[:, None] + s, 0.0)))
+                absorbed = (c == angle) & (p != 0)
+                base[absorbed] = TWO_PI * np.sinc(u[absorbed])
+                yield base ** gamma
+
+        return c[:, None] + s, factors(), dv, q
+
+    def node_rule(self):
+        """The nodes at which `total` takes the cofactor, as angles (radians) and weights.
+
+        They are the nodes of the cells of the coarsest pyramid base, whole or
+        cut into pieces, as `_run` integrates them, each weight the rule's
+        weight times the factor values, the Jacobian and the scale.  So the
+        sum of the weights times the cofactor at the angles is the total, up
+        to the order of the sum.  None with a pole, which some cell holds.
+        """
+        if not self.integrable:
+            return None
+        count = 2 ** self._MIN_LEVEL
+        width = 1.0 / count
+        lo, near = self._near_cells(0.0, width, count)
+        rule = _GL[int(_rule_nodes(width))]
+        x, factors = self._whole_nodes(lo[~near], width, rule)
+        nodes = [(x, factors, rule[1][:, None] * (0.5 * width))]
+        a, b, _, counts = self._segment_pieces(lo[near], lo[near] + width)
+        for n in _distinct(counts):
+            pick = counts == n
+            x, factors, dv, q = self._piece_nodes(a[pick], b[pick], _GL[n])
+            nodes.append((x, factors, _GL[n][1] * (0.5 * dv / q)[:, None]))
+        angles, weights = [], []
+        for x, factors, w in nodes:
+            w = np.broadcast_to(w, x.shape)
+            for base in factors:
+                w = w * base
+            angles.append(_radians(x).ravel())
+            weights.append(np.ravel(w))
+        return np.concatenate(angles), self._scale * np.concatenate(weights)
 
     def weighted(self, boundary):
         """The weight times boundary(t); a factored boundary, a power one too, joins its factors.
@@ -738,6 +806,11 @@ class FactoredArcWeight(ArcWeight):
         return FactoredArcWeight([f.reciprocal() for f in self.factors], inverse)
 
 
+def _radians(x):
+    """Turns x as angles in [-pi, pi], exact next to 0."""
+    return TWO_PI * (x - np.rint(x))
+
+
 def _times(f, g):
     """The pointwise product of two cofactors, None standing for 1."""
     if f is None or g is None:
@@ -753,6 +826,8 @@ class PowerArcWeight(FactoredArcWeight):
     infinite integral, and that infinity is returned as such.  Lebesgue
     measure (gamma = 0) has no factor left and integrates in closed form.
     """
+
+    _rule = None  # (focus angles, node rule) of the last `l2`
 
     def __init__(self, gamma, scale=1.0, angle=0.0):
         if scale < 0:
@@ -775,9 +850,23 @@ class PowerArcWeight(FactoredArcWeight):
         return PowerArcWeight(-self.gamma, 1.0 / self.scale, self.angle)
 
     def l2(self, fn):
-        """Total of the weight times |fn|^2 on the circle, cut toward fn's focus angles too."""
-        return FactoredArcWeight([self], lambda t: np.abs(fn.boundary_angles(t)) ** 2,
-                                 fn.focus_angles).total()
+        """Total of the weight times |fn|^2 on the circle, cut toward fn's focus angles too.
+
+        It is the total of the weight with cofactor |fn|^2, whose nodes depend
+        on the focus angles alone: their node rule is kept with the weight, as
+        its pyramid is, until a norm with other focus angles replaces it, so
+        that norms sharing them, such as kernels peaking at one angle, take one
+        weighted sum of |fn|^2 at the rule's angles each.  One rule is kept,
+        not one per tuple, since each holds some 60k nodes.
+        """
+        focus = tuple(fn.focus_angles)
+        if self._rule is None or self._rule[0] != focus:
+            self._rule = focus, FactoredArcWeight(
+                [self], lambda t: np.abs(fn.boundary_angles(t)) ** 2, focus).node_rule()
+        if self._rule[1] is None:
+            return np.inf
+        angles, weights = self._rule[1]
+        return float(np.sum(weights * np.abs(fn.boundary_angles(angles)) ** 2))
 
     def scaled(self, t):
         return PowerArcWeight(self.gamma, self.scale * t, self.angle)

@@ -253,14 +253,20 @@ def _build_mu_beta(params):
     )
 
 
-def _build_boundary_beta(params):
+def _base(base, builder, params):
+    """The scenario a dependent builds on: `base` when it was built with `params`, else a new one."""
+    return base if base is not None and base.params == params else builder(params)
+
+
+def _build_boundary_beta(params, base=None):
     alpha = float(params.get("alpha", 0.4))
     beta = float(params.get("beta", 0.6))
     if not 0.0 < beta < 1.0:
         raise DomainError("beta must lie in (0, 1) for a finite boundary measure")
     if not 0.0 < beta <= 2.0 * alpha:
         raise DomainError("need beta <= 2*alpha so the weighted density stays bounded")
-    base = _build_blaschke_corona({"alpha": alpha, "n_zeros": int(params.get("n_zeros", 12))})
+    base = _base(base, _build_blaschke_corona,
+                 {"alpha": alpha, "n_zeros": int(params.get("n_zeros", 12))})
     measure = DiskMeasure.boundary_power(beta, label="boundary-beta")
     return Scenario(
         name="boundary-beta",
@@ -278,9 +284,9 @@ def _build_boundary_beta(params):
     )
 
 
-def _build_reverse_canonical(params):
+def _build_reverse_canonical(params, base=None):
     alpha = float(params.get("alpha", 0.25))
-    sc = _build_alpha_power({"alpha": alpha})
+    sc = _base(base, _build_alpha_power, {"alpha": alpha})
     pair = sc.pair
     # (1 - |b|)^-1 dm, the pair's exact reciprocal gap weight times 1 + |b|
     measure = DiskMeasure(ac=pair.inverse_gap_weight, label="reverse-canonical")
@@ -307,17 +313,24 @@ BUILDERS = {
     "boundary-beta": _build_boundary_beta,
     "reverse-canonical": _build_reverse_canonical,
 }
+#: the catalog scenario each dependent builds its symbol and pair from
+BASES = {"boundary-beta": "blaschke-corona", "reverse-canonical": "alpha-power"}
 
 
 def catalog():
     return sorted(BUILDERS)
 
 
-def build(name, params=None):
-    """Construct a catalog scenario; unknown names and out-of-range parameters raise."""
+def build(name, params=None, base=None):
+    """Construct a catalog scenario; unknown names and out-of-range parameters raise.
+
+    A dependent (see BASES) handed its `base` scenario takes the base's symbol
+    and pair when the base was built with the parameters it needs.
+    """
     if name not in BUILDERS:
         raise DomainError(f"unknown scenario {name!r}; catalog: {', '.join(catalog())}")
-    return BUILDERS[name](dict(params or {}))
+    params = dict(params or {})
+    return BUILDERS[name](params) if base is None else BUILDERS[name](params, base=base)
 
 
 # ---------------------------------------------------------------------------
@@ -417,11 +430,27 @@ def kappa_mass_growth(pair, measure, n_range=range(4, 13)):
 
 
 def run_all(depth=12, seed=0, names=None):
-    """Run every catalog scenario; mismatches carry the full analysis detail."""
-    results = []
-    for name in catalog() if names is None else names:
+    """Run every catalog scenario; mismatches carry the full analysis detail.
+
+    Each scenario is built once: a dependent runs right after its base, on
+    the base's objects, and the base is dropped after both, so that no more
+    than one pair of scenarios is held at a time.  The results keep the
+    order of `names`, the catalog's by default.
+    """
+    names = catalog() if names is None else list(names)
+    dependent = {base: name for name, base in BASES.items() if name in names}
+    results = {}
+    for name in names:
+        if name in results:
+            continue
         scenario = build(name)
-        results.append(run_scenario(scenario, depth=depth, seed=seed))
+        results[name] = run_scenario(scenario, depth=depth, seed=seed)
+        follower = dependent.get(name)
+        if follower is not None and follower not in results:
+            results[follower] = run_scenario(build(follower, base=scenario), depth=depth,
+                                             seed=seed)
+        del scenario
+    results = [results[name] for name in names]
     return {
         "depth": depth,
         "seed": seed,

@@ -533,8 +533,8 @@ def pair_from_outer_a(a, size=2 ** 14, admissible_for="all"):
     mod_b = lambda t: np.sqrt(np.clip(a.one_minus_modulus_squared(t), 0.0, None))
 
     def gap_log(t):  # log(|a|^2 / (1 + |b|)), finite next to a zero of a, where |b| rounds to 1
-        with np.errstate(divide="ignore"):
-            return 2.0 * np.log(a.boundary_modulus(t)) - np.log1p(mod_b(t))
+        log_a2, gap = a.log_and_gap(t)  # |a| read once for both
+        return log_a2 - np.log1p(np.sqrt(np.clip(gap, 0.0, None)))
 
     fn = outer_from_log_modulus(w_b, size=size)
     b = SymbolB(fn, form="outer_modulus", modulus_fn=mod_b, gap_log_fn=gap_log,

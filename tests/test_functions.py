@@ -248,10 +248,25 @@ class TestOneMinusModulusSquared:
                 exact = 1 - c**2 * abs(2 * mpmath.sin(angle / 2)) ** mpmath.mpf("0.5")
                 assert value == pytest.approx(float(exact), rel=1e-14, abs=1e-35)
 
+    @pytest.mark.parametrize("scale", [None, 0.7], ids=["unit-peak", "scaled"])
+    def test_log_and_gap_come_from_one_read_of_the_modulus(self, scale):
+        # 2 log|f| is the log that 1 - |f|^2 is -expm1 of, so both keep their
+        # accuracy next to the peak; the zero at 0 reads -inf and 1
+        f = PowerOuter(0.3, scale)
+        t = np.array(self.ANGLES + [0.0])
+        log_sq, gap = f.log_and_gap(t)
+        assert np.array_equal(gap, f.one_minus_modulus_squared(t))
+        assert np.array_equal(gap, -np.expm1(log_sq))
+        assert log_sq[-1] == -np.inf and gap[-1] == 1.0
+        np.testing.assert_allclose(np.exp(log_sq / 2), f.boundary_modulus(t), rtol=1e-14)
+
     def test_default_is_one_minus_the_modulus_squared(self):
         f = RationalFn([0.3, 0.4j], [1.0, -0.2])
         t = np.array(self.ANGLES)
         assert np.array_equal(f.one_minus_modulus_squared(t), 1.0 - f.boundary_modulus(t) ** 2)
+        log_sq, gap = f.log_and_gap(t)
+        assert np.array_equal(gap, 1.0 - f.boundary_modulus(t) ** 2)
+        assert np.array_equal(log_sq, 2.0 * np.log(f.boundary_modulus(t)))
 
 
 class TestOuterFromLogModulus:
@@ -466,3 +481,18 @@ class TestEvalOnCircle:
         scale = np.sum(np.abs(coeffs) * r ** np.arange(size))
         assert float(np.max(np.abs(got - direct))) <= 1e-14 * scale
 
+
+    @pytest.mark.parametrize("r", [*(1.0 - 2.0 ** -np.arange(1, 13)), 0.999],
+                             ids=[*(f"1-2^-{j}" for j in range(1, 13)), "0.999"])
+    def test_fold_matches_the_matrix_vector_product(self, r):
+        # a grid outer's 2^14-term log series on the 64 probe angles of a kernel scan
+        # and on the 4096 angles of the unit-ball check, against the BLAS product
+        # r^(i n) @ rows the fold replaced, to 1e-14 of the largest value (a value
+        # next to a zero of the sum cancels); rows below the normal range add nothing
+        c = _reverse_canonical_b().one_sided
+        for n in (64, 2 ** 12):
+            rows = c.size // n
+            folded = r ** (n * np.arange(rows)) @ c.reshape(rows, n) * r ** np.arange(n)
+            want = np.fft.ifft(folded) * n
+            got = eval_taylor_on_circle(c, r, n)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

@@ -868,6 +868,51 @@ class TestL2Norms:
                 exact += mpmath.quad(lambda w: density(w, side), [0, *inner, mpmath.pi ** q])
             assert weight.l2(k) == pytest.approx(float(exact / (2 * mpmath.pi)), rel=1e-10, abs=0)
 
+    @staticmethod
+    def cell_total(weight, fn):
+        """The total of the weight with cofactor |fn|^2, cut toward fn's focus angles, by its pyramid."""
+        return FactoredArcWeight([weight], lambda t: np.abs(fn.boundary_angles(t)) ** 2,
+                                 fn.focus_angles).total()
+
+    def test_node_rule_sums_match_the_pyramid_totals(self, monkeypatch):
+        # the nine normalized Cauchy kernels of boundary-beta's kernel-growth check
+        # against |1 - e^(it)|^-0.6, which share one node rule, and the rational
+        # cofactor |0.045 / (1 - 0.95 e^(it))|^2, whose peak at 0 is no cut angle, against
+        # powers at angle 2: each l2 within 4 ulp of the pyramid total of its nodes
+        rules = []
+        node_rule = FactoredArcWeight.node_rule
+        monkeypatch.setattr(FactoredArcWeight, "node_rule",
+                            lambda w: rules.append(w) or node_rule(w))
+        weight = PowerArcWeight(-0.6)
+        cases = []
+        for n in range(4, 13):
+            lam = 1.0 - 2.0 ** -n
+            s = np.sqrt(1.0 - lam ** 2)
+            cases.append((weight, FunctionOnDisk(
+                interior=None,
+                boundary_angles=lambda t, lam=lam, s=s: s / (1.0 - lam * np.exp(1j * t)),
+                focus_angles=(0.0,))))
+        rational = FunctionOnDisk(interior=None,
+                                  boundary_angles=lambda t: 0.045 / (1.0 - 0.95 * np.exp(1j * t)))
+        cases += [(PowerArcWeight(gamma, 1.7, 2.0), rational) for gamma in (0.0, 0.5, -0.5)]
+        for w, fn in cases:
+            want = self.cell_total(w, fn)
+            assert abs(w.l2(fn) - want) <= 4 * np.spacing(want)
+        assert len(rules) == 4
+        # a rule depends on the focus angles alone, and the weight keeps the last one
+        kernel = cases[0][1]
+        assert weight.l2(kernel) == weight.l2(kernel) and len(rules) == 4
+        moved = FunctionOnDisk(interior=None, boundary_angles=kernel.boundary_angles,
+                               focus_angles=(1.0,))
+        weight.l2(moved)
+        weight.l2(kernel)
+        assert len(rules) == 6
+
+    def test_a_pole_reads_an_infinite_l2(self):
+        weight = PowerArcWeight(-1.2, 1.0, 1.0)
+        fn = FunctionOnDisk(interior=None, boundary_angles=lambda t: np.sin(t - 1.0))
+        assert weight.l2(fn) == self.cell_total(weight, fn) == np.inf
+
     def test_infinite_norm_is_legal(self):
         # (1 - t)^(-1/4) kernel-like blowup: |f|^2 ~ (1-t)^(-1) against
         # (1-t)^(-0.5) dt diverges; the norm must come back as +inf, not raise

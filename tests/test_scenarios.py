@@ -5,7 +5,9 @@ import pytest
 
 from hbspace.analyzers import a2_product
 from hbspace.errors import DomainError
+from hbspace import scenarios
 from hbspace.functions import outer_from_log_modulus
+from hbspace.measures import PiecewiseBoundaryWeight
 from hbspace.scenarios import (
     build,
     catalog,
@@ -112,3 +114,34 @@ class TestRunnerEdges:
     def test_empty_catalog_selection(self):
         result = run_all(depth=8, names=[])
         assert result["scenarios"] == [] and result["all_ok"]
+
+    def test_run_all_builds_each_base_once(self, monkeypatch):
+        # reverse-canonical runs on alpha-power's pair and boundary-beta on
+        # blaschke-corona's; the results keep the catalog's order
+        builds = []
+        for name, attr in (("alpha-power", "_build_alpha_power"),
+                           ("blaschke-corona", "_build_blaschke_corona")):
+            builder = getattr(scenarios, attr)
+            counted = (lambda params, name=name, builder=builder:
+                       builds.append(name) or builder(params))
+            monkeypatch.setattr(scenarios, attr, counted)
+            monkeypatch.setitem(scenarios.BUILDERS, name, counted)
+        result = run_all(depth=6)
+        assert sorted(builds) == ["alpha-power", "blaschke-corona"]
+        assert [r["name"] for r in result["scenarios"]] == catalog()
+
+    def test_a_dependent_builds_its_own_base_for_other_parameters(self):
+        base = build("alpha-power")
+        assert build("reverse-canonical", base=base).pair is base.pair
+        assert build("reverse-canonical", {"alpha": 0.3}, base=base).pair is not base.pair
+
+    def test_oscillating_a2_reads_its_plateau_weight_once_per_sample(self, monkeypatch):
+        # the pair's gap log takes 2 log|a| and 1 - |a|^2 from one read of |a|, so the
+        # extremeness ladder reads the weight once per grid (24 calls over 391,168 points
+        # when it read |a| twice)
+        calls = []
+        values = PiecewiseBoundaryWeight.values
+        monkeypatch.setattr(PiecewiseBoundaryWeight, "values",
+                            lambda w, t: calls.append(np.size(t)) or values(w, t))
+        build("oscillating-a2")
+        assert (len(calls), sum(calls)) == (18, 326656)
