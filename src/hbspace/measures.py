@@ -786,7 +786,10 @@ class FactoredArcWeight(ArcWeight):
                 w = w * base
             angles.append(_radians(x).ravel())
             weights.append(np.ravel(w))
-        return np.concatenate(angles), self._scale * np.concatenate(weights)
+        angles, weights = np.concatenate(angles), self._scale * np.concatenate(weights)
+        angles.setflags(write=False)
+        weights.setflags(write=False)
+        return angles, weights
 
     def weighted(self, boundary):
         """The weight times boundary(t); a factored boundary, a power one too, joins its factors.

@@ -413,8 +413,19 @@ def _dispatch(scenario, analyzer, depth, seed):
 
 
 def kappa_mass_growth(pair, measure, n_range=range(4, 13)):
-    """Fitted log-slope of the L2(mu) masses of normalized Cauchy kernels at 1 - 2^-n."""
+    """Fitted log-slope of the L2(mu) masses of normalized Cauchy kernels at 1 - 2^-n.
+
+    The kernels share their focus angle, so a power density takes each norm
+    at the same node angles, and e^(it) there is taken once for all of them.
+    """
     from .measures import FunctionOnDisk, l2mu_norm
+
+    last = [None, None]  # the angles last asked for, and e^(it) at them
+
+    def circle(t):
+        if last[0] is not t:
+            last[:] = t, np.exp(1j * np.asarray(t))
+        return last[1]
 
     vals = []
     for n in n_range:
@@ -422,7 +433,7 @@ def kappa_mass_growth(pair, measure, n_range=range(4, 13)):
         scale = np.sqrt(1.0 - lam**2)
         k = FunctionOnDisk(
             interior=lambda z, lam=lam, s=scale: s / (1.0 - lam * np.asarray(z)),
-            boundary_angles=lambda t, lam=lam, s=scale: s / (1.0 - lam * np.exp(1j * np.asarray(t))),
+            boundary_angles=lambda t, lam=lam, s=scale: s / (1.0 - lam * circle(t)),
             focus_angles=(0.0,),
         )
         vals.append(l2mu_norm(k, measure) ** 2)
