@@ -683,10 +683,10 @@ class FactoredArcWeight(ArcWeight):
         Node values are laid out one row per node, and the rows are summed in
         order, so a cell's integral does not depend on the other cells.
         """
-        x, factors = self._whole_nodes(lo, width, rule)
+        offsets, factors = self._whole_nodes(lo, width, rule)
         vals = None
         if self.cofactor is not None:
-            vals = np.asarray(self.cofactor(_radians(x)), dtype=float)
+            vals = np.asarray(self.cofactor(_radians(offsets + lo)), dtype=float)
         for base in factors:
             vals = base if vals is None else np.multiply(vals, base, out=base)
         out = vals[0] * rule[1][0]
@@ -695,9 +695,11 @@ class FactoredArcWeight(ArcWeight):
         return self._scale * (out * 0.5 * width)
 
     def _whole_nodes(self, lo, width, rule):
-        """The nodes (turns) of whole far cells, one row per node, and the factors' values there.
+        """The offsets o of the rule's nodes in a cell, as a column, and the factors' values.
 
-        The values come one factor at a time, each |2 sin(pi (d + o))|^gamma in a new array.
+        The nodes (turns) of the whole far cells from `lo` are o + lo, one row
+        per node.  The values come one factor at a time, each
+        |2 sin(pi (d + o))|^gamma in a new array.
         """
         offsets = (0.5 * width * (1.0 + rule[0]))[:, None]
         cos_o, sin_o = 2.0 * np.cos(np.pi * offsets), 2.0 * np.sin(np.pi * offsets)
@@ -709,7 +711,7 @@ class FactoredArcWeight(ArcWeight):
                 base **= gamma
                 yield base
 
-        return offsets + lo, factors()
+        return offsets, factors()
 
     def _piece_integrals(self, a, b, rule):
         """Integrals against dm over pieces [a, b] (turns) holding no break, without the scale."""
@@ -772,8 +774,8 @@ class FactoredArcWeight(ArcWeight):
         width = 1.0 / count
         lo, near = self._near_cells(0.0, width, count)
         rule = _GL[int(_rule_nodes(width))]
-        x, factors = self._whole_nodes(lo[~near], width, rule)
-        nodes = [(x, factors, rule[1][:, None] * (0.5 * width))]
+        offsets, factors = self._whole_nodes(lo[~near], width, rule)
+        nodes = [(offsets + lo[~near], factors, rule[1][:, None] * (0.5 * width))]
         a, b, _, counts = self._segment_pieces(lo[near], lo[near] + width)
         for n in _distinct(counts):
             pick = counts == n
